@@ -15,7 +15,9 @@ import re
 from fractions import Fraction
 from itertools import product
 
-from .indices import AlgebraConfig, ConfigError, ExponentVector, GroupElement
+from .indices import (
+    AlgebraConfig, ConfigError, ExponentVector, GroupElement, _index_of_slot,
+)
 
 
 class LiteralError(ValueError):
@@ -176,19 +178,13 @@ def grading(u: AlgebraElement) -> AlgebraElement:
     shape = config.shape
     out = AlgebraElement.zero(config)
     for s in config.weight_group_slots:
-        out = out + scale_partial(_index_of_slot_cached(shape, s), u)
+        out = out + scale_partial(_index_of_slot(shape, s), u)
     for s in config.weight_exp_slots:
-        p = _index_of_slot_cached(shape, s)
+        p = _index_of_slot(shape, s)
         t_p = AlgebraElement.from_term(
             config, BasisIndex(config.lattice.zero, config.zero_exps.raised(s)))
         out = out + multiply(t_p, lower_partial(p, u))
     return out
-
-
-def _index_of_slot_cached(shape, s: int) -> int:
-    if s == 0:
-        return 0
-    return (s + 1) // 2 if s % 2 else s // 2 + shape.n
 
 
 def weight(config: AlgebraConfig, index: BasisIndex):
@@ -295,15 +291,20 @@ _BASIS_RE = re.compile(
     r"^\s*(?:1\s*\*\s*)?x\[(?P<alpha>[^\]]*)\]\s*(?:t\[(?P<exps>[^\]]*)\])?\s*$")
 
 
+def parse_rational(text: str, what: str) -> Fraction:
+    """Exact rational from text; LiteralError naming `what` if malformed."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise LiteralError(f"bad rational in {what}") from None
+
+
 def _parse_entries(config, text, what):
     parts = [x.strip() for x in text.split(",")] if text.strip() else []
     if len(parts) != config.shape.dim:
         raise LiteralError(
             f"{what} needs {config.shape.dim} comma-separated entries")
-    try:
-        return [Fraction(x) for x in parts]
-    except (ValueError, ZeroDivisionError):
-        raise LiteralError(f"bad rational in {what}") from None
+    return [parse_rational(x, what) for x in parts]
 
 
 def _parse_index_body(config, alpha_text, exps_text) -> BasisIndex:
@@ -334,7 +335,7 @@ def parse_element(config: AlgebraConfig, text: str) -> AlgebraElement:
         m = _TERM_RE.match(clause)
         if not m:
             raise LiteralError(f"cannot parse term {clause.strip()!r}")
-        coeff = Fraction(m.group("coeff"))
+        coeff = parse_rational(m.group("coeff"), f"term {clause.strip()!r}")
         idx = _parse_index_body(config, m.group("alpha"), m.group("exps"))
         out = out + AlgebraElement.from_term(config, idx, coeff)
     return out
@@ -348,12 +349,8 @@ def parse_basis_index(config: AlgebraConfig, text: str) -> BasisIndex:
     return _parse_index_body(config, m.group("alpha"), m.group("exps"))
 
 
-def _format_rational(q) -> str:
-    return str(q)
-
-
 def format_basis_index(index: BasisIndex) -> str:
-    body = "x[" + ",".join(_format_rational(x) for x in index.alpha.vector) + "]"
+    body = "x[" + ",".join(map(str, index.alpha.vector)) + "]"
     if any(index.exps):
         body += "t[" + ",".join(str(e) for e in index.exps) + "]"
     return body
@@ -364,7 +361,7 @@ def format_element(u: AlgebraElement) -> str:
         return "0"
     pieces = []
     for idx in sorted(u.terms, key=BasisIndex.sort_key):
-        pieces.append(f"{_format_rational(u.terms[idx])}*{format_basis_index(idx)}")
+        pieces.append(f"{u.terms[idx]}*{format_basis_index(idx)}")
     return " + ".join(pieces)
 
 
@@ -431,20 +428,16 @@ def sample_element(config: AlgebraConfig, rng, max_terms: int = 3) -> AlgebraEle
 
 def structure_rows(config: AlgebraConfig, radius: int) -> list[tuple[str, str, str, str]]:
     """CSV rows for all ordered bracket pairs in the window, sorted for diffing."""
-    window = window_indices(config, radius)
+    window = [(format_basis_index(i), AlgebraElement.from_term(config, i))
+              for i in window_indices(config, radius)]
     rows = []
-    for iu in window:
-        lu = format_basis_index(iu)
-        xu = AlgebraElement.from_term(config, iu)
-        for iv in window:
-            lv = format_basis_index(iv)
-            xv = AlgebraElement.from_term(config, iv)
+    for lu, xu in window:
+        for lv, xv in window:
             result = bracket_closed(xu, xv)
             if result.is_zero():
                 rows.append((lu, lv, "0", "0"))
             else:
-                for ir in result.terms:
-                    rows.append((lu, lv, format_basis_index(ir),
-                                 _format_rational(result.terms[ir])))
+                for ir, c in result.terms.items():
+                    rows.append((lu, lv, format_basis_index(ir), str(c)))
     rows.sort()
     return rows

@@ -20,7 +20,8 @@ from .indices import AlgebraConfig, ConfigError, parse_config_text
 from .algebra import (
     AlgebraElement, LiteralError, bracket_closed, bracket_operator,
     format_basis_index, format_element, multiply, parse_basis_index,
-    parse_element, sample_index, structure_rows, window_indices,
+    parse_element, parse_rational, sample_index, structure_rows,
+    window_indices,
 )
 from .derivations import (
     AmbiguousError, DerivationDecomposer, LatticeHom, LinearOperator,
@@ -64,7 +65,8 @@ def parse_operator_spec(config: AlgebraConfig, text: str) -> LinearOperator:
         m = _OP_START.match(chunk)
         if not m:
             raise UsageError(f"cannot parse operator term {chunk.strip()!r}")
-        scalar = Fraction(m.group(1)) if m.group(1) else Fraction(1)
+        scalar = (parse_rational(m.group(1), "operator scalar") if m.group(1)
+                  else Fraction(1))
         kind = m.group(2)
         rest = m.group(3).strip()
         if kind == "ad":
@@ -73,7 +75,8 @@ def parse_operator_spec(config: AlgebraConfig, text: str) -> LinearOperator:
             values = rest.split()
             if len(values) != len(config.lattice.generators):
                 raise UsageError("dmu needs one rational per gamma generator")
-            op = diagonal_derivation(LatticeHom(config, [Fraction(v) for v in values]))
+            op = diagonal_derivation(
+                LatticeHom(config, [parse_rational(v, "dmu value") for v in values]))
         else:
             op = outer_lower_partial(config, config.shape.parse_index_token(rest))
         parts.append((scalar, op))
@@ -99,7 +102,7 @@ def load_functional(config: AlgebraConfig, path: str) -> LinearFunctional:
         if len(fields) != 2:
             raise UsageError(f"{path}:{lineno}: expected 'basis-literal value'")
         idx = parse_basis_index(config, fields[0])
-        table[idx] = Fraction(fields[1])
+        table[idx] = parse_rational(fields[1], f"the value at {path}:{lineno}")
     return LinearFunctional(config, table=table, tag=path)
 
 
@@ -113,7 +116,7 @@ def load_table_cocycle(config: AlgebraConfig, path: str) -> TableCocycle:
         iu = parse_basis_index(config, fields[0])
         iv = parse_basis_index(config, fields[1])
         key = (iu, iv)
-        value = Fraction(fields[2])
+        value = parse_rational(fields[2], f"the value at {path}:{lineno}")
         if key in entries and entries[key] != value:
             raise UsageError(f"{path}:{lineno}: conflicting duplicate pair")
         entries[key] = value

@@ -18,6 +18,10 @@ from .algebra import (
     format_basis_index, unit,
 )
 
+# one shared zero for every zero value; it is a Fraction, not int 0, so
+# the trivializer rules' divisions stay exact
+_ZERO = Fraction(0)
+
 
 class Cocycle:
     """Bilinear skew form given on basis pairs; extended bilinearly."""
@@ -32,7 +36,7 @@ class Cocycle:
         raise NotImplementedError
 
     def __call__(self, u: AlgebraElement, v: AlgebraElement) -> Fraction:
-        total = Fraction(0)
+        total = _ZERO
         for iu, cu in u.terms.items():
             for iv, cv in v.terms.items():
                 val = self.on_basis(iu, iv)
@@ -57,7 +61,7 @@ class LinearFunctional:
         if index in self.table:
             return self.table[index]
         if self.rule is None:
-            return Fraction(0)
+            return _ZERO
         out = self._memo.get(index)
         if out is None:
             out = self.rule(index)
@@ -65,7 +69,7 @@ class LinearFunctional:
         return out
 
     def eval_element(self, u: AlgebraElement) -> Fraction:
-        total = Fraction(0)
+        total = _ZERO
         for idx, c in u.terms.items():
             val = self.eval_basis(idx)
             if val:
@@ -123,10 +127,10 @@ class TableCocycle(Cocycle):
 
     def on_basis(self, iu, iv):
         if iu == iv:
-            return Fraction(0)
+            return _ZERO
         if iu.sort_key() <= iv.sort_key():
-            return self.entries.get((iu, iv), Fraction(0))
-        return -self.entries.get((iv, iu), Fraction(0))
+            return self.entries.get((iu, iv), _ZERO)
+        return -self.entries.get((iv, iu), _ZERO)
 
 
 class CompositeCocycle(Cocycle):
@@ -139,7 +143,7 @@ class CompositeCocycle(Cocycle):
         self.parts = [(Fraction(s), psi) for s, psi in parts]
 
     def on_basis(self, iu, iv):
-        return sum((s * psi.on_basis(iu, iv) for s, psi in self.parts), Fraction(0))
+        return sum((s * psi.on_basis(iu, iv) for s, psi in self.parts), _ZERO)
 
 
 class CocycleReport:
@@ -387,16 +391,22 @@ class TrivializationReport:
 
 
 def verify_trivialization(psi: Cocycle, f: LinearFunctional, pairs) -> TrivializationReport:
-    """Exact comparison psi(u,v) vs f([u,v]) over the given basis pairs."""
+    """Exact comparison psi(u,v) vs f([u,v]) over the given basis pairs.
+
+    A coboundary psi = g([u,v]) is evaluated on the same bracket as f, so
+    each pair is bracketed once; any other psi goes through `on_basis`.
+    """
     config = psi.config
+    g = psi.functional if isinstance(psi, CoboundaryCocycle) else None
     failures = []
     checked = 0
     for iu, iv in pairs:
         checked += 1
-        lhs = psi.on_basis(iu, iv)
         xu = AlgebraElement.from_term(config, iu)
         xv = AlgebraElement.from_term(config, iv)
-        rhs = f.eval_element(bracket_closed(xu, xv))
+        bracket = bracket_closed(xu, xv)
+        lhs = psi.on_basis(iu, iv) if g is None else g.eval_element(bracket)
+        rhs = f.eval_element(bracket)
         if lhs != rhs:
             failures.append((iu, iv, lhs, rhs))
     return TrivializationReport(checked, failures)

@@ -13,6 +13,7 @@ mirror partner.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .linalg import rref
@@ -207,6 +208,11 @@ class Lattice:
         coords = tuple(int(c) for c in coords)
         if len(coords) != len(self.generators):
             raise ConfigError("coordinate tuple has wrong length")
+        return self._intern(coords)
+
+    def _intern(self, coords: tuple[int, ...]) -> GroupElement:
+        # skips element()'s checks: coords must already be a tuple of ints of
+        # the generator count, as sums and negations of valid coords are
         cached = self._cache.get(coords)
         if cached is None:
             cached = GroupElement(self, coords)
@@ -264,13 +270,13 @@ class GroupElement:
         return self.vector[self.lattice.shape.slot(p)]
 
     def add(self, other: GroupElement) -> GroupElement:
-        return self.lattice.element(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return self.lattice._intern(tuple(map(operator.add, self.coords, other.coords)))
 
     def add_coords(self, coords: tuple[int, ...]) -> GroupElement:
-        return self.lattice.element(tuple(a + b for a, b in zip(self.coords, coords)))
+        return self.lattice._intern(tuple(map(operator.add, self.coords, coords)))
 
     def neg(self) -> GroupElement:
-        return self.lattice.element(tuple(-a for a in self.coords))
+        return self.lattice._intern(tuple(map(operator.neg, self.coords)))
 
     def __eq__(self, other):
         return isinstance(other, GroupElement) and self.coords == other.coords
@@ -304,7 +310,7 @@ class ExponentVector(tuple):
         return cls(entries)
 
     def add(self, other) -> "ExponentVector":
-        return ExponentVector(a + b for a, b in zip(self, other))
+        return ExponentVector(map(operator.add, self, other))
 
     def lowered(self, *slots) -> "ExponentVector | None":
         """Subtract one at each given slot; None if any entry would go negative."""
@@ -328,7 +334,7 @@ class AlgebraConfig:
         "shape", "lattice", "j0_naturals",
         "exp_slots", "shift_coords",
         "weight_group_slots", "weight_exp_slots",
-        "pair_rows", "zero_mode_slot", "_zero_exps",
+        "pair_rows", "_zero_exps",
     )
 
     def __init__(self, shape: Shape, lattice: Lattice, j0_naturals: bool):
@@ -383,7 +389,6 @@ class AlgebraConfig:
                 b in (3, 5, 6),    # exponent-exponent family
             ))
         self.pair_rows = tuple(rows)
-        self.zero_mode_slot = 0
         self._zero_exps = ExponentVector((0,) * shape.dim)
 
     @property

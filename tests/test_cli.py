@@ -8,6 +8,7 @@ from contactk.cli import main
 
 CASEB = "ell: 1 0 0 0 0 0\nj0: zero\ngamma: 1 0 0\ngamma: 0 1 0\ngamma: 0 0 1\n"
 L2 = "ell: 0 1 0 0 0 0\nj0: naturals\ngamma: 0 1 0\ngamma: 0 0 1\n"
+L3 = "ell: 0 0 1 0 0 0\nj0: naturals\ngamma: 0 1 0\ngamma: 0 0 1\n"
 
 
 @pytest.fixture()
@@ -21,6 +22,13 @@ def caseb_path(tmp_path):
 def l2_path(tmp_path):
     p = tmp_path / "l2.cfg"
     p.write_text(L2)
+    return str(p)
+
+
+@pytest.fixture()
+def l3_path(tmp_path):
+    p = tmp_path / "l3.cfg"
+    p.write_text(L3)
     return str(p)
 
 
@@ -63,6 +71,13 @@ def test_bracket_bad_literal(capsys, caseb_path):
         "bracket", "--config", caseb_path, "nonsense", "1*x[0,0,1]"])
     assert code == 2
     assert "error:" in err
+
+
+def test_bracket_zero_denominator_coefficient(capsys, l2_path):
+    code, _, err = run(capsys, [
+        "bracket", "--config", l2_path, "1/0*x[0,1,1]", "1*x[0,0,0]"])
+    assert code == 2
+    assert "error: bad rational" in err
 
 
 def test_mul(capsys, caseb_path):
@@ -124,6 +139,13 @@ def test_deriv_check_rejects_bad_spec(capsys, caseb_path):
             "deriv", "check", "--config", caseb_path, "--op", spec])
         assert code == 2, spec
         assert "error:" in err
+
+
+def test_deriv_check_zero_denominator_scalar(capsys, l3_path):
+    code, _, err = run(capsys, [
+        "deriv", "check", "--config", l3_path, "--op", "1/0 dt 1bar"])
+    assert code == 2
+    assert "error: bad rational in operator scalar" in err
 
 
 def test_deriv_decompose(capsys, l2_path):
@@ -202,6 +224,15 @@ def test_cocycle_table_file_errors(capsys, caseb_path, tmp_path):
         "cocycle", "check", "--config", caseb_path, "--table", str(table)])
     assert code == 2
     assert "error:" in err
+
+
+def test_functional_file_bad_value(capsys, l2_path, tmp_path):
+    func = tmp_path / "g.txt"
+    func.write_text("x[0,1,1] abc\n")
+    code, _, err = run(capsys, [
+        "cocycle", "check", "--config", l2_path, "--coboundary", str(func)])
+    assert code == 2
+    assert f"error: bad rational in the value at {func}:1" in err
 
 
 def test_cocycle_requires_a_source(capsys, caseb_path):

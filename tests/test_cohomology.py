@@ -9,7 +9,8 @@ import pytest
 
 from contactk import (
     CoboundaryCocycle, ConfigError, LinearFunctional, TableCocycle,
-    basis_element, bracket_closed, check_cocycle, closed_form_regime,
+    AlgebraElement, basis_element, bracket_closed, bracket_operator,
+    check_cocycle, closed_form_regime,
     coboundary, make_config, parse_basis_index, recursion_probes,
     sample_index, trivialize, trivialize_closed_form, trivialize_recursive,
     verify_trivialization, window_indices,
@@ -177,3 +178,35 @@ def test_verify_reports_mismatch(cfg_caseB):
     assert not report.passed
     iu, iv, lhs, rhs = report.failures[0]
     assert lhs != rhs
+
+
+def test_verify_witnesses_one_altered_value(cfg_l2):
+    # f = g except at one window index; the coboundary route brackets each
+    # pair once for both sides, so its witnesses must be exactly the pairs
+    # whose bracket (by the independent operator route) has a term there
+    rng = random.Random(92)
+    g = random_functional(cfg_l2, rng)
+    pairs = window_pairs(cfg_l2, 1)
+    idx = pairs[len(pairs) // 2][1]
+    f = LinearFunctional(cfg_l2, table=g.table, tag="altered")
+    f.table[idx] = g.eval_basis(idx) + 1
+    report = verify_trivialization(coboundary(g), f, pairs)
+    expected = {}
+    for iu, iv in pairs:
+        b = bracket_operator(AlgebraElement.from_term(cfg_l2, iu),
+                             AlgebraElement.from_term(cfg_l2, iv))
+        if idx in b.terms:
+            expected[(iu, iv)] = b.terms[idx]
+    assert expected and report.checked == len(pairs)
+    assert {(iu, iv): rhs - lhs for iu, iv, lhs, rhs in report.failures} == expected
+
+
+def test_verify_checks_table_cocycles_on_basis(cfg_caseB):
+    # a table cocycle is not a coboundary: it is read through on_basis,
+    # and against the zero functional only its own entry differs
+    pairs = window_pairs(cfg_caseB, 1)
+    a, b = pairs[7]
+    psi = TableCocycle(cfg_caseB, {(b, a): Fraction(-3, 2)})
+    zero = LinearFunctional(cfg_caseB, table={}, tag="zero")
+    report = verify_trivialization(psi, zero, pairs)
+    assert report.failures == [(a, b, Fraction(3, 2), 0)]

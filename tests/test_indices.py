@@ -84,6 +84,23 @@ def test_lattice_membership_non_unit_generators():
     assert lat.membership((1, Fraction(1, 2), 0)) is None
 
 
+def test_lattice_element_rejects_wrong_length(cfg_caseB):
+    lat = cfg_caseB.lattice
+    for coords in [(1, 2), (1, 2, 3, 4), ()]:
+        with pytest.raises(ConfigError):
+            lat.element(coords)
+
+
+def test_group_arithmetic_returns_interned_elements(cfg_mixed):
+    lat = cfg_mixed.lattice
+    a = lat.element((1, -2, 0, 3, 0, 0, 1, 0))
+    b = lat.element((2, 2, -1, 0, 0, 5, 0, -3))
+    assert a.add(b) is lat.element((3, 0, -1, 3, 0, 5, 1, -3))
+    assert a.add_coords(b.coords) is lat.element((3, 0, -1, 3, 0, 5, 1, -3))
+    assert a.neg() is lat.element((-1, 2, 0, -3, 0, 0, -1, 0))
+    assert a.add(a.neg()) is lat.zero
+
+
 def test_lattice_requires_unit_members():
     # generators must resolve every paired unit vector
     with pytest.raises(ConfigError):
