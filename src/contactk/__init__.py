@@ -10,7 +10,7 @@ from .indices import (
     build_shape, make_config, parse_config_text,
 )
 from .algebra import (
-    AlgebraElement, BasisIndex, LiteralError, basis_element,
+    AlgebraElement, BasisIndex, CheckReport, LiteralError, basis_element,
     bracket_closed, bracket_operator, format_basis_index, format_element,
     grading, multiply, parse_basis_index, parse_element, sample_element,
     sample_index, structure_rows, unit, weight, window_indices, window_size,
@@ -23,31 +23,30 @@ from .derivations import (
     outer_indices, outer_lower_partial, probe_sets, zero_slot_hom,
 )
 from .cohomology import (
-    CoboundaryCocycle, Cocycle, CompositeCocycle, LinearFunctional,
-    TableCocycle, check_cocycle, closed_form_regime, coboundary,
-    recursion_probes, trivialize, trivialize_closed_form,
-    trivialize_recursive, verify_trivialization,
+    CoboundaryCocycle, Cocycle, LinearFunctional, TableCocycle,
+    check_cocycle, closed_form_regime, coboundary, recursion_probes,
+    trivialize, trivialize_closed_form, trivialize_recursive,
+    verify_trivialization,
 )
 from .suite import SuiteResult, config_label, render_report, run_suites
 
 __all__ = [
     "AlgebraConfig", "ConfigError", "GroupElement", "Lattice", "Shape",
     "build_shape", "make_config", "parse_config_text",
-    "AlgebraElement", "BasisIndex", "LiteralError", "basis_element",
-    "bracket_closed", "bracket_operator", "format_basis_index",
-    "format_element", "grading", "multiply", "parse_basis_index",
-    "parse_element", "sample_element", "sample_index", "structure_rows",
-    "unit", "weight", "window_indices", "window_size",
+    "AlgebraElement", "BasisIndex", "CheckReport", "LiteralError",
+    "basis_element", "bracket_closed", "bracket_operator",
+    "format_basis_index", "format_element", "grading", "multiply",
+    "parse_basis_index", "parse_element", "sample_element", "sample_index",
+    "structure_rows", "unit", "weight", "window_indices", "window_size",
     "AmbiguousError", "DerivationDecomposer", "DerivationDecomposition",
     "LatticeHom", "LinearOperator", "ResidualError", "ad",
     "check_derivation", "check_mirror_identity", "decompose_derivation",
     "diagonal_derivation", "hom_space_basis", "hom_star_basis",
     "mirror_difference_hom", "outer_indices", "outer_lower_partial",
     "probe_sets", "zero_slot_hom",
-    "CoboundaryCocycle", "Cocycle", "CompositeCocycle",
-    "LinearFunctional", "TableCocycle", "check_cocycle",
-    "closed_form_regime", "coboundary", "recursion_probes", "trivialize",
-    "trivialize_closed_form", "trivialize_recursive",
+    "CoboundaryCocycle", "Cocycle", "LinearFunctional", "TableCocycle",
+    "check_cocycle", "closed_form_regime", "coboundary", "recursion_probes",
+    "trivialize", "trivialize_closed_form", "trivialize_recursive",
     "verify_trivialization",
     "SuiteResult", "config_label", "render_report", "run_suites",
 ]

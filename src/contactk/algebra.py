@@ -3,10 +3,11 @@
 The bracket is implemented twice on purpose: `bracket_operator` composes
 the defining differential operators literally and serves as the oracle,
 while `bracket_closed` expands the same bilinear form per basis pair from
-precomputed per-index tables.  They share nothing but the dropped-term
-convention, which both must apply identically: a produced index with a
-negative exponent entry is dropped (group parts always stay in the
-lattice because they are built from lattice coordinates).
+precomputed per-index tables.  They share only two things: the sparse
+accumulator `linalg.add_into`, which has its own unit tests, and the
+dropped-term convention, which both must apply identically: a produced
+index with a negative exponent entry is dropped (group parts always stay
+in the lattice because they are built from lattice coordinates).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from itertools import product
 from .indices import (
     AlgebraConfig, ConfigError, ExponentVector, GroupElement, _index_of_slot,
 )
+from .linalg import add_into, add_term
 
 
 class LiteralError(ValueError):
@@ -76,17 +78,11 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         _check_same_config(self, other)
-        terms = dict(self.terms)
-        for idx, c in other.terms.items():
-            acc = terms.get(idx, 0) + c
-            if acc:
-                terms[idx] = acc
-            else:
-                terms.pop(idx, None)
-        return AlgebraElement(self.config, terms)
+        return AlgebraElement(self.config, add_into(dict(self.terms), other.terms))
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-1) * other
+        _check_same_config(self, other)
+        return AlgebraElement(self.config, add_into(dict(self.terms), other.terms, -1))
 
     def __rmul__(self, scalar) -> "AlgebraElement":
         if not scalar:
@@ -105,6 +101,20 @@ def _check_same_config(u: AlgebraElement, v: AlgebraElement):
         raise ConfigError("elements belong to different configurations")
 
 
+class CheckReport:
+    """Outcome of an exact check: how many cases ran and which ones failed."""
+
+    __slots__ = ("checked", "failures")
+
+    def __init__(self, checked: int, failures: list):
+        self.checked = checked
+        self.failures = failures
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+
 def basis_element(config: AlgebraConfig, coords, exps=None) -> AlgebraElement:
     """Convenience constructor from raw coordinates and exponent entries."""
     alpha = config.lattice.element(coords)
@@ -121,13 +131,10 @@ def multiply(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
     _check_same_config(u, v)
     terms: dict[BasisIndex, Fraction] = {}
     for iu, cu in u.terms.items():
-        for iv, cv in v.terms.items():
-            idx = BasisIndex(iu.alpha.add(iv.alpha), iu.exps.add(iv.exps))
-            acc = terms.get(idx, 0) + cu * cv
-            if acc:
-                terms[idx] = acc
-            else:
-                terms.pop(idx, None)
+        # adding iu is injective, so one row of products has no collisions
+        row = {BasisIndex(iu.alpha.add(iv.alpha), iu.exps.add(iv.exps)): cv
+               for iv, cv in v.terms.items()}
+        add_into(terms, row, cu)
     return AlgebraElement(u.config, terms)
 
 
@@ -158,12 +165,8 @@ def lower_partial(p: int, u: AlgebraElement) -> AlgebraElement:
             lowered = idx.exps.lowered(s)
             if lowered is None:
                 continue  # dropped-term convention
-            new = BasisIndex(idx.alpha, lowered)
-            acc = terms.get(new, 0) + e * c
-            if acc:
-                terms[new] = acc
-            else:
-                terms.pop(new, None)
+            # lowering one slot is injective, so no two terms collide
+            terms[BasisIndex(idx.alpha, lowered)] = e * c
     return AlgebraElement(u.config, terms)
 
 
@@ -176,15 +179,15 @@ def grading(u: AlgebraElement) -> AlgebraElement:
     """The grading operator, composed literally from its summands."""
     config = u.config
     shape = config.shape
-    out = AlgebraElement.zero(config)
+    terms: dict[BasisIndex, Fraction] = {}
     for s in config.weight_group_slots:
-        out = out + scale_partial(_index_of_slot(shape, s), u)
+        add_into(terms, scale_partial(_index_of_slot(shape, s), u).terms)
     for s in config.weight_exp_slots:
         p = _index_of_slot(shape, s)
         t_p = AlgebraElement.from_term(
             config, BasisIndex(config.lattice.zero, config.zero_exps.raised(s)))
-        out = out + multiply(t_p, lower_partial(p, u))
-    return out
+        add_into(terms, multiply(t_p, lower_partial(p, u)).terms)
+    return AlgebraElement(config, terms)
 
 
 def weight(config: AlgebraConfig, index: BasisIndex):
@@ -201,19 +204,19 @@ def bracket_operator(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
     _check_same_config(u, v)
     config = u.config
     shape = config.shape
-    out = AlgebraElement.zero(config)
+    terms: dict[BasisIndex, Fraction] = {}
     for p in shape.blocks(1, 6):
         pb = p + shape.n
         shift = AlgebraElement.from_term(
             config, BasisIndex(config.shift_coords[p], config.zero_exps))
         cross = (multiply(partial(p, u), partial(pb, v))
                  - multiply(partial(pb, u), partial(p, v)))
-        out = out + multiply(shift, cross)
+        add_into(terms, multiply(shift, cross).terms)
     two_minus_u = 2 * u - grading(u)
     two_minus_v = 2 * v - grading(v)
-    out = out + multiply(two_minus_u, partial(0, v))
-    out = out - multiply(partial(0, u), two_minus_v)
-    return out
+    add_into(terms, multiply(two_minus_u, partial(0, v)).terms)
+    add_into(terms, multiply(partial(0, u), two_minus_v).terms, -1)
+    return AlgebraElement(config, terms)
 
 
 def bracket_closed(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
@@ -225,12 +228,7 @@ def bracket_closed(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
     def emit(alpha, exps, coeff):
         if exps is None or not coeff:
             return  # dropped-term convention (negative exponent) or zero
-        idx = BasisIndex(alpha, exps)
-        acc = terms.get(idx, 0) + coeff
-        if acc:
-            terms[idx] = acc
-        else:
-            terms.pop(idx, None)
+        add_term(terms, BasisIndex(alpha, exps), coeff)
 
     for iu, cu in u.terms.items():
         avec = iu.alpha.vector
@@ -330,15 +328,15 @@ def parse_element(config: AlgebraConfig, text: str) -> AlgebraElement:
     """Parse a '+'-separated element literal; "0" is the zero element."""
     if text.strip() == "0":
         return AlgebraElement.zero(config)
-    out = AlgebraElement.zero(config)
+    terms: dict[BasisIndex, Fraction] = {}
     for clause in text.split("+"):
         m = _TERM_RE.match(clause)
         if not m:
             raise LiteralError(f"cannot parse term {clause.strip()!r}")
         coeff = parse_rational(m.group("coeff"), f"term {clause.strip()!r}")
         idx = _parse_index_body(config, m.group("alpha"), m.group("exps"))
-        out = out + AlgebraElement.from_term(config, idx, coeff)
-    return out
+        add_term(terms, idx, coeff)
+    return AlgebraElement(config, terms)
 
 
 def parse_basis_index(config: AlgebraConfig, text: str) -> BasisIndex:
@@ -415,13 +413,13 @@ def sample_index(config: AlgebraConfig, rng) -> BasisIndex:
 
 def sample_element(config: AlgebraConfig, rng, max_terms: int = 3) -> AlgebraElement:
     """Draw a small element with nonzero rational coefficients."""
-    out = AlgebraElement.zero(config)
+    terms: dict[BasisIndex, Fraction] = {}
     for _ in range(rng.randint(1, max_terms)):
         coeff = 0
         while not coeff:
             coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        out = out + AlgebraElement.from_term(config, sample_index(config, rng), coeff)
-    return out
+        add_term(terms, sample_index(config, rng), coeff)
+    return AlgebraElement(config, terms)
 
 
 # -- structure table --------------------------------------------------

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .indices import AlgebraConfig, ConfigError
 from .algebra import (
-    AlgebraElement, BasisIndex, basis_element, bracket_closed,
+    AlgebraElement, BasisIndex, CheckReport, basis_element, bracket_closed,
     format_basis_index, unit,
 )
 
@@ -131,19 +131,6 @@ class TableCocycle(Cocycle):
         if iu.sort_key() <= iv.sort_key():
             return self.entries.get((iu, iv), _ZERO)
         return -self.entries.get((iv, iu), _ZERO)
-
-
-class CompositeCocycle(Cocycle):
-    """Scaled sum of cocycles."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, config: AlgebraConfig, parts):
-        super().__init__(config, "composite")
-        self.parts = [(Fraction(s), psi) for s, psi in parts]
-
-    def on_basis(self, iu, iv):
-        return sum((s * psi.on_basis(iu, iv) for s, psi in self.parts), _ZERO)
 
 
 class CocycleReport:
@@ -378,19 +365,7 @@ def trivialize(psi: Cocycle, probe: int | None = None) -> LinearFunctional:
     return trivialize_recursive(psi, probe)
 
 
-class TrivializationReport:
-    __slots__ = ("checked", "failures")
-
-    def __init__(self, checked, failures):
-        self.checked = checked
-        self.failures = failures
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def verify_trivialization(psi: Cocycle, f: LinearFunctional, pairs) -> TrivializationReport:
+def verify_trivialization(psi: Cocycle, f: LinearFunctional, pairs) -> CheckReport:
     """Exact comparison psi(u,v) vs f([u,v]) over the given basis pairs.
 
     A coboundary psi = g([u,v]) is evaluated on the same bracket as f, so
@@ -409,4 +384,4 @@ def verify_trivialization(psi: Cocycle, f: LinearFunctional, pairs) -> Trivializ
         rhs = f.eval_element(bracket)
         if lhs != rhs:
             failures.append((iu, iv, lhs, rhs))
-    return TrivializationReport(checked, failures)
+    return CheckReport(checked, failures)

@@ -12,9 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .indices import AlgebraConfig, ConfigError
-from .linalg import nullspace
+from .linalg import add_into, add_term, nullspace, rref
 from .algebra import (
-    AlgebraElement, BasisIndex, basis_element, bracket_closed,
+    AlgebraElement, BasisIndex, CheckReport, basis_element, bracket_closed,
     format_basis_index, format_element, lower_partial, unit,
 )
 
@@ -38,10 +38,10 @@ class LinearOperator:
         return out
 
     def __call__(self, u: AlgebraElement) -> AlgebraElement:
-        out = AlgebraElement.zero(self.config)
+        terms: dict[BasisIndex, Fraction] = {}
         for idx, c in u.terms.items():
-            out = out + c * self.on_basis(idx)
-        return out
+            add_into(terms, self.on_basis(idx).terms, c)
+        return AlgebraElement(self.config, terms)
 
     @classmethod
     def combine(cls, config, parts) -> "LinearOperator":
@@ -49,10 +49,10 @@ class LinearOperator:
         parts = [(s, op) for s, op in parts]
 
         def rule(index):
-            out = AlgebraElement.zero(config)
+            terms: dict[BasisIndex, Fraction] = {}
             for s, op in parts:
-                out = out + s * op.on_basis(index)
-            return out
+                add_into(terms, op.on_basis(index).terms, s)
+            return AlgebraElement(config, terms)
 
         tag = " + ".join(f"{s}*({op.tag})" if s != 1 else op.tag for s, op in parts)
         return cls(config, rule, tag or "zero")
@@ -143,21 +143,7 @@ def outer_lower_partial(config: AlgebraConfig, p: int) -> LinearOperator:
         f"dt {config.shape.index_token(p)}")
 
 
-class DerivationReport:
-    """Outcome of a Leibniz-law check over sampled pairs."""
-
-    __slots__ = ("checked", "failures")
-
-    def __init__(self, checked: int, failures: list):
-        self.checked = checked
-        self.failures = failures
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def check_derivation(D: LinearOperator, pairs) -> DerivationReport:
+def check_derivation(D: LinearOperator, pairs) -> CheckReport:
     """Exact Leibniz check of D on basis pairs: D[u,v] = [Du,v] + [u,Dv]."""
     config = D.config
     failures = []
@@ -170,10 +156,10 @@ def check_derivation(D: LinearOperator, pairs) -> DerivationReport:
         rhs = bracket_closed(D(xu), xv) + bracket_closed(xu, D(xv))
         if lhs != rhs:
             failures.append((iu, iv, lhs, rhs))
-    return DerivationReport(checked, failures)
+    return CheckReport(checked, failures)
 
 
-def check_mirror_identity(config: AlgebraConfig, p: int, indices) -> DerivationReport:
+def check_mirror_identity(config: AlgebraConfig, p: int, indices) -> CheckReport:
     """Operator identity: the mirror-difference diagonal derivation equals
     ad of the negative-shift monomial plus the lowering difference."""
     shape = config.shape
@@ -192,7 +178,7 @@ def check_mirror_identity(config: AlgebraConfig, p: int, indices) -> DerivationR
         rhs = bracket_closed(probe, x) + lower_partial(p, x) - lower_partial(pb, x)
         if lhs != rhs:
             failures.append((idx, None, lhs, rhs))
-    return DerivationReport(checked, failures)
+    return CheckReport(checked, failures)
 
 
 class ProbeSets:
@@ -300,26 +286,13 @@ def hom_star_basis(config: AlgebraConfig) -> list[LatticeHom]:
     """Deterministic complement of the inner hom directions: extend the
     pivot rows to a basis of the hom space; the extension vectors are the
     reported complement."""
-    ngens = len(config.lattice.generators)
-    basis_rows: list[list[Fraction]] = []
-
-    def try_add(values) -> bool:
-        row = [Fraction(v) for v in values]
-        for b in basis_rows:
-            lead = next(i for i, x in enumerate(b) if x != 0)
-            if row[lead]:
-                f = row[lead] / b[lead]
-                row = [a - f * c for a, c in zip(row, b)]
-        if any(row):
-            basis_rows.append(row)
-            return True
-        return False
-
-    for values in _pivot_hom_values(config):
-        try_add(values)
+    rows = _pivot_hom_values(config)
+    rank = len(rref(rows)[1])
     star = []
     for hom in hom_space_basis(config):
-        if try_add(hom.values):
+        if len(rref(rows + [hom.values])[1]) > rank:
+            rows.append(hom.values)
+            rank += 1
             star.append(hom)
     return star
 
@@ -409,18 +382,8 @@ class DerivationDecomposer:
                 for pc, brow, bcomb in basis:
                     f = row.get(pc)
                     if f:
-                        for c, x in brow.items():
-                            acc = row.get(c, 0) - f * x
-                            if acc:
-                                row[c] = acc
-                            else:
-                                row.pop(c, None)
-                        for m, x in bcomb.items():
-                            acc = comb.get(m, 0) - f * x
-                            if acc:
-                                comb[m] = acc
-                            else:
-                                comb.pop(m, None)
+                        add_into(row, brow, -f)
+                        add_into(comb, bcomb, -f)
                 if not row:
                     self.metas.pop()
                     continue
@@ -429,21 +392,11 @@ class DerivationDecomposer:
                 row = {c: x * inv for c, x in row.items()}
                 comb = {m: x * inv for m, x in comb.items()}
                 # keep full reduction so solutions read off the combinations
-                for j, (opc, brow, bcomb) in enumerate(basis):
+                for _pc, brow, bcomb in basis:
                     f = brow.get(pc)
                     if f:
-                        for c, x in row.items():
-                            acc = brow.get(c, 0) - f * x
-                            if acc:
-                                brow[c] = acc
-                            else:
-                                brow.pop(c, None)
-                        for m, x in comb.items():
-                            acc = bcomb.get(m, 0) - f * x
-                            if acc:
-                                bcomb[m] = acc
-                            else:
-                                bcomb.pop(m, None)
+                        add_into(brow, row, -f)
+                        add_into(bcomb, comb, -f)
                 basis.append((pc, row, comb))
                 pivoted.add(pc)
                 if len(basis) == ncols:
@@ -478,18 +431,17 @@ class DerivationDecomposer:
         # verification sweep doubles as the residual check
         reconstruction = [(ci, c) for ci, c in enumerate(solution) if c]
         for w in self.window:
-            total = AlgebraElement.zero(self.config)
+            total: dict[BasisIndex, Fraction] = {}
             for ci, c in reconstruction:
-                total = total + c * self.column_ops[ci].on_basis(w)
-            expected = d_on(w)
+                add_into(total, self.column_ops[ci].on_basis(w).terms, c)
+            expected = d_on(w).terms
             if total != expected:
-                diff = total - expected
-                witness = next(iter(diff.terms))
+                witness = next(iter(add_into(total, expected, -1)))
                 raise ResidualError(w, witness)
 
         outer_coeffs = {}
         hom_coords = []
-        inner = AlgebraElement.zero(self.config)
+        inner: dict[BasisIndex, Fraction] = {}
         hom_values = [Fraction(0)] * len(self.config.lattice.generators)
         for label, value in zip(self.labels, solution):
             kind = label[0]
@@ -501,11 +453,11 @@ class DerivationDecomposer:
                     hv = self.star[label[1]].values
                     hom_values = [a + value * b for a, b in zip(hom_values, hv)]
             else:
-                if value:
-                    inner = inner + AlgebraElement.from_term(self.config, label[1], value)
+                add_term(inner, label[1], value)
         hom = LatticeHom(self.config, hom_values) if self.star else None
         return DerivationDecomposition(
-            outer_coeffs, hom, tuple(hom_coords), inner, residual_zero=True)
+            outer_coeffs, hom, tuple(hom_coords), AlgebraElement(self.config, inner),
+            residual_zero=True)
 
     def _label_text(self, ci: int) -> str:
         label = self.labels[ci]

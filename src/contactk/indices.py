@@ -266,9 +266,6 @@ class GroupElement:
                 sum(c * g[s] for c, g in zip(self.coords, gens)) for s in range(dim))
         return self._vector
 
-    def entry(self, p: int):
-        return self.vector[self.lattice.shape.slot(p)]
-
     def add(self, other: GroupElement) -> GroupElement:
         return self.lattice._intern(tuple(map(operator.add, self.coords, other.coords)))
 

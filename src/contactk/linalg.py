@@ -1,13 +1,41 @@
 """Small exact linear algebra over the rationals.
 
-Dense row-reduction utilities used for lattice membership, homomorphism
-bases, and nothing else.  Everything works on lists of lists of Fraction
-and returns fresh lists; inputs are never mutated.
+`add_into` is the one sparse accumulator: every sum of sparse terms
+(algebra elements, bracket routes, elimination rows) goes through it and
+it updates its target in place.  `rref` and `nullspace` are dense row
+reduction on lists of lists of Fraction, used for lattice membership and
+homomorphism bases; they return fresh lists.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+
+def add_into(terms: dict, other, scale=1) -> dict:
+    """In place, zero-free `terms += scale * other`; returns `terms`.
+
+    `other` is a mapping from keys to exact numbers and is not modified.
+    A key whose sum is zero is removed, so `terms` never holds a zero.
+    """
+    unscaled = scale == 1
+    get = terms.get
+    for k, c in other.items():
+        acc = get(k, 0) + (c if unscaled else scale * c)
+        if acc:
+            terms[k] = acc
+        else:
+            terms.pop(k, None)
+    return terms
+
+
+def add_term(terms: dict, key, c) -> None:
+    """One-term `add_into` for hot loops: in place, zero-free `terms[key] += c`."""
+    acc = terms.get(key, 0) + c
+    if acc:
+        terms[key] = acc
+    else:
+        terms.pop(key, None)
 
 
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -50,19 +78,3 @@ def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
         basis.append(v)
     return basis
 
-
-def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Unique solution of A x = b, or None if inconsistent or underdetermined."""
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    m, pivots = rref(aug)
-    if ncols in pivots:
-        return None  # a pivot in the rhs column means 0 = 1 somewhere
-    if len(pivots) < ncols:
-        return None
-    x = [Fraction(0)] * ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = m[i][ncols]
-    return x

@@ -188,3 +188,8 @@ def test_bracket_is_bilinear(cfg_l2):
                 == bracket_closed(u, w) + c * bracket_closed(v, w))
         assert (bracket_closed(w, u + c * v)
                 == bracket_closed(w, u) + c * bracket_closed(w, v))
+
+
+def test_operator_route_never_calls_closed_route():
+    # the oracle must stay independent of the route it checks
+    assert "bracket_closed" not in bracket_operator.__code__.co_names

@@ -182,3 +182,31 @@ def test_derivation_combination(cfg_l3):
     ])
     report = check_derivation(D, _pairs(cfg_l3, 42, 60))
     assert report.passed
+
+
+def test_in_place_sums_leave_operands_and_memo_unchanged(cfg_l3):
+    # the accumulator writes into fresh dicts only, never into an operand
+    # or a memoised basis image
+    u = parse_element(cfg_l3, "2*x[0,1,0] + -1/3*x[0,0,1]t[0,1,0] + 5*x[0,-1,1]")
+    v = parse_element(cfg_l3, "1*x[0,0,1] + 3/2*x[0,1,0]")
+    u_terms, v_terms = dict(u.terms), dict(v.terms)
+    assert u + v == v + u
+    assert (u - v) + v == u
+    assert u.terms == u_terms and v.terms == v_terms
+
+    D = ad(v)
+    first = D(u)
+    memo = {idx: dict(D.on_basis(idx).terms) for idx in u.terms}
+    assert D(u) == first
+    assert {idx: D.on_basis(idx).terms for idx in u.terms} == memo
+    assert u.terms == u_terms and v.terms == v_terms
+
+    outer = outer_lower_partial(cfg_l3, 1)
+    C = LinearOperator.combine(cfg_l3, [(2, D), (Fraction(-1, 3), outer)])
+    outer_memo = {idx: dict(outer.on_basis(idx).terms) for idx in u.terms}
+    combined = C(u)
+    assert C(u) == combined == 2 * first + Fraction(-1, 3) * outer(u)
+    assert {idx: D.on_basis(idx).terms for idx in u.terms} == memo
+    assert {idx: outer.on_basis(idx).terms for idx in u.terms} == outer_memo
+    x = AlgebraElement.from_term(cfg_l3, next(iter(u.terms)))
+    assert D(x).terms is not D.on_basis(next(iter(u.terms))).terms
