@@ -213,8 +213,9 @@ def trivialize_recursive(psi: Cocycle, probe: int) -> LinearFunctional:
 
     The probe picks the bracket identity the recursion inverts: bracketing
     with the probe's negative-shift monomial relates each basis value of f
-    to values at lowered exponents, so f is solved top-down one exponent
-    at a time.  Every route is confirmed by the round-trip verifier.
+    to values at lowered exponents, so f is solved one exponent at a
+    time; `_bottom_up` runs each chain without Python recursion.  Every
+    route is confirmed by the round-trip verifier.
     """
     config = psi.config
     shape = config.shape
@@ -226,14 +227,14 @@ def trivialize_recursive(psi: Cocycle, probe: int) -> LinearFunctional:
     tag = f"probe {shape.index_token(probe)}"
 
     if probe == 0:
-        def rule(b: BasisIndex) -> Fraction:
+        def step(b: BasisIndex):
             a0 = b.alpha.vector[0]
             i0 = b.exps[0]
             x = AlgebraElement.from_term(config, b)
             if a0 != 0:
                 val = psi(w, x)
                 if i0:
-                    val -= 2 * i0 * f.eval_basis(BasisIndex(b.alpha, b.exps.lowered(0)))
+                    val -= 2 * i0 * (yield BasisIndex(b.alpha, b.exps.lowered(0)))
                 return val / (2 * a0)
             raised = AlgebraElement.from_term(config, BasisIndex(b.alpha, b.exps.raised(0)))
             return psi(w, raised) / (2 * (i0 + 1))
@@ -242,7 +243,7 @@ def trivialize_recursive(psi: Cocycle, probe: int) -> LinearFunctional:
         sq = shape.slot(probe + shape.n)
         block = shape.block_of(probe)
 
-        def rule(b: BasisIndex) -> Fraction:
+        def step(b: BasisIndex):
             vec = b.alpha.vector
             ap, aq = vec[sp], vec[sq]
             ip, iq = b.exps[sp], b.exps[sq]
@@ -251,7 +252,7 @@ def trivialize_recursive(psi: Cocycle, probe: int) -> LinearFunctional:
                 if aq != ap:
                     val = psi(w, x)
                     if iq:
-                        val -= iq * f.eval_basis(BasisIndex(b.alpha, b.exps.lowered(sq)))
+                        val -= iq * (yield BasisIndex(b.alpha, b.exps.lowered(sq)))
                     return val / (aq - ap)
                 raised = AlgebraElement.from_term(
                     config, BasisIndex(b.alpha, b.exps.raised(sq)))
@@ -260,28 +261,53 @@ def trivialize_recursive(psi: Cocycle, probe: int) -> LinearFunctional:
                 if aq != ap:
                     val = psi(w, x)
                     if ip:
-                        val += ip * f.eval_basis(BasisIndex(b.alpha, b.exps.lowered(sp)))
+                        val += ip * (yield BasisIndex(b.alpha, b.exps.lowered(sp)))
                     if iq:
-                        val -= iq * f.eval_basis(BasisIndex(b.alpha, b.exps.lowered(sq)))
+                        val -= iq * (yield BasisIndex(b.alpha, b.exps.lowered(sq)))
                     return val / (aq - ap)
                 raised_exps = b.exps.raised(sq)
                 raised = AlgebraElement.from_term(config, BasisIndex(b.alpha, raised_exps))
                 val = psi(w, raised)
                 if ip:
-                    val += ip * f.eval_basis(BasisIndex(b.alpha, raised_exps.lowered(sp)))
+                    val += ip * (yield BasisIndex(b.alpha, raised_exps.lowered(sp)))
                 return val / (iq + 1)
             # block 5: the raised probe pairs the mirror exponent against
             # the unbarred coordinate
             if iq != ap:
                 val = psi(w, x)
                 if ip:
-                    val += ip * f.eval_basis(BasisIndex(b.alpha, b.exps.lowered(sp)))
+                    val += ip * (yield BasisIndex(b.alpha, b.exps.lowered(sp)))
                 return val / (iq - ap)
             raised = AlgebraElement.from_term(config, BasisIndex(b.alpha, b.exps.raised(sp)))
             return -psi(w, raised) / (ip + 1)
 
-    f = LinearFunctional(config, rule=rule, tag=tag)
+    f = LinearFunctional(config, tag=tag)
+    f.rule = _bottom_up(f, step)
     return f
+
+
+def _bottom_up(f: LinearFunctional, step):
+    """Rule for f from `step(b)`, a generator that yields each index whose
+    value it needs, is sent that value, and returns f(b).  A value f does
+    not know yet is worked out first, on an explicit stack rather than by
+    recursion, so a chain of lowered exponents evaluates bottom up."""
+    def rule(b: BasisIndex) -> Fraction:
+        stack = [(b, step(b))]
+        value = None
+        while stack:
+            index, gen = stack[-1]
+            try:
+                need = gen.send(value)
+            except StopIteration as done:
+                value = f._memo[index] = done.value
+                stack.pop()
+                continue
+            value = f.table.get(need, f._memo.get(need))
+            if value is None:
+                stack.append((need, step(need)))
+        return value
+
+    return rule
 
 
 def reference_vector_coords(config: AlgebraConfig):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .indices import AlgebraConfig, ConfigError
-from .linalg import add_into, add_term, nullspace, rref
+from .linalg import Echelon, add_into, add_term
 from .algebra import (
     AlgebraElement, BasisIndex, CheckReport, basis_element, bracket_closed,
     format_basis_index, format_element, lower_partial, unit,
@@ -261,14 +261,11 @@ def probe_sets(config: AlgebraConfig) -> ProbeSets:
 
 def hom_space_basis(config: AlgebraConfig) -> list[LatticeHom]:
     """Basis of all valid homomorphisms (vanishing on blocks 1..5 shifts)."""
-    ngens = len(config.lattice.generators)
-    rows = [[Fraction(c) for c in config.shift_coords[p].coords]
-            for p in config.shape.blocks(1, 5)]
-    if not rows:
-        vectors = [[Fraction(int(i == j)) for j in range(ngens)] for i in range(ngens)]
-    else:
-        vectors = nullspace(rows, ngens)
-    return [LatticeHom(config, v) for v in vectors]
+    shifts = Echelon()
+    for p in config.shape.blocks(1, 5):
+        shifts.add(dict(enumerate(config.shift_coords[p].coords)), p)
+    return [LatticeHom(config, v)
+            for v in shifts.nullspace(len(config.lattice.generators))]
 
 
 def _pivot_hom_values(config: AlgebraConfig) -> list[tuple[Fraction, ...]]:
@@ -286,15 +283,11 @@ def hom_star_basis(config: AlgebraConfig) -> list[LatticeHom]:
     """Deterministic complement of the inner hom directions: extend the
     pivot rows to a basis of the hom space; the extension vectors are the
     reported complement."""
-    rows = _pivot_hom_values(config)
-    rank = len(rref(rows)[1])
-    star = []
-    for hom in hom_space_basis(config):
-        if len(rref(rows + [hom.values])[1]) > rank:
-            rows.append(hom.values)
-            rank += 1
-            star.append(hom)
-    return star
+    span = Echelon()
+    for k, values in enumerate(_pivot_hom_values(config)):
+        span.add(dict(enumerate(values)), ("pivot", k))
+    return [hom for k, hom in enumerate(hom_space_basis(config))
+            if span.add(dict(enumerate(hom.values)), ("hom", k))]
 
 
 # -- decomposition ----------------------------------------------------
@@ -362,70 +355,40 @@ class DerivationDecomposer:
         self._factorize()
 
     def _factorize(self):
+        """Rows are (window index, result index) pairs over the columns;
+        `metas` lists the pairs of stored rows, tagged by their position."""
         ncols = len(self.labels)
-        # rref rows: (pivot column, sparse row dict, combination over metas)
-        basis: list[tuple[int, dict, dict]] = []
+        self._echelon = Echelon()
         self.metas: list[tuple[BasisIndex, BasisIndex]] = []
-        pivoted: set[int] = set()
-
         for w in self.window:
-            if len(basis) == ncols:
+            if self.rank == ncols:
                 break
             by_result: dict[BasisIndex, dict[int, Fraction]] = {}
             for ci, op in enumerate(self.column_ops):
                 for r, coeff in op.on_basis(w).terms.items():
                     by_result.setdefault(r, {})[ci] = coeff
             for r in sorted(by_result, key=BasisIndex.sort_key):
-                row = dict(by_result[r])
-                comb = {len(self.metas): Fraction(1)}
-                self.metas.append((w, r))
-                for pc, brow, bcomb in basis:
-                    f = row.get(pc)
-                    if f:
-                        add_into(row, brow, -f)
-                        add_into(comb, bcomb, -f)
-                if not row:
-                    self.metas.pop()
-                    continue
-                pc = min(row)
-                inv = Fraction(1) / row[pc]
-                row = {c: x * inv for c, x in row.items()}
-                comb = {m: x * inv for m, x in comb.items()}
-                # keep full reduction so solutions read off the combinations
-                for _pc, brow, bcomb in basis:
-                    f = brow.get(pc)
-                    if f:
-                        add_into(brow, row, -f)
-                        add_into(bcomb, comb, -f)
-                basis.append((pc, row, comb))
-                pivoted.add(pc)
-                if len(basis) == ncols:
-                    break
-        self._basis = basis
-        self._pivoted = pivoted
+                if self._echelon.add(by_result[r], len(self.metas)):
+                    self.metas.append((w, r))
+                    if self.rank == ncols:
+                        break
 
     @property
     def rank(self) -> int:
-        return len(self._basis)
+        return len(self._echelon.rows)
 
     def decompose(self, D: LinearOperator) -> DerivationDecomposition:
         ncols = len(self.labels)
         if self.rank < ncols:
-            free = [self._label_text(c) for c in range(ncols) if c not in self._pivoted]
-            raise AmbiguousError(free)
+            pivoted = set(self._echelon.pivots)
+            raise AmbiguousError(
+                self._label_text(c) for c in range(ncols) if c not in pivoted)
 
-        action_cache: dict[BasisIndex, AlgebraElement] = {}
-
-        def d_on(w):
-            out = action_cache.get(w)
-            if out is None:
-                out = D.on_basis(w)
-                action_cache[w] = out
-            return out
-
-        rhs = [d_on(w).terms.get(r, 0) for w, r in self.metas]
+        # the stored rows are reduced, so each pivot's coefficient is its
+        # row's combination applied to the right-hand side
+        rhs = [D.on_basis(w).terms.get(r, 0) for w, r in self.metas]
         solution = [Fraction(0)] * ncols
-        for pc, _row, comb in self._basis:
+        for pc, _row, comb in self._echelon.rows:
             solution[pc] = sum(x * rhs[m] for m, x in comb.items())
 
         # verification sweep doubles as the residual check
@@ -434,7 +397,7 @@ class DerivationDecomposer:
             total: dict[BasisIndex, Fraction] = {}
             for ci, c in reconstruction:
                 add_into(total, self.column_ops[ci].on_basis(w).terms, c)
-            expected = d_on(w).terms
+            expected = D.on_basis(w).terms
             if total != expected:
                 witness = next(iter(add_into(total, expected, -1)))
                 raise ResidualError(w, witness)

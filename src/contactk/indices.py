@@ -16,7 +16,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .linalg import rref
+from .linalg import Echelon
 
 
 class ConfigError(ValueError):
@@ -124,7 +124,7 @@ class Shape:
 class Lattice:
     """Free finitely generated coordinate lattice inside Q^dim."""
 
-    __slots__ = ("shape", "generators", "_pivot_cols", "_pivot_inverse", "_cache")
+    __slots__ = ("shape", "generators", "_span", "_cache")
 
     def __init__(self, shape: Shape, generators):
         self.shape = shape
@@ -157,14 +157,10 @@ class Lattice:
                         "outside the allowed support")
 
     def _prepare_solver(self):
-        rows = [[Fraction(x) for x in g] for g in self.generators]
-        reduced, pivots = rref(rows)
-        if len(pivots) < len(self.generators):
-            raise ConfigError("gamma generators must be rationally independent")
-        self._pivot_cols = tuple(pivots)
-        # inverse of the pivot-column submatrix; c = v_pivots @ inverse
-        sub = [[Fraction(g[c]) for c in pivots] for g in self.generators]
-        self._pivot_inverse = _invert(sub)
+        self._span = Echelon()
+        for k, g in enumerate(self.generators):
+            if not self._span.add(dict(enumerate(g)), k):
+                raise ConfigError("gamma generators must be rationally independent")
 
     def _check_required_members(self):
         shape = self.shape
@@ -189,19 +185,13 @@ class Lattice:
         """Integer coordinates of a vector over the generators, or None."""
         if len(vector) != self.shape.dim:
             return None
-        vec = [Fraction(x) for x in vector]
-        restricted = [vec[c] for c in self._pivot_cols]
-        coords = [
-            sum(restricted[i] * self._pivot_inverse[i][j] for i in range(len(restricted)))
-            for j in range(len(self.generators))
-        ]
-        for c in coords:
-            if c.denominator != 1:
-                return None
-        # the pivot solve is only a candidate; confirm every coordinate
-        for s in range(self.shape.dim):
-            if sum(c * g[s] for c, g in zip(coords, self.generators)) != vec[s]:
-                return None
+        residual, comb = self._span.reduce(
+            {s: Fraction(x) for s, x in enumerate(vector)})
+        if residual:
+            return None
+        coords = [comb.get(k, 0) for k in range(len(self.generators))]
+        if any(c.denominator != 1 for c in coords):
+            return None
         return tuple(int(c) for c in coords)
 
     def element(self, coords) -> GroupElement:
@@ -234,16 +224,6 @@ def _unit_vector(dim: int, slot: int) -> tuple:
     vec = [0] * dim
     vec[slot] = 1
     return tuple(vec)
-
-
-def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    k = len(matrix)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(k)]
-           for i, row in enumerate(matrix)]
-    reduced, pivots = rref(aug)
-    if pivots != tuple(range(k)) and list(pivots) != list(range(k)):
-        raise ConfigError("gamma generators must be rationally independent")
-    return [row[k:] for row in reduced]
 
 
 class GroupElement:

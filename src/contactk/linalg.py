@@ -2,9 +2,9 @@
 
 `add_into` is the one sparse accumulator: every sum of sparse terms
 (algebra elements, bracket routes, elimination rows) goes through it and
-it updates its target in place.  `rref` and `nullspace` are dense row
-reduction on lists of lists of Fraction, used for lattice membership and
-homomorphism bases; they return fresh lists.
+it updates its target in place.  `Echelon` is the one exact elimination:
+an incremental sparse Gauss-Jordan over `{column: value}` rows that serves
+lattice membership, the homomorphism bases and the window decomposer.
 """
 
 from __future__ import annotations
@@ -38,43 +38,72 @@ def add_term(terms: dict, key, c) -> None:
         terms.pop(key, None)
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form.  Returns (reduced rows, pivot columns)."""
-    m = [list(row) for row in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+class Echelon:
+    """Incremental sparse Gauss-Jordan elimination over exact numbers.
 
+    Rows are `{column: value}` mappings with comparable columns.  `rows`
+    holds `(pivot, row, combination)` triples: each stored row has a 1 at
+    its pivot, its smallest column, and no entry at any other stored
+    row's pivot, so the stored rows are the unique reduced row echelon
+    form of what was added.  `combination` maps the tags given to `add`
+    to the coefficients with which the stored row sums the input rows.
+    """
 
-def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of {v : A v = 0} for the matrix with the given rows."""
-    m, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        # pivot row i reads: v[pivots[i]] + sum over free c of m[i][c]*v[c] = 0
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i][fc]
-        basis.append(v)
-    return basis
+    __slots__ = ("rows",)
 
+    def __init__(self):
+        self.rows: list[tuple[object, dict, dict]] = []
+
+    @property
+    def pivots(self) -> list:
+        return [pc for pc, _row, _comb in self.rows]
+
+    def reduce(self, row) -> tuple[dict, dict]:
+        """(residual, combination) with row = residual + sum over tags of
+        combination[tag] * input row; the residual is zero at every pivot
+        and is empty exactly when row lies in the span.  `row` is not
+        modified."""
+        residual = {c: x for c, x in row.items() if x}
+        comb: dict = {}
+        for pc, brow, bcomb in self.rows:
+            f = residual.get(pc)
+            if f:
+                add_into(residual, brow, -f)
+                add_into(comb, bcomb, f)
+        return residual, comb
+
+    def add(self, row, tag) -> bool:
+        """Store what is left of `row` after reduction; False if nothing is."""
+        residual, comb = self.reduce(row)
+        if not residual:
+            return False
+        pc = min(residual)
+        inv = Fraction(1) / residual[pc]
+        row = {c: x * inv for c, x in residual.items()}
+        combination = add_into({tag: inv}, comb, -inv)
+        # the new row has no entry left of pc, so clearing column pc from a
+        # stored row never moves that row's pivot
+        for _pc, brow, bcomb in self.rows:
+            f = brow.get(pc)
+            if f:
+                add_into(brow, row, -f)
+                add_into(bcomb, combination, -f)
+        self.rows.append((pc, row, combination))
+        return True
+
+    def nullspace(self, ncols: int) -> list[list[Fraction]]:
+        """Basis of {v : row . v = 0 for every added row} over columns
+        0..ncols-1, one vector per non-pivot column in increasing order."""
+        pivoted = set(self.pivots)
+        basis = []
+        for fc in range(ncols):
+            if fc in pivoted:
+                continue
+            v = [Fraction(0)] * ncols
+            v[fc] = Fraction(1)
+            # stored row reads: v[pc] + sum over free c of row[c] * v[c] = 0
+            for pc, row, _comb in self.rows:
+                if fc in row:
+                    v[pc] = -row[fc]
+            basis.append(v)
+        return basis

@@ -117,6 +117,38 @@ def test_recursive_round_trip_block2(cfg_l2):
     assert report.passed, report.failures[:1]
 
 
+@pytest.mark.parametrize("name, probe, deep, shallow", [
+    ("cfg_l2", 1, "x[0,1,0]t[0,0,1000]", "x[0,1,0]t[0,0,3]"),
+    ("cfg_l3", 1, "x[0,1,0]t[0,0,1000]", "x[0,0,0]t[0,1000,0]"),
+    ("cfg_l3", 1, "x[0,1,1]t[0,1000,3]", "x[0,1,0]t[0,40,40]"),
+    ("cfg_l5", 1, "x[0,1,0]t[0,1000,0]", "x[0,0,0]t[0,1000,3]"),
+    ("cfg_l6n", 0, "x[0,0,0]t[1000,0,0]", "x[1,0,0]t[1000,0,0]"),
+])
+def test_recursive_trivializer_handles_deep_exponents(request, name, probe, deep, shallow):
+    # exponent chains far longer than Python's recursion limit; these
+    # algebras are perfect, so f must equal g wherever g is given
+    config = request.getfixturevalue(name)
+    ideep = parse_basis_index(config, deep)
+    ishallow = parse_basis_index(config, shallow)
+    g = LinearFunctional(
+        config, table={ideep: Fraction(3, 2), ishallow: Fraction(-5)}, tag="g")
+    f = trivialize_recursive(coboundary(g), probe)
+    assert f.eval_basis(ideep) == Fraction(3, 2)
+    assert f.eval_basis(ishallow) == -5
+
+
+def test_recursive_trivializer_reads_table_entries_in_its_chain(cfg_l2):
+    # a table entry overrides the rule also where the rule needs a lower
+    # exponent: f at x[0,1,0]t[0,0,2] moves by -iq/(aq - ap) = 2 per unit
+    g = random_functional(cfg_l2, random.Random(93))
+    top = parse_basis_index(cfg_l2, "x[0,1,0]t[0,0,2]")
+    low = parse_basis_index(cfg_l2, "x[0,1,0]t[0,0,1]")
+    plain = trivialize_recursive(coboundary(g), 1)
+    altered = trivialize_recursive(coboundary(g), 1)
+    altered.table[low] = plain.eval_basis(low) + 1
+    assert altered.eval_basis(top) == plain.eval_basis(top) + 2
+
+
 def test_recursive_round_trip_block3_and_5(cfg_l3, cfg_l5):
     for config in (cfg_l3, cfg_l5):
         rng = random.Random(86)

@@ -84,6 +84,21 @@ def test_lattice_membership_non_unit_generators():
     assert lat.membership((1, Fraction(1, 2), 0)) is None
 
 
+def test_lattice_membership_outside_the_span(cfg_l2):
+    lat = cfg_l2.lattice
+    assert lat.membership((1, 0, 0)) is None
+    assert lat.membership((0, 1, 0)) == (1, 0)
+    # rank 3 in dimension 5: the reduced generators pivot at slots 1, 2, 3
+    c = make_config((1, 0, 0, 1, 0, 0), "naturals",
+                    [(0, 1, 0, 1, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0)])
+    lat = c.lattice
+    assert lat.membership((0, 2, 1, 3, 0)) == (2, 1, 1)
+    assert lat.membership((0, 1, 0, 0, 0)) == (1, 0, -1)
+    # equal to the first generator on every pivot slot, off it elsewhere
+    assert lat.membership((0, 1, 0, 1, 1)) is None
+    assert lat.membership((1, 1, 0, 1, 0)) is None
+
+
 def test_lattice_element_rejects_wrong_length(cfg_caseB):
     lat = cfg_caseB.lattice
     for coords in [(1, 2), (1, 2, 3, 4), ()]:

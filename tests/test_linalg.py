@@ -1,10 +1,10 @@
-"""Exact linear algebra: the sparse accumulator and row reduction."""
+"""Exact linear algebra: the sparse accumulator and the echelon routine."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from contactk.linalg import add_into, add_term, nullspace, rref
+from contactk.linalg import Echelon, add_into, add_term
 
 
 def test_add_into_drops_zero_sums_in_place():
@@ -43,19 +43,55 @@ def test_add_term_matches_add_into():
     assert terms == {}
 
 
-def test_rref_small_matrix():
+def _combined(comb, inputs):
+    total = {}
+    for tag, x in comb.items():
+        add_into(total, inputs[tag], x)
+    return total
+
+
+def test_echelon_small_matrix():
     rows = [[1, 2, 3], [2, 4, 7], [1, 2, 4]]
-    reduced, pivots = rref(rows)
-    assert pivots == [0, 2]
-    assert reduced == [[1, 2, 0], [0, 0, 1], [0, 0, 0]]
+    inputs = {k: dict(enumerate(row)) for k, row in enumerate(rows)}
+    ech = Echelon()
+    assert [ech.add(inputs[k], k) for k in range(3)] == [True, True, False]
+    assert ech.pivots == [0, 2]
+    assert [[row.get(c, 0) for c in range(3)] for _pc, row, _comb in ech.rows] == [
+        [1, 2, 0], [0, 0, 1]]
+    for _pc, row, comb in ech.rows:
+        assert _combined(comb, inputs) == row
     assert rows == [[1, 2, 3], [2, 4, 7], [1, 2, 4]]
-    assert rref([]) == ([], [])
+    assert inputs == {k: dict(enumerate(row)) for k, row in enumerate(rows)}
+    assert Echelon().rows == [] and Echelon().pivots == []
 
 
-def test_nullspace_small_matrix():
+def test_echelon_reduce_splits_row_into_residual_and_combination():
+    inputs = {"a": {0: 1, 1: 2, 2: 3}, "b": {0: 2, 1: 4, 2: 7}}
+    ech = Echelon()
+    for tag, row in inputs.items():
+        ech.add(row, tag)
+    row = {0: 3, 1: 6, 2: Fraction(21, 2)}
+    residual, comb = ech.reduce(row)
+    assert residual == {}
+    assert _combined(comb, inputs) == row
+    assert row == {0: 3, 1: 6, 2: Fraction(21, 2)}
+    residual, comb = ech.reduce({1: 1})
+    assert residual == {1: 1}
+    assert comb == {}
+
+
+def test_echelon_nullspace_small_matrix():
     rows = [[1, 2, 3], [2, 4, 7]]
-    basis = nullspace(rows, 3)
+    ech = Echelon()
+    for k, row in enumerate(rows):
+        ech.add(dict(enumerate(row)), k)
+    basis = ech.nullspace(3)
     assert basis == [[-2, 1, 0]]
     for v in basis:
         assert [sum(a * x for a, x in zip(row, v)) for row in rows] == [0, 0]
-    assert nullspace([[Fraction(1, 2), 0], [0, 3]], 2) == []
+    full = Echelon()
+    full.add(dict(enumerate([Fraction(1, 2), 0])), 0)
+    full.add(dict(enumerate([0, 3])), 1)
+    assert full.nullspace(2) == []
+    assert full.rows == [(0, {0: 1}, {0: 2}), (1, {1: 1}, {1: Fraction(1, 3)})]
+    assert Echelon().nullspace(2) == [[1, 0], [0, 1]]
