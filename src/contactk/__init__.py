@@ -7,7 +7,7 @@ derivations over finite windows; build and trivialize 2-cocycles.
 
 from .indices import (
     AlgebraConfig, ConfigError, GroupElement, Lattice, Shape,
-    build_shape, make_config, parse_config_text,
+    make_config, parse_config_text,
 )
 from .algebra import (
     AlgebraElement, BasisIndex, CheckReport, LiteralError, basis_element,
@@ -18,7 +18,7 @@ from .algebra import (
 from .derivations import (
     AmbiguousError, DerivationDecomposer, DerivationDecomposition,
     LatticeHom, LinearOperator, ResidualError, ad, check_derivation,
-    check_mirror_identity, decompose_derivation, diagonal_derivation,
+    check_mirror_identity, diagonal_derivation,
     hom_space_basis, hom_star_basis, mirror_difference_hom,
     outer_indices, outer_lower_partial, probe_sets, zero_slot_hom,
 )
@@ -32,7 +32,7 @@ from .suite import SuiteResult, config_label, render_report, run_suites
 
 __all__ = [
     "AlgebraConfig", "ConfigError", "GroupElement", "Lattice", "Shape",
-    "build_shape", "make_config", "parse_config_text",
+    "make_config", "parse_config_text",
     "AlgebraElement", "BasisIndex", "CheckReport", "LiteralError",
     "basis_element", "bracket_closed", "bracket_operator",
     "format_basis_index", "format_element", "grading", "multiply",
@@ -40,7 +40,7 @@ __all__ = [
     "structure_rows", "unit", "weight", "window_indices", "window_size",
     "AmbiguousError", "DerivationDecomposer", "DerivationDecomposition",
     "LatticeHom", "LinearOperator", "ResidualError", "ad",
-    "check_derivation", "check_mirror_identity", "decompose_derivation",
+    "check_derivation", "check_mirror_identity",
     "diagonal_derivation", "hom_space_basis", "hom_star_basis",
     "mirror_difference_hom", "outer_indices", "outer_lower_partial",
     "probe_sets", "zero_slot_hom",

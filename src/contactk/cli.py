@@ -9,7 +9,9 @@ numeric I/O is exact rational text.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import itertools
 import random
 import re
 import sys
@@ -29,8 +31,8 @@ from .derivations import (
     outer_lower_partial,
 )
 from .cohomology import (
-    CoboundaryCocycle, LinearFunctional, TableCocycle, check_cocycle,
-    trivialize, verify_trivialization,
+    LinearFunctional, TableCocycle, check_cocycle, coboundary, trivialize,
+    verify_trivialization,
 )
 from .suite import render_report, run_suites
 
@@ -124,15 +126,21 @@ def load_table_cocycle(config: AlgebraConfig, path: str) -> TableCocycle:
 
 
 def load_cocycle(config: AlgebraConfig, args):
-    if getattr(args, "table", None):
+    if args.table:
         return load_table_cocycle(config, args.table)
-    if getattr(args, "coboundary", None):
-        return CoboundaryCocycle(load_functional(config, args.coboundary))
+    if args.coboundary:
+        return coboundary(load_functional(config, args.coboundary))
     raise UsageError("provide --table or --coboundary")
 
 
-def _open_out(path):
-    return open(path, "w", encoding="utf-8", newline="") if path else None
+@contextlib.contextmanager
+def _output(path):
+    """Yield stdout, or the file at `path` (closed on exit) when given."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        yield fh
 
 
 # -- subcommands ------------------------------------------------------
@@ -174,14 +182,10 @@ def cmd_mul(args) -> int:
 def cmd_table(args) -> int:
     config = load_config(args.config)
     rows = structure_rows(config, args.radius)
-    out = _open_out(args.out)
-    try:
-        writer = csv.writer(out or sys.stdout, lineterminator="\n")
+    with _output(args.out) as out:
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["lhs_index", "rhs_index", "result_term_index", "coefficient"])
         writer.writerows(rows)
-    finally:
-        if out:
-            out.close()
     return 0
 
 
@@ -190,12 +194,8 @@ def cmd_suite(args) -> int:
     start = time.monotonic()
     results = run_suites(config, args.seed, args.samples)
     report = render_report(config, args.seed, args.samples, results)
-    out = _open_out(args.out)
-    try:
-        (out or sys.stdout).write(report)
-    finally:
-        if out:
-            out.close()
+    with _output(args.out) as out:
+        out.write(report)
     print(f"duration: {time.monotonic() - start:.2f}s", file=sys.stderr)
     return 0 if all(r.passed for r in results) else 1
 
@@ -250,18 +250,17 @@ def cmd_cocycle_check(args) -> int:
     rng = random.Random(args.seed)
     triples = [tuple(sample_index(config, rng) for _ in range(3))
                for _ in range(args.triples)]
-    report = check_cocycle(psi, triples)
-    if report.passed:
-        print(f"PASS cocycle-axioms ({report.pairs_checked} pairs, "
-              f"{report.triples_checked} triples)")
+    skew, sums = check_cocycle(psi, triples)
+    counts = f"({skew.checked} pairs, {sums.checked} triples)"
+    if skew.passed and sums.passed:
+        print(f"PASS cocycle-axioms {counts}")
         return 0
-    print(f"FAIL cocycle-axioms ({report.pairs_checked} pairs, "
-          f"{report.triples_checked} triples)")
-    if report.skew_failures:
-        a, b = report.skew_failures[0]
+    print(f"FAIL cocycle-axioms {counts}")
+    if skew.failures:
+        a, b = skew.failures[0]
         print(f"  skew witness: {format_basis_index(a)} , {format_basis_index(b)}")
-    if report.sum_failures:
-        a, b, c, total = report.sum_failures[0]
+    if sums.failures:
+        a, b, c, total = sums.failures[0]
         print(f"  sum witness: {format_basis_index(a)} , {format_basis_index(b)} , "
               f"{format_basis_index(c)} -> {total}")
     return 1
@@ -273,16 +272,11 @@ def cmd_cocycle_trivialize(args) -> int:
     probe = config.shape.parse_index_token(args.probe) if args.probe else None
     functional = trivialize(psi, probe)
     window = window_indices(config, args.radius)
-    out = _open_out(args.out)
-    try:
-        target = out or sys.stdout
+    with _output(args.out) as out:
         for idx in window:
             value = functional.eval_basis(idx)
             if value:
-                target.write(f"{format_basis_index(idx)} {value}\n")
-    finally:
-        if out:
-            out.close()
+                out.write(f"{format_basis_index(idx)} {value}\n")
     return 0
 
 
@@ -291,8 +285,7 @@ def cmd_cocycle_verify(args) -> int:
     psi = load_cocycle(config, args)
     functional = load_functional(config, args.functional)
     window = window_indices(config, args.radius)
-    pairs = [(window[i], window[j])
-             for i in range(len(window)) for j in range(i, len(window))]
+    pairs = itertools.combinations_with_replacement(window, 2)
     report = verify_trivialization(psi, functional, pairs)
     if report.passed:
         print(f"PASS trivialization ({report.checked} pairs)")

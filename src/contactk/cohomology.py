@@ -26,11 +26,10 @@ _ZERO = Fraction(0)
 class Cocycle:
     """Bilinear skew form given on basis pairs; extended bilinearly."""
 
-    __slots__ = ("config", "tag")
+    __slots__ = ("config",)
 
-    def __init__(self, config: AlgebraConfig, tag: str):
+    def __init__(self, config: AlgebraConfig):
         self.config = config
-        self.tag = tag
 
     def on_basis(self, iu: BasisIndex, iv: BasisIndex) -> Fraction:
         raise NotImplementedError
@@ -83,7 +82,7 @@ class CoboundaryCocycle(Cocycle):
     __slots__ = ("functional",)
 
     def __init__(self, functional: LinearFunctional):
-        super().__init__(functional.config, f"coboundary-of({functional.tag})")
+        super().__init__(functional.config)
         self.functional = functional
 
     def on_basis(self, iu, iv):
@@ -106,7 +105,7 @@ class TableCocycle(Cocycle):
     __slots__ = ("entries",)
 
     def __init__(self, config: AlgebraConfig, entries):
-        super().__init__(config, "table")
+        super().__init__(config)
         canonical: dict[tuple, Fraction] = {}
         for (iu, iv), value in entries.items():
             value = Fraction(value)
@@ -133,40 +132,19 @@ class TableCocycle(Cocycle):
         return -self.entries.get((iv, iu), _ZERO)
 
 
-class CocycleReport:
-    """Outcome of the axiom check: skew on pairs, the three-term sum on triples."""
-
-    __slots__ = ("pairs_checked", "triples_checked", "skew_failures", "sum_failures")
-
-    def __init__(self, pairs_checked, triples_checked, skew_failures, sum_failures):
-        self.pairs_checked = pairs_checked
-        self.triples_checked = triples_checked
-        self.skew_failures = skew_failures
-        self.sum_failures = sum_failures
-
-    @property
-    def passed(self) -> bool:
-        return not self.skew_failures and not self.sum_failures
-
-
-def check_cocycle(psi: Cocycle, triples) -> CocycleReport:
+def check_cocycle(psi: Cocycle, triples) -> tuple[CheckReport, CheckReport]:
+    """Exact cocycle axioms: skew-symmetry on the distinct ordered pairs of
+    the triples, in first-seen order, and the three-term sum on each triple.
+    Skew failures are (a, b); sum failures are (iu, iv, iw, total)."""
     config = psi.config
-    skew_failures = []
+    triples = list(triples)
+    pairs = dict.fromkeys(
+        pair for iu, iv, iw in triples for pair in ((iu, iv), (iv, iw), (iu, iw)))
+    skew_failures = [
+        (a, b) for a, b in pairs
+        if psi.on_basis(a, a) != 0 or psi.on_basis(a, b) + psi.on_basis(b, a) != 0]
     sum_failures = []
-    pairs_checked = 0
-    triples_checked = 0
-    seen_pairs = set()
-    for triple in triples:
-        iu, iv, iw = triple
-        for a, b in ((iu, iv), (iv, iw), (iu, iw)):
-            key = (a, b)
-            if key in seen_pairs:
-                continue
-            seen_pairs.add(key)
-            pairs_checked += 1
-            if psi.on_basis(a, a) != 0 or psi.on_basis(a, b) + psi.on_basis(b, a) != 0:
-                skew_failures.append((a, b))
-        triples_checked += 1
+    for iu, iv, iw in triples:
         xu = AlgebraElement.from_term(config, iu)
         xv = AlgebraElement.from_term(config, iv)
         xw = AlgebraElement.from_term(config, iw)
@@ -175,7 +153,7 @@ def check_cocycle(psi: Cocycle, triples) -> CocycleReport:
                  + psi(bracket_closed(xw, xu), xv))
         if total != 0:
             sum_failures.append((iu, iv, iw, total))
-    return CocycleReport(pairs_checked, triples_checked, skew_failures, sum_failures)
+    return CheckReport(len(pairs), skew_failures), CheckReport(len(triples), sum_failures)
 
 
 # -- regimes and probes -----------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .indices import AlgebraConfig, ConfigError
-from .linalg import Echelon, add_into, add_term
+from .linalg import Echelon, add_into
 from .algebra import (
     AlgebraElement, BasisIndex, CheckReport, basis_element, bracket_closed,
     format_basis_index, format_element, lower_partial, unit,
@@ -90,9 +90,6 @@ class LatticeHom:
 
     def __call__(self, alpha) -> Fraction:
         return self.value_on_coords(alpha.coords)
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
 
     def __eq__(self, other):
         return isinstance(other, LatticeHom) and self.values == other.values
@@ -316,14 +313,13 @@ class AmbiguousError(Exception):
 class DerivationDecomposition:
     """Exact coefficients of an operator over the decomposer's directions."""
 
-    __slots__ = ("outer_coeffs", "hom", "hom_coords", "inner", "residual_zero")
+    __slots__ = ("outer_coeffs", "hom", "hom_coords", "inner")
 
-    def __init__(self, outer_coeffs, hom, hom_coords, inner, residual_zero=True):
+    def __init__(self, outer_coeffs, hom, hom_coords, inner):
         self.outer_coeffs = outer_coeffs
         self.hom = hom
         self.hom_coords = hom_coords
         self.inner = inner
-        self.residual_zero = residual_zero
 
 
 class DerivationDecomposer:
@@ -341,17 +337,16 @@ class DerivationDecomposer:
         self.outer = outer_indices(config)
         self.star = hom_star_basis(config)
 
-        self.labels: list[tuple] = []
-        self.column_ops: list[LinearOperator] = []
-        for p in self.outer:
-            self.labels.append(("dt", p))
-            self.column_ops.append(outer_lower_partial(config, p))
-        for k, hom in enumerate(self.star):
-            self.labels.append(("hom", k))
-            self.column_ops.append(diagonal_derivation(hom))
-        for b in self.inner_support:
-            self.labels.append(("ad", b))
-            self.column_ops.append(ad(AlgebraElement.from_term(config, b)))
+        # columns: outer lowerings, star homs, adjoint actions; decompose
+        # reads each part off the solution by this order
+        self.column_ops = (
+            [outer_lower_partial(config, p) for p in self.outer]
+            + [diagonal_derivation(hom) for hom in self.star]
+            + [ad(AlgebraElement.from_term(config, b)) for b in self.inner_support])
+        self.labels = (
+            [f"dt {config.shape.index_token(p)}" for p in self.outer]
+            + [f"hom {k}" for k in range(len(self.star))]
+            + [f"ad {format_basis_index(b)}" for b in self.inner_support])
         self._factorize()
 
     def _factorize(self):
@@ -382,7 +377,7 @@ class DerivationDecomposer:
         if self.rank < ncols:
             pivoted = set(self._echelon.pivots)
             raise AmbiguousError(
-                self._label_text(c) for c in range(ncols) if c not in pivoted)
+                label for c, label in enumerate(self.labels) if c not in pivoted)
 
         # the stored rows are reduced, so each pivot's coefficient is its
         # row's combination applied to the right-hand side
@@ -402,36 +397,16 @@ class DerivationDecomposer:
                 witness = next(iter(add_into(total, expected, -1)))
                 raise ResidualError(w, witness)
 
-        outer_coeffs = {}
-        hom_coords = []
-        inner: dict[BasisIndex, Fraction] = {}
-        hom_values = [Fraction(0)] * len(self.config.lattice.generators)
-        for label, value in zip(self.labels, solution):
-            kind = label[0]
-            if kind == "dt":
-                outer_coeffs[label[1]] = value
-            elif kind == "hom":
-                hom_coords.append(value)
-                if value:
-                    hv = self.star[label[1]].values
-                    hom_values = [a + value * b for a, b in zip(hom_values, hv)]
-            else:
-                add_term(inner, label[1], value)
-        hom = LatticeHom(self.config, hom_values) if self.star else None
+        no, ns = len(self.outer), len(self.star)
+        hom_coords = tuple(solution[no:no + ns])
+        hom = None
+        if self.star:
+            hom_values = [Fraction(0)] * len(self.config.lattice.generators)
+            for c, h in zip(hom_coords, self.star):
+                if c:
+                    hom_values = [a + c * b for a, b in zip(hom_values, h.values)]
+            hom = LatticeHom(self.config, hom_values)
+        inner = {b: c for b, c in zip(self.inner_support, solution[no + ns:]) if c}
         return DerivationDecomposition(
-            outer_coeffs, hom, tuple(hom_coords), AlgebraElement(self.config, inner),
-            residual_zero=True)
-
-    def _label_text(self, ci: int) -> str:
-        label = self.labels[ci]
-        if label[0] == "dt":
-            return f"dt {self.config.shape.index_token(label[1])}"
-        if label[0] == "hom":
-            return f"hom {label[1]}"
-        return f"ad {format_basis_index(label[1])}"
-
-
-def decompose_derivation(config: AlgebraConfig, D: LinearOperator,
-                         window, inner_support) -> DerivationDecomposition:
-    """One-shot decomposition; build a DerivationDecomposer to amortize."""
-    return DerivationDecomposer(config, window, inner_support).decompose(D)
+            dict(zip(self.outer, solution)), hom, hom_coords,
+            AlgebraElement(self.config, inner))

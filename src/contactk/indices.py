@@ -49,11 +49,8 @@ class Shape:
 
     # -- index sets ---------------------------------------------------
 
-    def block(self, i: int) -> range:
-        """Unbarred indices of block i (1-based, possibly empty)."""
-        return range(self.cum[i - 1] + 1, self.cum[i] + 1)
-
     def blocks(self, lo: int, hi: int) -> list[int]:
+        """Unbarred indices of blocks lo..hi (1-based, possibly empty)."""
         return list(range(self.cum[lo - 1] + 1, self.cum[hi] + 1))
 
     def block_of(self, p: int) -> int:
@@ -311,7 +308,7 @@ class AlgebraConfig:
         "shape", "lattice", "j0_naturals",
         "exp_slots", "shift_coords",
         "weight_group_slots", "weight_exp_slots",
-        "pair_rows", "_zero_exps",
+        "pair_rows", "zero_exps",
     )
 
     def __init__(self, shape: Shape, lattice: Lattice, j0_naturals: bool):
@@ -366,24 +363,13 @@ class AlgebraConfig:
                 b in (3, 5, 6),    # exponent-exponent family
             ))
         self.pair_rows = tuple(rows)
-        self._zero_exps = ExponentVector((0,) * shape.dim)
-
-    @property
-    def zero_exps(self) -> ExponentVector:
-        return self._zero_exps
+        self.zero_exps = ExponentVector((0,) * shape.dim)
 
     def weight(self, alpha: GroupElement, exps) -> Fraction | int:
         """Grading eigenvalue of a basis pair; additive in both arguments."""
         vec = alpha.vector
         return (sum(vec[s] for s in self.weight_group_slots)
                 + sum(exps[s] for s in self.weight_exp_slots))
-
-    def exponent_vector(self, entries) -> ExponentVector:
-        return ExponentVector.build(self, entries)
-
-
-def build_shape(ell) -> Shape:
-    return Shape(ell)
 
 
 def make_config(ell, j0: str, generators) -> AlgebraConfig:

@@ -8,6 +8,7 @@ nondeterministic (timing lives on stderr in the CLI), so a fixed
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -143,13 +144,10 @@ def run_suites(config: AlgebraConfig, seed: int, samples: int,
         f = trivialize(psi)
         # exhaustive small window only when affordable; many-axis
         # configurations fall back to sampled pairs alone
-        pair_list = []
-        if window_size(config, 1) <= 600:
-            window = window_indices(config, 1)
-            pair_list = [(window[i], window[j])
-                         for i in range(len(window)) for j in range(i, len(window))]
+        window = window_indices(config, 1) if window_size(config, 1) <= 600 else []
         extra = [draw_pair() for _ in range(law_samples)]
-        rep = verify_trivialization(psi, f, pair_list + extra)
+        rep = verify_trivialization(
+            psi, f, itertools.chain(itertools.combinations_with_replacement(window, 2), extra))
         witness = None
         if not rep.passed:
             iu, iv, _, _ = rep.failures[0]

@@ -9,7 +9,7 @@ import pytest
 
 from contactk import (
     AlgebraElement, AmbiguousError, DerivationDecomposer, LinearOperator,
-    ResidualError, ad, basis_element, decompose_derivation,
+    ResidualError, ad, basis_element,
     diagonal_derivation, hom_star_basis, outer_indices, unit,
     window_indices,
 )
@@ -64,7 +64,6 @@ def test_recovers_model_coefficients(cfg_decomp, decomposer):
         assert {p: c for p, c in got.outer_coeffs.items() if c} == outer
         assert got.hom_coords == star
         assert got.inner == inner
-        assert got.residual_zero
 
 
 def test_mirror_difference_becomes_inner_plus_outer(cfg_decomp, decomposer):
@@ -115,16 +114,25 @@ def test_residual_error_for_non_derivation(cfg_decomp, decomposer):
 
 def test_ambiguous_when_window_too_small(cfg_decomp):
     with pytest.raises(AmbiguousError) as info:
-        decompose_derivation(
-            cfg_decomp, ad(unit(cfg_decomp)),
-            window_indices(cfg_decomp, 0), window_indices(cfg_decomp, 1))
-    assert info.value.free_labels
+        DerivationDecomposer(
+            cfg_decomp, window_indices(cfg_decomp, 0), window_indices(cfg_decomp, 1)
+        ).decompose(ad(unit(cfg_decomp)))
+    # the unpivoted columns in column order: outer, hom, then adjoint
+    assert info.value.free_labels == [
+        "dt 1bar", "hom 0",
+        "ad x[0,-1,-1]", "ad x[0,-1,-1]t[0,0,1]", "ad x[0,-1,0]", "ad x[0,-1,0]t[0,0,1]",
+        "ad x[0,-1,1]", "ad x[0,-1,1]t[0,0,1]", "ad x[0,0,-1]", "ad x[0,0,-1]t[0,0,1]",
+        "ad x[0,0,0]", "ad x[0,0,0]t[0,0,1]", "ad x[0,0,1]", "ad x[0,0,1]t[0,0,1]",
+        "ad x[0,1,-1]", "ad x[0,1,-1]t[0,0,1]", "ad x[0,1,0]", "ad x[0,1,0]t[0,0,1]",
+        "ad x[0,1,1]", "ad x[0,1,1]t[0,0,1]"]
 
 
 def test_one_shot_wrapper(cfg_decomp):
+    # a decomposer built for a single operator, as `deriv decompose` does
     D = ad(basis_element(cfg_decomp, (0, 1, 0)))
-    got = decompose_derivation(
-        cfg_decomp, D, window_indices(cfg_decomp, 2), window_indices(cfg_decomp, 1))
+    got = DerivationDecomposer(
+        cfg_decomp, window_indices(cfg_decomp, 2), window_indices(cfg_decomp, 1)
+    ).decompose(D)
     assert got.inner == basis_element(cfg_decomp, (0, 1, 0))
 
 
