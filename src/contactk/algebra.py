@@ -19,7 +19,7 @@ from itertools import product
 from .indices import (
     AlgebraConfig, ConfigError, ExponentVector, GroupElement, _index_of_slot,
 )
-from .linalg import add_into, add_term
+from .linalg import add_into, add_term, as_number
 
 
 class LiteralError(ValueError):
@@ -333,7 +333,7 @@ def parse_element(config: AlgebraConfig, text: str) -> AlgebraElement:
         m = _TERM_RE.match(clause)
         if not m:
             raise LiteralError(f"cannot parse term {clause.strip()!r}")
-        coeff = parse_rational(m.group("coeff"), f"term {clause.strip()!r}")
+        coeff = as_number(parse_rational(m.group("coeff"), f"term {clause.strip()!r}"))
         idx = _parse_index_body(config, m.group("alpha"), m.group("exps"))
         add_term(terms, idx, coeff)
     return AlgebraElement(config, terms)

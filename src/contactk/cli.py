@@ -16,9 +16,9 @@ import random
 import re
 import sys
 import time
-from fractions import Fraction
 
 from .indices import AlgebraConfig, ConfigError, parse_config_text
+from .linalg import as_number
 from .algebra import (
     AlgebraElement, LiteralError, bracket_closed, bracket_operator,
     format_basis_index, format_element, multiply, parse_basis_index,
@@ -67,8 +67,8 @@ def parse_operator_spec(config: AlgebraConfig, text: str) -> LinearOperator:
         m = _OP_START.match(chunk)
         if not m:
             raise UsageError(f"cannot parse operator term {chunk.strip()!r}")
-        scalar = (parse_rational(m.group(1), "operator scalar") if m.group(1)
-                  else Fraction(1))
+        scalar = (as_number(parse_rational(m.group(1), "operator scalar"))
+                  if m.group(1) else 1)
         kind = m.group(2)
         rest = m.group(3).strip()
         if kind == "ad":
@@ -126,6 +126,8 @@ def load_table_cocycle(config: AlgebraConfig, path: str) -> TableCocycle:
 
 
 def load_cocycle(config: AlgebraConfig, args):
+    if args.table and args.coboundary:
+        raise UsageError("give --table or --coboundary, not both")
     if args.table:
         return load_table_cocycle(config, args.table)
     if args.coboundary:

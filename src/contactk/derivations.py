@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .indices import AlgebraConfig, ConfigError
-from .linalg import Echelon, add_into
+from .linalg import Echelon, add_into, as_number
 from .algebra import (
     AlgebraElement, BasisIndex, CheckReport, basis_element, bracket_closed,
     format_basis_index, format_element, lower_partial, unit,
@@ -382,9 +382,9 @@ class DerivationDecomposer:
         # the stored rows are reduced, so each pivot's coefficient is its
         # row's combination applied to the right-hand side
         rhs = [D.on_basis(w).terms.get(r, 0) for w, r in self.metas]
-        solution = [Fraction(0)] * ncols
+        solution = [0] * ncols
         for pc, _row, comb in self._echelon.rows:
-            solution[pc] = sum(x * rhs[m] for m, x in comb.items())
+            solution[pc] = as_number(sum(x * rhs[m] for m, x in comb.items()))
 
         # verification sweep doubles as the residual check
         reconstruction = [(ci, c) for ci, c in enumerate(solution) if c]

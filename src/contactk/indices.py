@@ -16,16 +16,11 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .linalg import Echelon
+from .linalg import Echelon, as_number
 
 
 class ConfigError(ValueError):
     """Raised for invalid shapes, lattices, or configurations."""
-
-
-def _as_number(q: Fraction):
-    # keep integers as ints so hot arithmetic stays in machine words
-    return int(q) if q.denominator == 1 else q
 
 
 class Shape:
@@ -127,7 +122,7 @@ class Lattice:
         self.shape = shape
         gens = []
         for g in generators:
-            row = tuple(_as_number(Fraction(x)) for x in g)
+            row = tuple(as_number(Fraction(x)) for x in g)
             if len(row) != shape.dim:
                 raise ConfigError(
                     f"gamma generator has {len(row)} entries, expected {shape.dim}")

@@ -29,6 +29,18 @@ def add_into(terms: dict, other, scale=1) -> dict:
     return terms
 
 
+def as_number(q):
+    """`q` as an int when integral, keeping hot arithmetic off `Fraction`."""
+    return int(q) if q.denominator == 1 else q
+
+
+def _integral(terms: dict) -> dict:
+    """In place, every integral value of `terms` becomes an int; returns `terms`."""
+    for k, x in terms.items():
+        terms[k] = as_number(x)
+    return terms
+
+
 def add_term(terms: dict, key, c) -> None:
     """One-term `add_into` for hot loops: in place, zero-free `terms[key] += c`."""
     acc = terms.get(key, 0) + c
@@ -47,12 +59,15 @@ class Echelon:
     row's pivot, so the stored rows are the unique reduced row echelon
     form of what was added.  `combination` maps the tags given to `add`
     to the coefficients with which the stored row sums the input rows.
+    Stored and returned values with denominator 1 are ints.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_at")
 
     def __init__(self):
         self.rows: list[tuple[object, dict, dict]] = []
+        # pivot -> (row, combination), the same dicts as in `rows`
+        self._at: dict = {}
 
     @property
     def pivots(self) -> list:
@@ -65,12 +80,15 @@ class Echelon:
         modified."""
         residual = {c: x for c, x in row.items() if x}
         comb: dict = {}
-        for pc, brow, bcomb in self.rows:
-            f = residual.get(pc)
-            if f:
-                add_into(residual, brow, -f)
-                add_into(comb, bcomb, f)
-        return residual, comb
+        at = self._at
+        # a stored row is zero at every other pivot, so subtracting it
+        # touches no other pivot entry: only the pivots `row` has matter
+        for pc in [c for c in residual if c in at]:
+            brow, bcomb = at[pc]
+            f = residual[pc]
+            add_into(residual, brow, -f)
+            add_into(comb, bcomb, f)
+        return _integral(residual), _integral(comb)
 
     def add(self, row, tag) -> bool:
         """Store what is left of `row` after reduction; False if nothing is."""
@@ -79,28 +97,28 @@ class Echelon:
             return False
         pc = min(residual)
         inv = Fraction(1) / residual[pc]
-        row = {c: x * inv for c, x in residual.items()}
-        combination = add_into({tag: inv}, comb, -inv)
+        row = {c: as_number(x * inv) for c, x in residual.items()}
+        combination = _integral(add_into({tag: inv}, comb, -inv))
         # the new row has no entry left of pc, so clearing column pc from a
         # stored row never moves that row's pivot
         for _pc, brow, bcomb in self.rows:
             f = brow.get(pc)
             if f:
-                add_into(brow, row, -f)
-                add_into(bcomb, combination, -f)
+                _integral(add_into(brow, row, -f))
+                _integral(add_into(bcomb, combination, -f))
         self.rows.append((pc, row, combination))
+        self._at[pc] = (row, combination)
         return True
 
-    def nullspace(self, ncols: int) -> list[list[Fraction]]:
+    def nullspace(self, ncols: int) -> list[list]:
         """Basis of {v : row . v = 0 for every added row} over columns
         0..ncols-1, one vector per non-pivot column in increasing order."""
-        pivoted = set(self.pivots)
         basis = []
         for fc in range(ncols):
-            if fc in pivoted:
+            if fc in self._at:
                 continue
-            v = [Fraction(0)] * ncols
-            v[fc] = Fraction(1)
+            v = [0] * ncols
+            v[fc] = 1
             # stored row reads: v[pc] + sum over free c of row[c] * v[c] = 0
             for pc, row, _comb in self.rows:
                 if fc in row:

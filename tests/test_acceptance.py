@@ -27,12 +27,14 @@ from contactk import (
 )
 from contactk.algebra import scale_partial
 from contactk.derivations import outer_lower_partial
+from contactk.linalg import as_number
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
 def _term(config, idx, coeff=1):
-    return AlgebraElement.from_term(config, idx, Fraction(coeff))
+    # integral coefficients as int, the way the element parser gives them
+    return AlgebraElement.from_term(config, idx, as_number(Fraction(coeff)))
 
 
 def _pairs(config, seed, count):

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
-from contactk.cli import main
+from contactk import coboundary, parse_element, trivialize, window_indices
+from contactk.cli import (
+    load_config, load_functional, load_table_cocycle, main, parse_operator_spec,
+)
 
 CASEB = "ell: 1 0 0 0 0 0\nj0: zero\ngamma: 1 0 0\ngamma: 0 1 0\ngamma: 0 0 1\n"
 L2 = "ell: 0 1 0 0 0 0\nj0: naturals\ngamma: 0 1 0\ngamma: 0 0 1\n"
@@ -245,6 +250,50 @@ def test_cocycle_requires_a_source(capsys, caseb_path):
     code, _, err = run(capsys, ["cocycle", "check", "--config", caseb_path])
     assert code == 2
     assert "provide --table or --coboundary" in err
+
+
+@pytest.mark.parametrize("subcommand", ["check", "trivialize", "verify"])
+def test_cocycle_rejects_table_with_coboundary(capsys, caseb_path, tmp_path, subcommand):
+    table = tmp_path / "t.txt"
+    table.write_text("x[0,1,0] x[0,0,1] 1\n")
+    func = tmp_path / "g.txt"
+    func.write_text("x[0,1,1] 3\n")
+    argv = ["cocycle", subcommand, "--config", caseb_path,
+            "--table", str(table), "--coboundary", str(func)]
+    if subcommand == "verify":
+        argv += ["--functional", str(func)]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: give --table or --coboundary, not both\n"
+
+
+def test_integral_values_are_int_and_no_float_appears(capsys, l2_path, tmp_path):
+    config = load_config(l2_path)
+    # element coefficients and operator scalars: int when integral
+    terms = parse_element(config, "3*x[0,1,1] + 3/2*x[0,0,1]").terms
+    assert [(type(c), c) for c in terms.values()] == [(int, 3), (Fraction, Fraction(3, 2))]
+    window = window_indices(config, 1)
+    for spec, kind, value in [("3 dt 1bar", int, 3), ("3/2 dt 1bar", Fraction, Fraction(3, 2))]:
+        op = parse_operator_spec(config, spec)
+        actions = [c for w in window for c in op.on_basis(w).terms.values()]
+        assert actions and all(type(c) is kind and c == value for c in actions)
+
+    # file values stay Fraction even when integral
+    func = tmp_path / "g.txt"
+    func.write_text("x[0,1,1] 3\nx[0,0,0]t[1,0,0] -2\nx[0,-1,0] 1\n")
+    table = tmp_path / "t.txt"
+    table.write_text("x[0,1,0] x[0,0,1] 4\n")
+    f = load_functional(config, str(func))
+    psi = load_table_cocycle(config, str(table))
+    assert all(type(v) is Fraction for v in [*f.table.values(), *psi.entries.values()])
+
+    g = trivialize(coboundary(f))
+    values = [g.eval_basis(b) for b in window_indices(config, 2)]
+    assert any(values) and {type(v) for v in values} <= {int, Fraction}
+    code, out, _ = run(capsys, [
+        "cocycle", "trivialize", "--config", l2_path, "--coboundary", str(func)])
+    assert code == 0 and out and "." not in out
 
 
 def test_missing_config_file(capsys):

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import sympy
+from hypothesis import given, settings, strategies as st
+
 from contactk.linalg import Echelon, add_into, add_term
 
 
@@ -95,3 +98,53 @@ def test_echelon_nullspace_small_matrix():
     assert full.nullspace(2) == []
     assert full.rows == [(0, {0: 1}, {0: 2}), (1, {1: 1}, {1: Fraction(1, 3)})]
     assert Echelon().nullspace(2) == [[1, 0], [0, 1]]
+
+
+_ENTRY = st.one_of(
+    st.just(0), st.just(0), st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
+
+
+@st.composite
+def _matrices(draw):
+    """(rows, order, probe): a small sparse rational matrix, the order in
+    which its rows are added, and one more row to reduce."""
+    ncols = draw(st.integers(1, 6))
+    row = st.lists(_ENTRY, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=1, max_size=7))
+    order = draw(st.permutations(range(len(rows))))
+    return rows, order, draw(row)
+
+
+def _is_normalised(x):
+    return type(x) is (int if x.denominator == 1 else Fraction)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices())
+def test_echelon_matches_sympy_rref(case):
+    rows, order, probe = case
+    ncols = len(probe)
+    inputs = {k: {c: x for c, x in enumerate(row) if x} for k, row in enumerate(rows)}
+    ech = Echelon()
+    for k in order:
+        ech.add(inputs[k], k)
+
+    reference, ref_pivots = sympy.Matrix(rows).rref()
+    stored = sorted(ech.rows, key=lambda t: t[0])
+    assert [pc for pc, _row, _comb in stored] == list(ref_pivots)
+    assert [[row.get(c, 0) for c in range(ncols)] for _pc, row, _comb in stored] == [
+        [Fraction(int(x.p), int(x.q)) for x in reference.row(i)]
+        for i in range(len(ref_pivots))]
+    for _pc, row, comb in ech.rows:
+        assert _combined(comb, inputs) == row
+        assert all(_is_normalised(x) for x in [*row.values(), *comb.values()])
+
+    pivots = set(ech.pivots)
+    target = {c: x for c, x in enumerate(probe) if x}
+    residual, comb = ech.reduce(target)
+    assert not pivots & set(residual)
+    assert add_into(_combined(comb, inputs), residual) == target
+    assert all(_is_normalised(x) for x in [*residual.values(), *comb.values()])
+    in_span = _combined({k: x for k, x in enumerate(probe[:len(rows)])}, inputs)
+    assert ech.reduce(in_span)[0] == {}
