@@ -2,12 +2,14 @@
 
 The bracket is implemented twice on purpose: `bracket_operator` composes
 the defining differential operators literally and serves as the oracle,
-while `bracket_closed` expands the same bilinear form per basis pair from
-precomputed per-index tables.  They share only two things: the sparse
-accumulator `linalg.add_into`, which has its own unit tests, and the
-dropped-term convention, which both must apply identically: a produced
-index with a negative exponent entry is dropped (group parts always stay
-in the lattice because they are built from lattice coordinates).
+while the closed route is one per-pair kernel, `bracket_terms`, which
+expands the same bilinear form from precomputed per-index tables and
+which `bracket_closed` and the window sweeps call.  They share only the
+sparse accumulator (`linalg.add_into`, `add_term`), which has its own
+unit tests, and the dropped-term convention, which both must apply
+identically: a produced index with a negative exponent entry is dropped
+(group parts always stay in the lattice because they are built from
+lattice coordinates).
 """
 
 from __future__ import annotations
@@ -219,63 +221,64 @@ def bracket_operator(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(config, terms)
 
 
+def bracket_terms(config: AlgebraConfig, iu: BasisIndex, iv: BasisIndex,
+                  c=1, terms=None) -> dict:
+    """In place, zero-free `terms += c * [iu, iv]` for two basis monomials by
+    the per-pair expansion; returns `terms` (a new dict when None)."""
+    terms = {} if terms is None else terms
+    avec, ie = iu.alpha.vector, iu.exps
+    bvec, je = iv.alpha.vector, iv.exps
+    alpha_sum = iu.alpha.add(iv.alpha)
+    exps_sum = ie.add(je)
+
+    # dropped-term convention: a lowered vector of None (an entry below
+    # zero) adds nothing
+    for sp, sq, shift, fam_gg, fam_ge, fam_eg, fam_ee in config.pair_rows:
+        shifted = None
+        if fam_gg:
+            k = avec[sp] * bvec[sq] - avec[sq] * bvec[sp]
+            if k:
+                shifted = alpha_sum.add_coords(shift.coords)
+                add_term(terms, BasisIndex(shifted, exps_sum), c * k)
+        if fam_ge:
+            k = avec[sp] * je[sq] - ie[sq] * bvec[sp]
+            if k and (lowered := exps_sum.lowered(sq)) is not None:
+                if shifted is None:
+                    shifted = alpha_sum.add_coords(shift.coords)
+                add_term(terms, BasisIndex(shifted, lowered), c * k)
+        if fam_eg:
+            k = ie[sp] * bvec[sq] - je[sp] * avec[sq]
+            if k and (lowered := exps_sum.lowered(sp)) is not None:
+                if shifted is None:
+                    shifted = alpha_sum.add_coords(shift.coords)
+                add_term(terms, BasisIndex(shifted, lowered), c * k)
+        if fam_ee:
+            k = ie[sp] * je[sq] - ie[sq] * je[sp]
+            if k and (lowered := exps_sum.lowered(sp, sq)) is not None:
+                if shifted is None:
+                    shifted = alpha_sum.add_coords(shift.coords)
+                add_term(terms, BasisIndex(shifted, lowered), c * k)
+
+    wu = 2 - weight(config, iu)
+    wv = 2 - weight(config, iv)
+    k = wu * bvec[0] - avec[0] * wv
+    if k:
+        add_term(terms, BasisIndex(alpha_sum, exps_sum), c * k)
+    k = wu * je[0] - ie[0] * wv
+    if k and (lowered := exps_sum.lowered(0)) is not None:
+        add_term(terms, BasisIndex(alpha_sum, lowered), c * k)
+    return terms
+
+
 def bracket_closed(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
     """Bracket via the per-basis-pair expansion; the production route."""
     _check_same_config(u, v)
     config = u.config
     terms: dict[BasisIndex, Fraction] = {}
-
-    def emit(alpha, exps, coeff):
-        if exps is None or not coeff:
-            return  # dropped-term convention (negative exponent) or zero
-        add_term(terms, BasisIndex(alpha, exps), coeff)
-
     for iu, cu in u.terms.items():
-        avec = iu.alpha.vector
-        ie = iu.exps
         for iv, cv in v.terms.items():
-            bvec = iv.alpha.vector
-            je = iv.exps
-            c = cu * cv
-            alpha_sum = iu.alpha.add(iv.alpha)
-            exps_sum = ie.add(je)
-
-            for sp, sq, shift, fam_gg, fam_ge, fam_eg, fam_ee in config.pair_rows:
-                shifted = None
-                if fam_gg:
-                    k = avec[sp] * bvec[sq] - avec[sq] * bvec[sp]
-                    if k:
-                        shifted = alpha_sum.add_coords(shift.coords)
-                        emit(shifted, exps_sum, c * k)
-                if fam_ge:
-                    k = avec[sp] * je[sq] - ie[sq] * bvec[sp]
-                    if k:
-                        if shifted is None:
-                            shifted = alpha_sum.add_coords(shift.coords)
-                        emit(shifted, exps_sum.lowered(sq), c * k)
-                if fam_eg:
-                    k = ie[sp] * bvec[sq] - je[sp] * avec[sq]
-                    if k:
-                        if shifted is None:
-                            shifted = alpha_sum.add_coords(shift.coords)
-                        emit(shifted, exps_sum.lowered(sp), c * k)
-                if fam_ee:
-                    k = ie[sp] * je[sq] - ie[sq] * je[sp]
-                    if k:
-                        if shifted is None:
-                            shifted = alpha_sum.add_coords(shift.coords)
-                        emit(shifted, exps_sum.lowered(sp, sq), c * k)
-
-            wu = 2 - weight(config, iu)
-            wv = 2 - weight(config, iv)
-            k = wu * bvec[0] - avec[0] * wv
-            if k:
-                emit(alpha_sum, exps_sum, c * k)
-            k = wu * je[0] - ie[0] * wv
-            if k:
-                emit(alpha_sum, exps_sum.lowered(0), c * k)
-
-    return AlgebraElement(u.config, terms)
+            bracket_terms(config, iu, iv, cu * cv, terms)
+    return AlgebraElement(config, terms)
 
 
 # -- literals ---------------------------------------------------------
@@ -366,6 +369,7 @@ def format_element(u: AlgebraElement) -> str:
 # -- windows and sampling ---------------------------------------------
 
 WINDOW_CAP = 500_000
+PAIR_CAP = 1_000_000
 
 
 def window_size(config: AlgebraConfig, radius: int) -> int:
@@ -374,6 +378,16 @@ def window_size(config: AlgebraConfig, radius: int) -> int:
         raise ConfigError("radius must be nonnegative")
     ngens = len(config.lattice.generators)
     return (2 * radius + 1) ** ngens * (radius + 1) ** len(config.exp_slots)
+
+
+def check_pair_cap(config: AlgebraConfig, radius: int, ordered: bool):
+    """ConfigError when a sweep over the window's ordered pairs, or over its
+    pairs (u, v) with u not after v, would bracket more than `PAIR_CAP`."""
+    size = window_size(config, radius)
+    count = size * size if ordered else size * (size + 1) // 2
+    if count > PAIR_CAP:
+        raise ConfigError(f"window of radius {radius} gives {count} bracket "
+                          f"pairs; the cap is {PAIR_CAP}")
 
 
 def window_indices(config: AlgebraConfig, radius: int) -> list[BasisIndex]:
@@ -426,16 +440,16 @@ def sample_element(config: AlgebraConfig, rng, max_terms: int = 3) -> AlgebraEle
 
 def structure_rows(config: AlgebraConfig, radius: int) -> list[tuple[str, str, str, str]]:
     """CSV rows for all ordered bracket pairs in the window, sorted for diffing."""
-    window = [(format_basis_index(i), AlgebraElement.from_term(config, i))
-              for i in window_indices(config, radius)]
+    check_pair_cap(config, radius, ordered=True)
+    window = [(i, format_basis_index(i)) for i in window_indices(config, radius)]
     rows = []
-    for lu, xu in window:
-        for lv, xv in window:
-            result = bracket_closed(xu, xv)
-            if result.is_zero():
+    for iu, lu in window:
+        for iv, lv in window:
+            result = bracket_terms(config, iu, iv)
+            if not result:
                 rows.append((lu, lv, "0", "0"))
             else:
-                for ir, c in result.terms.items():
+                for ir, c in result.items():
                     rows.append((lu, lv, format_basis_index(ir), str(c)))
     rows.sort()
     return rows

@@ -20,7 +20,7 @@ import time
 from .indices import AlgebraConfig, ConfigError, parse_config_text
 from .linalg import as_number
 from .algebra import (
-    AlgebraElement, LiteralError, bracket_closed, bracket_operator,
+    LiteralError, bracket_closed, bracket_operator, check_pair_cap,
     format_basis_index, format_element, multiply, parse_basis_index,
     parse_element, parse_rational, sample_index, structure_rows,
     window_indices,
@@ -286,6 +286,7 @@ def cmd_cocycle_verify(args) -> int:
     config = load_config(args.config)
     psi = load_cocycle(config, args)
     functional = load_functional(config, args.functional)
+    check_pair_cap(config, args.radius, ordered=False)
     window = window_indices(config, args.radius)
     pairs = itertools.combinations_with_replacement(window, 2)
     report = verify_trivialization(psi, functional, pairs)

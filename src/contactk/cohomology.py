@@ -15,7 +15,7 @@ from fractions import Fraction
 from .indices import AlgebraConfig, ConfigError
 from .algebra import (
     AlgebraElement, BasisIndex, CheckReport, basis_element, bracket_closed,
-    format_basis_index, unit,
+    bracket_terms, format_basis_index, unit,
 )
 
 # one shared zero for every zero value; it is a Fraction, not int 0, so
@@ -67,9 +67,9 @@ class LinearFunctional:
             self._memo[index] = out
         return out
 
-    def eval_element(self, u: AlgebraElement) -> Fraction:
+    def eval_terms(self, terms: dict) -> Fraction:
         total = _ZERO
-        for idx, c in u.terms.items():
+        for idx, c in terms.items():
             val = self.eval_basis(idx)
             if val:
                 total += c * val
@@ -86,9 +86,7 @@ class CoboundaryCocycle(Cocycle):
         self.functional = functional
 
     def on_basis(self, iu, iv):
-        xu = AlgebraElement.from_term(self.config, iu)
-        xv = AlgebraElement.from_term(self.config, iv)
-        return self.functional.eval_element(bracket_closed(xu, xv))
+        return self.functional.eval_terms(bracket_terms(self.config, iu, iv))
 
 
 def coboundary(f: LinearFunctional) -> CoboundaryCocycle:
@@ -372,20 +370,30 @@ def trivialize(psi: Cocycle, probe: int | None = None) -> LinearFunctional:
 def verify_trivialization(psi: Cocycle, f: LinearFunctional, pairs) -> CheckReport:
     """Exact comparison psi(u,v) vs f([u,v]) over the given basis pairs.
 
-    A coboundary psi = g([u,v]) is evaluated on the same bracket as f, so
-    each pair is bracketed once; any other psi goes through `on_basis`.
+    Each pair is bracketed once.  For a coboundary psi = g([u,v]) the call
+    keeps g(r) - f(r) per result index r: a pair passes unsummed when all
+    its terms have zero difference.  Any other psi goes through `on_basis`.
     """
     config = psi.config
     g = psi.functional if isinstance(psi, CoboundaryCocycle) else None
+    diff: dict[BasisIndex, Fraction] = {}
     failures = []
     checked = 0
     for iu, iv in pairs:
         checked += 1
-        xu = AlgebraElement.from_term(config, iu)
-        xv = AlgebraElement.from_term(config, iv)
-        bracket = bracket_closed(xu, xv)
-        lhs = psi.on_basis(iu, iv) if g is None else g.eval_element(bracket)
-        rhs = f.eval_element(bracket)
+        bracket = bracket_terms(config, iu, iv)
+        if g is None:
+            lhs = psi.on_basis(iu, iv)
+        else:
+            for r in bracket:
+                if (d := diff.get(r)) is None:
+                    d = diff[r] = g.eval_basis(r) - f.eval_basis(r)
+                if d:
+                    break
+            else:
+                continue  # g and f agree on every term
+            lhs = g.eval_terms(bracket)
+        rhs = f.eval_terms(bracket)
         if lhs != rhs:
             failures.append((iu, iv, lhs, rhs))
     return CheckReport(checked, failures)

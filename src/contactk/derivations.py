@@ -102,7 +102,7 @@ def diagonal_derivation(hom: LatticeHom) -> LinearOperator:
     config = hom.config
     return LinearOperator(
         config,
-        lambda idx: AlgebraElement.from_term(config, idx, hom(idx.alpha)),
+        lambda idx: AlgebraElement.from_term(config, idx, as_number(hom(idx.alpha))),
         f"dmu {' '.join(str(v) for v in hom.values)}")
 
 

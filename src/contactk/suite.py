@@ -114,7 +114,7 @@ def run_suites(config: AlgebraConfig, seed: int, samples: int,
     homs = hom_space_basis(config)
     operators: list[LinearOperator] = []
     for _ in range(3 if homs else 0):
-        values = [Fraction(0)] * len(config.lattice.generators)
+        values = [0] * len(config.lattice.generators)
         for h in homs:
             c = rng.randint(-3, 3)
             if c:

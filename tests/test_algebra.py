@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contactk import (
-    AlgebraElement, LiteralError, basis_element, format_element, grading,
-    multiply, parse_element, sample_element, sample_index, unit, weight,
-    window_indices,
+    AlgebraElement, ConfigError, LiteralError, basis_element, format_element,
+    grading, multiply, parse_element, sample_element, sample_index, unit,
+    weight, window_indices,
 )
+from contactk.algebra import check_pair_cap
 
 
 def test_multiply_adds_group_parts(cfg_caseB):
@@ -118,6 +119,18 @@ def test_window_sizes(cfg_caseB, cfg_l2):
     assert len(window_indices(cfg_l2, 1)) == 9 * 4
     w = window_indices(cfg_l2, 2)
     assert len(w) == len(set(w)) == 25 * 9
+
+
+def test_pair_cap_admits_the_documented_radii(cfg_caseB, cfg_l2, cfg_l3):
+    # tables: the goldens (caseB r2, the rest r1) and l3 at r2; verify:
+    # l2 at r3 (criterion 7's window) and l3 at r2
+    check_pair_cap(cfg_caseB, 3, ordered=True)
+    check_pair_cap(cfg_l3, 2, ordered=True)
+    check_pair_cap(cfg_l2, 3, ordered=False)
+    with pytest.raises(ConfigError, match="2051325 bracket pairs"):
+        check_pair_cap(cfg_l2, 4, ordered=False)
+    with pytest.raises(ConfigError, match="4100625 bracket pairs"):
+        check_pair_cap(cfg_l2, 4, ordered=True)
 
 
 def test_sampling_is_seed_deterministic(cfg_mixed):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,8 @@ from contactk import (
     format_element, parse_element, sample_element, sample_index, unit,
     weight,
 )
+from contactk.algebra import bracket_terms
+from contactk.linalg import add_into
 
 
 def jacobi_sum(u, v, w):
@@ -193,3 +196,37 @@ def test_bracket_is_bilinear(cfg_l2):
 def test_operator_route_never_calls_closed_route():
     # the oracle must stay independent of the route it checks
     assert "bracket_closed" not in bracket_operator.__code__.co_names
+    assert "bracket_terms" not in bracket_operator.__code__.co_names
+
+
+def test_bracket_terms_adds_into_the_given_dict(all_configs, cfg_l5):
+    # the per-pair kernel does terms += c * [iu, iv] in place: checked
+    # against the oracle on a dict that already holds terms, one of them
+    # set to cancel a term of the bracket
+    def cases():
+        for config in all_configs.values():
+            rng = random.Random(37)
+            for _ in range(30):
+                c = Fraction(rng.choice([-3, -1, 1, 2]), rng.randrange(1, 4))
+                iu, iv = sample_index(config, rng), sample_index(config, rng)
+                yield config, iu, iv, c, rng
+        # the pair of `test_dropped_terms_match_across_routes`
+        u = parse_element(cfg_l5, "1*x[0,1,0]t[0,1,0]")
+        v = parse_element(cfg_l5, "1*x[0,-1,0]t[0,0,1]")
+        yield cfg_l5, next(iter(u.terms)), next(iter(v.terms)), 1, random.Random(38)
+
+    cancelled = 0
+    for config, iu, iv, c, rng in cases():
+        oracle = bracket_operator(AlgebraElement.from_term(config, iu),
+                                  AlgebraElement.from_term(config, iv)).terms
+        start = dict(sample_element(config, rng).terms)
+        if oracle:
+            r = rng.choice(list(oracle))
+            start[r] = -c * oracle[r]
+            cancelled += 1
+        terms = dict(start)
+        assert bracket_terms(config, iu, iv, c, terms) is terms
+        assert terms == add_into(dict(start), oracle, c)
+        assert all(terms.values())
+        assert bracket_terms(config, iu, iv) == oracle
+    assert cancelled > 100

@@ -101,6 +101,33 @@ def test_table_radius_zero(capsys, caseb_path):
     assert len(lines) == 2
 
 
+def test_huge_radius_exits_2_before_any_bracket(capsys, l2_path, tmp_path, monkeypatch):
+    # radius 12 on l2 is 105,625 window indices, under the window cap, but
+    # about 5.6e9 pairs to verify and 1.1e10 to table: both stop at once
+    import contactk.algebra as algebra
+    import contactk.cli as cli
+    import contactk.cohomology as cohomology
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started past the pair cap")
+
+    for module in (algebra, cohomology):
+        monkeypatch.setattr(module, "bracket_terms", no_work)
+    for module in (algebra, cli):
+        monkeypatch.setattr(module, "window_indices", no_work)
+    func = tmp_path / "g.txt"
+    func.write_text("x[0,1,1] 3\n")
+    code, out, err = run(capsys, [
+        "cocycle", "verify", "--config", l2_path, "--coboundary", str(func),
+        "--functional", str(func), "--radius", "12"])
+    assert (code, out) == (2, "")
+    assert err == ("error: window of radius 12 gives 5578373125 bracket pairs; "
+                   "the cap is 1000000\n")
+    code, out, err = run(capsys, ["table", "--config", l2_path, "--radius", "12"])
+    assert (code, out) == (2, "")
+    assert "gives 11156640625 bracket pairs" in err
+
+
 def test_table_file_and_determinism(capsys, caseb_path, tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (out1, out2):

@@ -196,8 +196,8 @@ def test_trivializer_is_linear_in_the_cocycle(cfg_l2):
         u = basis_element(cfg_l2, iu.alpha.coords, iu.exps)
         v = basis_element(cfg_l2, iv.alpha.coords, iv.exps)
         b = bracket_closed(u, v)
-        lhs = g1.eval_element(b) - g2.eval_element(b)
-        rhs = f1.eval_element(b) - f2.eval_element(b)
+        lhs = g1.eval_terms(b.terms) - g2.eval_terms(b.terms)
+        rhs = f1.eval_terms(b.terms) - f2.eval_terms(b.terms)
         assert lhs == rhs
 
 
@@ -242,3 +242,65 @@ def test_verify_checks_table_cocycles_on_basis(cfg_caseB):
     zero = LinearFunctional(cfg_caseB, table={}, tag="zero")
     report = verify_trivialization(psi, zero, pairs)
     assert report.failures == [(a, b, Fraction(3, 2), 0)]
+
+
+def _reference_failures(config, g, f, pairs):
+    # witnesses through the independent operator route, summed in full
+    out = []
+    for iu, iv in pairs:
+        b = bracket_operator(AlgebraElement.from_term(config, iu),
+                             AlgebraElement.from_term(config, iv)).terms
+        lhs = sum(c * g.eval_basis(r) for r, c in b.items())
+        rhs = sum(c * f.eval_basis(r) for r, c in b.items())
+        if lhs != rhs:
+            out.append((iu, iv, lhs, rhs))
+    return out
+
+
+def test_verify_passes_pairs_whose_differences_cancel(cfg_l2):
+    # f = g except at r1 and r2, altered by d1 = c2 and d2 = -c1 where
+    # c1, c2 are their coefficients in one pair's bracket: that pair sums
+    # to zero and must pass, while pairs with other ratios fail
+    rng = random.Random(93)
+    g = random_functional(cfg_l2, rng)
+    pairs = window_pairs(cfg_l2, 1)
+    brackets = [bracket_operator(AlgebraElement.from_term(cfg_l2, iu),
+                                 AlgebraElement.from_term(cfg_l2, iv)).terms
+                for iu, iv in pairs]
+    k = next(k for k, b in enumerate(brackets) if len(b) >= 2)
+    (r1, c1), (r2, c2) = list(brackets[k].items())[:2]
+    f = LinearFunctional(cfg_l2, table=g.table, tag="altered")
+    f.table[r1] = g.eval_basis(r1) + c2
+    f.table[r2] = g.eval_basis(r2) - c1
+    report = verify_trivialization(coboundary(g), f, pairs)
+    expected = _reference_failures(cfg_l2, g, f, pairs)
+    assert report.checked == len(pairs)
+    assert report.failures == expected and expected
+    assert pairs[k] not in [(iu, iv) for iu, iv, _, _ in report.failures]
+
+
+def test_verify_brackets_each_pair_once(cfg_l2, monkeypatch):
+    # table functionals have no rule, so every kernel call comes from the
+    # verifier's own loop: one per pair, for a coboundary and a table psi
+    import contactk.cohomology as cohomology
+
+    calls = []
+    kernel = cohomology.bracket_terms
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(cohomology, "bracket_terms", counting)
+    rng = random.Random(94)
+    g = random_functional(cfg_l2, rng)
+    pairs = window_pairs(cfg_l2, 1)
+    f = LinearFunctional(cfg_l2, table=g.table, tag="altered")
+    f.table[pairs[len(pairs) // 3][0]] = Fraction(7, 2)
+    table = TableCocycle(cfg_l2, {pairs[5]: Fraction(1)})
+    for psi in (coboundary(g), table):
+        calls.clear()
+        report = verify_trivialization(psi, f, iter(pairs))
+        assert report.checked == len(calls) == len(pairs)
+        assert calls == pairs
+        assert report.failures

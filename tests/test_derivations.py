@@ -32,6 +32,23 @@ def test_mirror_difference_hom_values(cfg_caseB):
     assert format_element(d(u)) == "-2*x[0,2,0]"
 
 
+def test_diagonal_actions_are_int_when_integral(cfg_caseB, cfg_decomp):
+    # the hom keeps Fraction values; its diagonal action is an int where
+    # integral, so decomposer columns scale by ints
+    window = window_indices(cfg_decomp, 1)
+    for mu in hom_star_basis(cfg_decomp) + hom_space_basis(cfg_decomp):
+        assert all(type(v) is Fraction for v in mu.values)
+        d = diagonal_derivation(mu)
+        actions = [(w, c) for w in window for c in d.on_basis(w).terms.values()]
+        assert actions and all(type(c) is int and c == mu(w.alpha) for w, c in actions)
+    mu = LatticeHom(cfg_caseB, [Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2)])
+    half = diagonal_derivation(mu)
+    actions = [c for w in window_indices(cfg_caseB, 1)
+               for c in half.on_basis(w).terms.values()]
+    assert {type(c) for c in actions} == {int, Fraction}
+    assert all(type(c) is int for c in actions if c.denominator == 1)
+
+
 def test_lattice_hom_constraint(cfg_caseB):
     # must vanish on the shift vector of every active paired block
     with pytest.raises(ConfigError):
