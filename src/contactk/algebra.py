@@ -390,14 +390,32 @@ def check_pair_cap(config: AlgebraConfig, radius: int, ordered: bool):
                           f"pairs; the cap is {PAIR_CAP}")
 
 
-def window_indices(config: AlgebraConfig, radius: int) -> list[BasisIndex]:
-    """All basis indices with generator coordinates in [-radius, radius]
-    and exponent entries in [0, radius], in a fixed deterministic order."""
+def _capped_window_size(config: AlgebraConfig, radius: int) -> int:
+    """`window_size`, or ConfigError when it passes `WINDOW_CAP`."""
     size = window_size(config, radius)
     if size > WINDOW_CAP:
         raise ConfigError(
             f"window of radius {radius} holds {size} indices; "
             f"the cap is {WINDOW_CAP}")
+    return size
+
+
+def check_decompose_cap(config: AlgebraConfig, radius: int, inner_radius: int):
+    """ConfigError when either window passes `WINDOW_CAP`, or when the
+    window times the inner support passes `PAIR_CAP`: factorization can
+    evaluate every inner column on every window index."""
+    count = (_capped_window_size(config, radius)
+             * _capped_window_size(config, inner_radius))
+    if count > PAIR_CAP:
+        raise ConfigError(
+            f"windows of radius {radius} and inner radius {inner_radius} give "
+            f"{count} (window index, inner column) pairs; the cap is {PAIR_CAP}")
+
+
+def window_indices(config: AlgebraConfig, radius: int) -> list[BasisIndex]:
+    """All basis indices with generator coordinates in [-radius, radius]
+    and exponent entries in [0, radius], in a fixed deterministic order."""
+    _capped_window_size(config, radius)
     ngens = len(config.lattice.generators)
     slots = sorted(config.exp_slots)
     out = []

@@ -20,8 +20,8 @@ import time
 from .indices import AlgebraConfig, ConfigError, parse_config_text
 from .linalg import as_number
 from .algebra import (
-    LiteralError, bracket_closed, bracket_operator, check_pair_cap,
-    format_basis_index, format_element, multiply, parse_basis_index,
+    LiteralError, bracket_closed, bracket_operator, check_decompose_cap,
+    check_pair_cap, format_basis_index, format_element, multiply, parse_basis_index,
     parse_element, parse_rational, sample_index, structure_rows,
     window_indices,
 )
@@ -223,6 +223,7 @@ def cmd_deriv_check(args) -> int:
 def cmd_deriv_decompose(args) -> int:
     config = load_config(args.config)
     op = parse_operator_spec(config, args.op)
+    check_decompose_cap(config, args.radius, args.inner_radius)
     window = window_indices(config, args.radius)
     inner = window_indices(config, args.inner_radius)
     decomposer = DerivationDecomposer(config, window, inner)

@@ -10,12 +10,13 @@ adjoint directions on a finite window by exact linear algebra.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .indices import AlgebraConfig, ConfigError
 from .linalg import Echelon, add_into, as_number
 from .algebra import (
     AlgebraElement, BasisIndex, CheckReport, basis_element, bracket_closed,
-    format_basis_index, format_element, lower_partial, unit,
+    bracket_terms, format_basis_index, format_element, lower_partial, unit,
 )
 
 
@@ -60,10 +61,14 @@ class LinearOperator:
 
 def ad(u: AlgebraElement) -> LinearOperator:
     config = u.config
-    return LinearOperator(
-        config,
-        lambda idx: bracket_closed(u, AlgebraElement.from_term(config, idx)),
-        f"ad {format_element(u)}")
+
+    def rule(idx):
+        terms: dict[BasisIndex, Fraction] = {}
+        for iu, cu in u.terms.items():
+            bracket_terms(config, iu, idx, cu, terms)
+        return AlgebraElement(config, terms)
+
+    return LinearOperator(config, rule, f"ad {format_element(u)}")
 
 
 class LatticeHom:
@@ -73,11 +78,15 @@ class LatticeHom:
     constructor enforces that.
     """
 
-    __slots__ = ("config", "values")
+    __slots__ = ("config", "values", "_nums", "_den")
 
     def __init__(self, config: AlgebraConfig, values):
         self.config = config
         self.values = tuple(Fraction(v) for v in values)
+        # values[k] == _nums[k] / _den, so evaluation is int arithmetic
+        self._den = lcm(*(v.denominator for v in self.values))
+        self._nums = tuple(v.numerator * (self._den // v.denominator)
+                           for v in self.values)
         if len(self.values) != len(config.lattice.generators):
             raise ConfigError("hom needs one value per gamma generator")
         for p in config.shape.blocks(1, 5):
@@ -86,7 +95,7 @@ class LatticeHom:
                     f"hom does not vanish on the shift vector at index {p}")
 
     def value_on_coords(self, coords) -> Fraction:
-        return sum(c * v for c, v in zip(coords, self.values))
+        return Fraction(sum(c * n for c, n in zip(coords, self._nums)), self._den)
 
     def __call__(self, alpha) -> Fraction:
         return self.value_on_coords(alpha.coords)

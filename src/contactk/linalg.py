@@ -73,13 +73,11 @@ class Echelon:
     def pivots(self) -> list:
         return [pc for pc, _row, _comb in self.rows]
 
-    def reduce(self, row) -> tuple[dict, dict]:
-        """(residual, combination) with row = residual + sum over tags of
-        combination[tag] * input row; the residual is zero at every pivot
-        and is empty exactly when row lies in the span.  `row` is not
-        modified."""
+    def _reduce(self, row) -> tuple[dict, list]:
+        """(residual, steps): the residual of `reduce`, and the
+        `(factor, stored combination)` pairs whose sum is its combination."""
         residual = {c: x for c, x in row.items() if x}
-        comb: dict = {}
+        steps = []
         at = self._at
         # a stored row is zero at every other pivot, so subtracting it
         # touches no other pivot entry: only the pivots `row` has matter
@@ -87,14 +85,31 @@ class Echelon:
             brow, bcomb = at[pc]
             f = residual[pc]
             add_into(residual, brow, -f)
+            steps.append((f, bcomb))
+        return _integral(residual), steps
+
+    @staticmethod
+    def _combination(steps) -> dict:
+        comb: dict = {}
+        for f, bcomb in steps:
             add_into(comb, bcomb, f)
-        return _integral(residual), _integral(comb)
+        return _integral(comb)
+
+    def reduce(self, row) -> tuple[dict, dict]:
+        """(residual, combination) with row = residual + sum over tags of
+        combination[tag] * input row; the residual is zero at every pivot
+        and is empty exactly when row lies in the span.  `row` is not
+        modified."""
+        residual, steps = self._reduce(row)
+        return residual, self._combination(steps)
 
     def add(self, row, tag) -> bool:
-        """Store what is left of `row` after reduction; False if nothing is."""
-        residual, comb = self.reduce(row)
+        """Store what is left of `row` after reduction; False if nothing is.
+        The combination is built only for a row that is stored."""
+        residual, steps = self._reduce(row)
         if not residual:
             return False
+        comb = self._combination(steps)
         pc = min(residual)
         inv = Fraction(1) / residual[pc]
         row = {c: as_number(x * inv) for c, x in residual.items()}

@@ -13,7 +13,7 @@ from contactk import (
     grading, multiply, parse_element, sample_element, sample_index, unit,
     weight, window_indices,
 )
-from contactk.algebra import check_pair_cap
+from contactk.algebra import check_decompose_cap, check_pair_cap, window_size
 
 
 def test_multiply_adds_group_parts(cfg_caseB):
@@ -131,6 +131,26 @@ def test_pair_cap_admits_the_documented_radii(cfg_caseB, cfg_l2, cfg_l3):
         check_pair_cap(cfg_l2, 4, ordered=False)
     with pytest.raises(ConfigError, match="4100625 bracket pairs"):
         check_pair_cap(cfg_l2, 4, ordered=True)
+
+
+def test_decompose_cap_admits_the_documented_radii(
+        cfg_caseB, cfg_l2, cfg_l5, cfg_l6z, cfg_l6n, cfg_decomp):
+    # (window radius, inner radius) of criterion 6, tests/test_decompose.py,
+    # the README's `deriv decompose` and the bench's decompose workload
+    plans = [(cfg_caseB, 4, 3), (cfg_l6z, 4, 3), (cfg_l5, 4, 3),
+             (cfg_decomp, 2, 1), (cfg_decomp, 0, 1), (cfg_l2, 2, 1),
+             (cfg_l2, 0, 1), (cfg_caseB, 3, 2), (cfg_l6n, 3, 2), (cfg_l5, 3, 2)]
+    for config, radius, inner_radius in plans:
+        check_decompose_cap(config, radius, inner_radius)
+    # the largest: l5 at 4 / 3
+    assert window_size(cfg_l5, 4) * window_size(cfg_l5, 3) == 1_125 * 448 == 504_000
+    with pytest.raises(ConfigError, match="give 68574961 .* the cap is 1000000"):
+        check_decompose_cap(cfg_l2, 6, 6)
+    # a window past the window cap keeps its own error, and a negative radius
+    with pytest.raises(ConfigError, match="holds 741321 indices"):
+        check_decompose_cap(cfg_l2, 20, 0)
+    with pytest.raises(ConfigError, match="nonnegative"):
+        check_decompose_cap(cfg_l2, 1, -1)
 
 
 def test_sampling_is_seed_deterministic(cfg_mixed):

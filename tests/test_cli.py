@@ -128,6 +128,28 @@ def test_huge_radius_exits_2_before_any_bracket(capsys, l2_path, tmp_path, monke
     assert "gives 11156640625 bracket pairs" in err
 
 
+def test_decompose_past_the_pair_cap_exits_2_before_any_window(
+        capsys, l2_path, monkeypatch):
+    # radius 6 / 6 on l2: 8,281 window indices times 8,281 inner columns
+    import contactk.algebra as algebra
+    import contactk.cli as cli
+    import contactk.derivations as derivations
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started past the pair cap")
+
+    for module in (algebra, derivations):
+        monkeypatch.setattr(module, "bracket_terms", no_work)
+    for module in (algebra, cli):
+        monkeypatch.setattr(module, "window_indices", no_work)
+    code, out, err = run(capsys, [
+        "deriv", "decompose", "--config", l2_path, "--op", "dmu 1 -1",
+        "--radius", "6", "--inner-radius", "6"])
+    assert (code, out) == (2, "")
+    assert err == ("error: windows of radius 6 and inner radius 6 give 68574961 "
+                   "(window index, inner column) pairs; the cap is 1000000\n")
+
+
 def test_table_file_and_determinism(capsys, caseb_path, tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (out1, out2):

@@ -6,13 +6,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from contactk import (
     AlgebraElement, ConfigError, LatticeHom, LinearOperator, ad,
     basis_element, bracket_closed, check_derivation, check_mirror_identity,
     diagonal_derivation, format_element, hom_space_basis, hom_star_basis,
     mirror_difference_hom, outer_indices, outer_lower_partial, parse_element,
-    probe_sets, sample_index, unit, window_indices, zero_slot_hom,
+    probe_sets, sample_index, unit, window_indices, window_size, zero_slot_hom,
 )
 from contactk.algebra import sample_element, scale_partial
 
@@ -55,6 +56,55 @@ def test_lattice_hom_constraint(cfg_caseB):
         LatticeHom(cfg_caseB, [0, 1, 0])
     mu = LatticeHom(cfg_caseB, [Fraction(3), Fraction(1), Fraction(-1)])
     assert mu.value_on_coords((0, -1, -1)) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_value_on_coords_matches_the_fraction_sum(cfg_caseB, cfg_decomp, cfg_mixed, data):
+    # integer numerators over one denominator give the Fraction sum exactly;
+    # each hom-space basis vector is scaled by its own denominator, so the
+    # values mix integral entries, halves, thirds and sixths such as -5/6
+    config = data.draw(st.sampled_from([cfg_caseB, cfg_decomp, cfg_mixed]))
+    basis = hom_space_basis(config)
+    dens = data.draw(st.permutations([1, 2, 3, 6]))
+    scales = [Fraction(data.draw(st.sampled_from([-5, -1, 1, 2, 7])), d)
+              for d in dens[:len(basis)]]
+    values = [sum((s * h.values[k] for s, h in zip(scales, basis)), Fraction(0))
+              for k in range(len(config.lattice.generators))]
+    mu = LatticeHom(config, values)
+    assert all(type(v) is Fraction for v in mu.values)
+    coords = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=len(values),
+                                max_size=len(values)))
+    got = mu.value_on_coords(coords)
+    assert type(got) is Fraction
+    assert got == sum(c * v for c, v in zip(coords, mu.values))
+    # moving one value off the hom space on a shift coordinate is refused
+    shift = config.shift_coords[config.shape.blocks(1, 5)[0]].coords
+    k = next(k for k, c in enumerate(shift) if c)
+    values[k] += Fraction(data.draw(st.integers(1, 9)), data.draw(st.sampled_from([1, 2, 3])))
+    with pytest.raises(ConfigError, match="does not vanish"):
+        LatticeHom(config, values)
+
+
+def test_ad_rule_equals_the_closed_bracket(all_configs):
+    # ad's basis rule calls the per-pair kernel directly: same terms, key
+    # order and coefficient types as bracket_closed(u, x_i)
+    for config in all_configs.values():
+        rng = random.Random(53)
+        # mixed's radius-2 window is 7.7e9 indices: it draws from the box
+        window = (window_indices(config, 2) if window_size(config, 2) <= 5000
+                  else [sample_index(config, rng) for _ in range(200)])
+        terms = {}
+        for c in (2, Fraction(-1, 3), -1, Fraction(5, 2)):
+            terms[sample_index(config, rng)] = c
+        u = AlgebraElement(config, terms)
+        assert {type(c) for c in u.terms.values()} == {int, Fraction}
+        D = ad(u)
+        for i in rng.sample(window, 40):
+            want = bracket_closed(u, AlgebraElement.from_term(config, i)).terms
+            got = D.on_basis(i).terms
+            assert list(got.items()) == list(want.items())
+            assert [type(c) for c in got.values()] == [type(c) for c in want.values()]
 
 
 def test_ad_is_a_derivation(all_configs):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from fractions import Fraction
 
 import sympy
@@ -148,3 +149,53 @@ def test_echelon_matches_sympy_rref(case):
     assert all(_is_normalised(x) for x in [*residual.values(), *comb.values()])
     in_span = _combined({k: x for k, x in enumerate(probe[:len(rows)])}, inputs)
     assert ech.reduce(in_span)[0] == {}
+
+
+_SCALE = st.one_of(st.integers(-3, 3),
+                   st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
+
+
+@st.composite
+def _interleaved(draw):
+    """(steps, ncols): each step is ("row", entries) for a drawn row, or
+    ("dependent", scales) for a combination of the inputs added so far."""
+    ncols = draw(st.integers(1, 6))
+    row = st.lists(_ENTRY, min_size=ncols, max_size=ncols)
+    steps = []
+    for _ in range(draw(st.integers(1, 10))):
+        if steps and draw(st.booleans()):
+            steps.append(("dependent", draw(st.lists(_SCALE, min_size=10, max_size=10))))
+        else:
+            steps.append(("row", draw(row)))
+    return steps, ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(_interleaved())
+def test_echelon_rejects_dependent_rows_without_changes(case):
+    # a rejected add leaves every stored row, pivot and combination as it
+    # was, in value, type and key order; a kept row's combination still
+    # rebuilds it from the inputs
+    steps, ncols = case
+    inputs = {}
+    ech = Echelon()
+    for tag, (kind, data) in enumerate(steps):
+        if kind == "row":
+            row = {c: x for c, x in enumerate(data) if x}
+        else:
+            row = {}
+            for k, x in zip(inputs, data):
+                add_into(row, inputs[k], x)
+        before = copy.deepcopy(ech.rows)
+        text = repr(ech.rows)
+        kept = ech.add(row, tag)
+        inputs[tag] = row
+        if kind == "dependent":
+            assert not kept
+        if not kept:
+            assert ech.rows == before and repr(ech.rows) == text
+            assert ech.pivots == [pc for pc, _row, _comb in before]
+        assert len(ech.rows) <= ncols
+        for _pc, stored, comb in ech.rows:
+            assert _combined(comb, inputs) == stored
+            assert all(_is_normalised(x) for x in [*stored.values(), *comb.values()])
