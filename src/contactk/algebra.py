@@ -270,6 +270,32 @@ def bracket_terms(config: AlgebraConfig, iu: BasisIndex, iv: BasisIndex,
     return terms
 
 
+def bracket_support(config: AlgebraConfig, alpha_sum: GroupElement,
+                    exps_sum: ExponentVector) -> list[BasisIndex]:
+    """Every index a bracket [x^α t^i, x^β t^j] can have, from the sums
+    alpha_sum = α+β and exps_sum = e = i+j alone (at most 4n+2 of them).
+
+    Lemma: each index `bracket_terms` emits for such a pair is in this
+    list, as the kernel's loop shows: per `config.pair_rows` row, the
+    shifted sum with e, e−1_sq, e−1_sp or e−1_sp−1_sq for its active
+    families, and then (alpha_sum, e) and (alpha_sum, e−1_0), a lowered
+    vector of None dropped.  Only the coefficients depend on the pair.
+    So a functional difference that vanishes on this list vanishes on
+    the bracket of every pair with these sums."""
+    out = []
+    for sp, sq, shift, fam_gg, fam_ge, fam_eg, fam_ee in config.pair_rows:
+        shifted = alpha_sum.add_coords(shift.coords)
+        if fam_gg:
+            out.append(BasisIndex(shifted, exps_sum))
+        for on, slots in ((fam_ge, (sq,)), (fam_eg, (sp,)), (fam_ee, (sp, sq))):
+            if on and (lowered := exps_sum.lowered(*slots)) is not None:
+                out.append(BasisIndex(shifted, lowered))
+    out.append(BasisIndex(alpha_sum, exps_sum))
+    if (lowered := exps_sum.lowered(0)) is not None:
+        out.append(BasisIndex(alpha_sum, lowered))
+    return out
+
+
 def bracket_closed(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
     """Bracket via the per-basis-pair expansion; the production route."""
     _check_same_config(u, v)

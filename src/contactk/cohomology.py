@@ -11,11 +11,12 @@ regime.  Divisions are exact; the case guards are the case split.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .indices import AlgebraConfig, ConfigError
 from .algebra import (
     AlgebraElement, BasisIndex, CheckReport, basis_element, bracket_closed,
-    bracket_terms, format_basis_index, unit,
+    bracket_support, bracket_terms, format_basis_index, unit,
 )
 
 # one shared zero for every zero value; it is a Fraction, not int 0, so
@@ -370,27 +371,48 @@ def trivialize(psi: Cocycle, probe: int | None = None) -> LinearFunctional:
 def verify_trivialization(psi: Cocycle, f: LinearFunctional, pairs) -> CheckReport:
     """Exact comparison psi(u,v) vs f([u,v]) over the given basis pairs.
 
-    Each pair is bracketed once.  For a coboundary psi = g([u,v]) the call
-    keeps g(r) - f(r) per result index r: a pair passes unsummed when all
-    its terms have zero difference.  Any other psi goes through `on_basis`.
+    For a coboundary psi = g([u,v]) the call keeps g(r) - f(r) per result
+    index r, and a pair passes unsummed when all its terms have zero
+    difference.  The first pair with a given index sum (α+β, i+j) is
+    bracketed; at the second, g - f is checked once on `bracket_support`
+    of the sum, and when it vanishes there every later pair with that sum
+    passes without a bracket (both sides are the same sum of equal
+    values).  Any other psi goes through `on_basis`, one bracket per pair.
     """
     config = psi.config
     g = psi.functional if isinstance(psi, CoboundaryCocycle) else None
     diff: dict[BasisIndex, Fraction] = {}
+    # per index sum, keyed by its coordinates and exponents: None after
+    # its first pair, then whether g - f vanishes on its bracket support
+    clear: dict[tuple, bool | None] = {}
+
+    def differs(r: BasisIndex) -> Fraction:
+        if (d := diff.get(r)) is None:
+            d = diff[r] = g.eval_basis(r) - f.eval_basis(r)
+        return d
+
     failures = []
     checked = 0
     for iu, iv in pairs:
         checked += 1
+        if g is not None:
+            key = (*map(add, iu.alpha.coords, iv.alpha.coords),
+                   *map(add, iu.exps, iv.exps))
+            if key not in clear:
+                clear[key] = None
+            else:
+                verdict = clear[key]
+                if verdict is None:
+                    support = bracket_support(
+                        config, iu.alpha.add(iv.alpha), iu.exps.add(iv.exps))
+                    verdict = clear[key] = not any(map(differs, support))
+                if verdict:
+                    continue
         bracket = bracket_terms(config, iu, iv)
         if g is None:
             lhs = psi.on_basis(iu, iv)
         else:
-            for r in bracket:
-                if (d := diff.get(r)) is None:
-                    d = diff[r] = g.eval_basis(r) - f.eval_basis(r)
-                if d:
-                    break
-            else:
+            if not any(map(differs, bracket)):
                 continue  # g and f agree on every term
             lhs = g.eval_terms(bracket)
         rhs = f.eval_terms(bracket)

@@ -10,9 +10,9 @@ import pytest
 from contactk import (
     AlgebraElement, basis_element, bracket_closed, bracket_operator,
     format_element, parse_element, sample_element, sample_index, unit,
-    weight,
+    weight, window_indices,
 )
-from contactk.algebra import bracket_terms
+from contactk.algebra import bracket_support, bracket_terms
 from contactk.linalg import add_into
 
 
@@ -197,6 +197,7 @@ def test_operator_route_never_calls_closed_route():
     # the oracle must stay independent of the route it checks
     assert "bracket_closed" not in bracket_operator.__code__.co_names
     assert "bracket_terms" not in bracket_operator.__code__.co_names
+    assert "bracket_support" not in bracket_operator.__code__.co_names
 
 
 def test_bracket_terms_adds_into_the_given_dict(all_configs, cfg_l5):
@@ -230,3 +231,34 @@ def test_bracket_terms_adds_into_the_given_dict(all_configs, cfg_l5):
         assert all(terms.values())
         assert bracket_terms(config, iu, iv) == oracle
     assert cancelled > 100
+
+
+def test_both_routes_stay_in_the_bracket_support(all_configs, support_kind):
+    # the lemma behind the verifier's per-sum certificate: every index
+    # either route emits for a pair lies in bracket_support of its sums.
+    # Every ordered pair of the radius-1 window, and 300 seeded pairs on
+    # mixed, whose window passes the cap.  Negative control: the support
+    # with any one of its six candidate kinds dropped misses some index
+    def pairs(name, config):
+        if name == "mixed":
+            rng = random.Random(41)
+            return [(sample_index(config, rng), sample_index(config, rng))
+                    for _ in range(300)]
+        window = window_indices(config, 1)
+        return [(iu, iv) for iu in window for iv in window]
+
+    killed = {}
+    for name, config in all_configs.items():
+        for iu, iv in pairs(name, config):
+            alpha_sum, exps_sum = iu.alpha.add(iv.alpha), iu.exps.add(iv.exps)
+            support = set(bracket_support(config, alpha_sum, exps_sum))
+            oracle = bracket_operator(AlgebraElement.from_term(config, iu),
+                                      AlgebraElement.from_term(config, iv)).terms
+            closed = bracket_terms(config, iu, iv)
+            assert oracle.keys() <= support and closed.keys() <= support, (name, iu, iv)
+            kinds = {r: support_kind(r, alpha_sum, exps_sum) for r in support}
+            for kind in set(kinds.values()):
+                mutant = {r for r in support if kinds[r] != kind}
+                if not oracle.keys() <= mutant or not closed.keys() <= mutant:
+                    killed[kind] = killed.get(kind, 0) + 1
+    assert len(killed) == 6, killed

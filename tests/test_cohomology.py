@@ -279,9 +279,29 @@ def test_verify_passes_pairs_whose_differences_cancel(cfg_l2):
     assert pairs[k] not in [(iu, iv) for iu, iv, _, _ in report.failures]
 
 
-def test_verify_brackets_each_pair_once(cfg_l2, monkeypatch):
-    # table functionals have no rule, so every kernel call comes from the
-    # verifier's own loop: one per pair, for a coboundary and a table psi
+def _sum_key(iu, iv):
+    return iu.alpha.add(iv.alpha), iu.exps.add(iv.exps)
+
+
+def _first_pair_of_each_sum(pairs):
+    first = {}
+    for pair in pairs:
+        first.setdefault(_sum_key(*pair), pair)
+    return list(first.values())
+
+
+def _drawn_then_flipped(config, rng, count):
+    # for configs whose window passes the cap: each flipped pair repeats
+    # the sum of its drawn pair, later in the sweep
+    drawn = [(sample_index(config, rng), sample_index(config, rng))
+             for _ in range(count)]
+    return drawn + [(iv, iu) for iu, iv in drawn]
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    # the (iu, iv) of every bracket_terms call made from cohomology: with
+    # table functionals, which have no rule, the verifier's own calls
     import contactk.cohomology as cohomology
 
     calls = []
@@ -292,15 +312,85 @@ def test_verify_brackets_each_pair_once(cfg_l2, monkeypatch):
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(cohomology, "bracket_terms", counting)
+    return calls
+
+
+def test_verify_brackets_the_first_pair_of_each_sum(cfg_l2, kernel_calls):
+    # table functionals have no rule, so every kernel call comes from the
+    # verifier's own loop.  A table psi is bracketed once per pair, in
+    # pair order.  A coboundary is bracketed at the first pair of each
+    # index sum; when g - f vanishes on the sum's support the later pairs
+    # pass unbracketed, and otherwise each pair is bracketed once
+    calls = kernel_calls
     rng = random.Random(94)
     g = random_functional(cfg_l2, rng)
     pairs = window_pairs(cfg_l2, 1)
     f = LinearFunctional(cfg_l2, table=g.table, tag="altered")
     f.table[pairs[len(pairs) // 3][0]] = Fraction(7, 2)
     table = TableCocycle(cfg_l2, {pairs[5]: Fraction(1)})
-    for psi in (coboundary(g), table):
-        calls.clear()
-        report = verify_trivialization(psi, f, iter(pairs))
-        assert report.checked == len(calls) == len(pairs)
-        assert calls == pairs
-        assert report.failures
+    report = verify_trivialization(table, f, iter(pairs))
+    assert report.checked == len(calls) == len(pairs)
+    assert calls == pairs
+    assert report.failures
+
+    psi = coboundary(g)
+    calls.clear()
+    same = LinearFunctional(cfg_l2, table=g.table, tag="same")
+    report = verify_trivialization(psi, same, iter(pairs))
+    assert report.passed and report.checked == len(pairs)
+    assert calls == _first_pair_of_each_sum(pairs) and len(calls) < len(pairs)
+
+    calls.clear()
+    report = verify_trivialization(psi, f, iter(pairs))
+    failing = [(iu, iv) for iu, iv, _, _ in _reference_failures(cfg_l2, g, f, pairs)]
+    assert failing and set(failing) <= set(calls)
+    assert len(set(calls)) == len(calls) and report.checked == len(pairs)
+
+
+def test_verify_failures_match_the_operator_reference(all_configs, support_kind,
+                                                      kernel_calls):
+    # f = g except at bracket results of the pairs, one drawn for each
+    # candidate kind of bracket_support the config's brackets reach (all
+    # four families on mixed), so that a sum's certificate sees every
+    # kind.  Failures equal the operator-route reference in value and
+    # order; the first pair of each sum is bracketed, and no pair twice
+    hit = set()
+    for name, config in all_configs.items():
+        rng = random.Random(96)
+        if name == "mixed":
+            pairs = _drawn_then_flipped(config, rng, 150)
+        else:
+            pairs = window_pairs(config, 1)
+        g = random_functional(config, rng)
+        by_kind = {}
+        for iu, iv in pairs:
+            alpha_sum, exps_sum = _sum_key(iu, iv)
+            for r in bracket_operator(AlgebraElement.from_term(config, iu),
+                                      AlgebraElement.from_term(config, iv)).terms:
+                by_kind.setdefault(support_kind(r, alpha_sum, exps_sum), []).append(r)
+        assert name != "mixed" or len(by_kind) == 5  # no zero-slot axis
+        hit.update(by_kind)
+        f = LinearFunctional(config, table=g.table, tag="altered")
+        for kind in sorted(by_kind):
+            r = rng.choice(by_kind[kind])
+            f.table[r] = g.eval_basis(r) + rng.choice([-2, -1, Fraction(1, 2), 3])
+        kernel_calls.clear()
+        report = verify_trivialization(coboundary(g), f, pairs)
+        assert report.failures == _reference_failures(config, g, f, pairs), name
+        assert report.failures and report.checked == len(pairs)
+        assert set(_first_pair_of_each_sum(pairs)) <= set(kernel_calls), name
+        assert len(set(kernel_calls)) == len(kernel_calls), name
+    assert len(hit) == 6
+
+
+@pytest.mark.parametrize("probe", ["2", "3", "5", "0"])
+def test_recursive_round_trip_on_mixed(cfg_mixed, probe):
+    # the only config where every family feeds bracket_support: each
+    # recursion probe, on drawn pairs and their flips, so that the
+    # per-sum certificate is used
+    rng = random.Random(97)
+    psi = coboundary(random_functional(cfg_mixed, rng))
+    f = trivialize_recursive(psi, cfg_mixed.shape.parse_index_token(probe))
+    pairs = _drawn_then_flipped(cfg_mixed, rng, 100)
+    report = verify_trivialization(psi, f, pairs)
+    assert report.passed and report.checked == len(pairs), report.failures[:1]
