@@ -483,17 +483,26 @@ def sample_element(config: AlgebraConfig, rng, max_terms: int = 3) -> AlgebraEle
 # -- structure table --------------------------------------------------
 
 def structure_rows(config: AlgebraConfig, radius: int) -> list[tuple[str, str, str, str]]:
-    """CSV rows for all ordered bracket pairs in the window, sorted for diffing."""
+    """CSV rows for all ordered bracket pairs in the window, sorted for diffing.
+
+    The kernel is skew term by term ([v,u] has the keys of [u,v] with
+    every coefficient negated, and [u,u] is empty), so each unordered
+    pair is bracketed once and gives the rows of both orders."""
     check_pair_cap(config, radius, ordered=True)
-    window = [(i, format_basis_index(i)) for i in window_indices(config, radius)]
+    window = window_indices(config, radius)
+    labels = {i: format_basis_index(i) for i in window}
     rows = []
-    for iu, lu in window:
-        for iv, lv in window:
+    for n, iu in enumerate(window):
+        lu = labels[iu]
+        rows.append((lu, lu, "0", "0"))
+        for iv in window[n + 1:]:
+            lv = labels[iv]
             result = bracket_terms(config, iu, iv)
             if not result:
-                rows.append((lu, lv, "0", "0"))
-            else:
-                for ir, c in result.items():
-                    rows.append((lu, lv, format_basis_index(ir), str(c)))
+                rows += ((lu, lv, "0", "0"), (lv, lu, "0", "0"))
+            for ir, c in result.items():
+                if (lr := labels.get(ir)) is None:
+                    lr = labels[ir] = format_basis_index(ir)
+                rows += ((lu, lv, lr, str(c)), (lv, lu, lr, str(-c)))
     rows.sort()
     return rows

@@ -273,8 +273,13 @@ def cmd_cocycle_trivialize(args) -> int:
     config = load_config(args.config)
     psi = load_cocycle(config, args)
     probe = config.shape.parse_index_token(args.probe) if args.probe else None
+    check_pair_cap(config, args.radius, ordered=False)
     functional = trivialize(psi, probe)
     window = window_indices(config, args.radius)
+    report = verify_trivialization(
+        psi, functional, itertools.combinations_with_replacement(window, 2))
+    if not report.passed:
+        return _trivialization_failed(report)
     with _output(args.out) as out:
         for idx in window:
             value = functional.eval_basis(idx)
@@ -294,6 +299,11 @@ def cmd_cocycle_verify(args) -> int:
     if report.passed:
         print(f"PASS trivialization ({report.checked} pairs)")
         return 0
+    return _trivialization_failed(report)
+
+
+def _trivialization_failed(report) -> int:
+    """Print a failed verify report's FAIL and witness lines; exit code 1."""
     iu, iv, lhs, rhs = report.failures[0]
     print(f"FAIL trivialization ({report.checked} pairs)")
     print(f"  witness: {format_basis_index(iu)} , {format_basis_index(iv)} "

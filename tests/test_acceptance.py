@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import random
 import subprocess
 import sys
@@ -341,12 +340,14 @@ def _bracket_rows(config, radius):
     return rows, list(position)
 
 
-def _eval_rows(f, rows, results):
-    """Exact row values of f as (common denominator, integer numerators)."""
-    values = [f.eval_basis(r) for r in results]
-    den = math.lcm(*(v.denominator for v in values))
-    scaled = [v.numerator * (den // v.denominator) for v in values]
-    return den, [sum([c * scaled[k] for k, c in row]) for row in rows]
+def _rows_that_differ(f, g, rows, results, touching):
+    """Positions of the rows whose sums under f and under g differ.  The
+    sums are equal exactly when d = f - g sums to zero on the row, so
+    d is evaluated once per result index and only the rows that touch an
+    index with d != 0 are summed: every other row sums d to zero."""
+    d = [f.eval_basis(r) - g.eval_basis(r) for r in results]
+    hit = sorted({n for k, dk in enumerate(d) if dk for n in touching[k]})
+    return [n for n in hit if sum(c * d[k] for k, c in rows[n])]
 
 
 def test_criterion_7_trivialization_round_trip(cfg_l2, cfg_caseB):
@@ -356,6 +357,10 @@ def test_criterion_7_trivialization_round_trip(cfg_l2, cfg_caseB):
     for config in (cfg_l2, cfg_caseB):
         window = window_indices(config, 3)
         rows, results = _bracket_rows(config, 3)
+        touching = [[] for _ in results]
+        for n, row in enumerate(rows):
+            for k, _ in row:
+                touching[k].append(n)
         rng = random.Random(107)
         for _ in range(25):
             support = rng.sample(window, 20)
@@ -363,12 +368,15 @@ def test_criterion_7_trivialization_round_trip(cfg_l2, cfg_caseB):
                 idx: Fraction(rng.randrange(-6, 7), rng.randrange(1, 4))
                 for idx in support}, tag="g")
             f = trivialize(coboundary(g))
-            fden, fsums = _eval_rows(f, rows, results)
-            gden, gsums = _eval_rows(g, rows, results)
-            # f/fden == g/gden row by row, compared without division
-            assert [x * gden for x in fsums] == [x * fden for x in gsums], config.shape.ell
+            assert _rows_that_differ(f, g, rows, results, touching) == [], \
+                config.shape.ell
             runs += 1
             pair_checks += len(rows)
+        # negative control: a trivializer wrong at one result index fails
+        off = results[len(results) // 2]
+        wrong = LinearFunctional(
+            config, rule=lambda b: f.eval_basis(b) + (b == off))
+        assert _rows_that_differ(wrong, g, rows, results, touching)
     elapsed = time.monotonic() - start
     assert runs == 50
     assert elapsed < 300.0, elapsed

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,8 +10,8 @@ import pytest
 
 from contactk import (
     AlgebraElement, basis_element, bracket_closed, bracket_operator,
-    format_element, parse_element, sample_element, sample_index, unit,
-    weight, window_indices,
+    format_element, parse_element, sample_element, sample_index,
+    structure_rows, unit, weight, window_indices,
 )
 from contactk.algebra import bracket_support, bracket_terms
 from contactk.linalg import add_into
@@ -198,6 +199,41 @@ def test_operator_route_never_calls_closed_route():
     assert "bracket_closed" not in bracket_operator.__code__.co_names
     assert "bracket_terms" not in bracket_operator.__code__.co_names
     assert "bracket_support" not in bracket_operator.__code__.co_names
+
+
+def test_kernel_is_skew_on_whole_windows(all_configs):
+    # structure_rows brackets each unordered window pair once and writes
+    # [v,u] as [u,v] negated, so the golden tables see the kernel in one
+    # orientation only.  Every ordered pair of caseB at radius 2 and of
+    # each other golden config at radius 1: [v,u] is [u,v] with every
+    # coefficient negated, and [u,u] is empty
+    for name, config in all_configs.items():
+        if name == "mixed":
+            continue
+        window = window_indices(config, 2 if name == "caseB" else 1)
+        for iu in window:
+            assert bracket_terms(config, iu, iu) == {}, (name, iu)
+        for iu, iv in itertools.combinations(window, 2):
+            negated = {r: -c for r, c in bracket_terms(config, iu, iv).items()}
+            assert bracket_terms(config, iv, iu) == negated, (name, iu, iv)
+
+
+def test_table_brackets_each_unordered_pair_once(cfg_caseB, monkeypatch):
+    # N(N-1)/2 kernel calls for the N^2 ordered pairs of the table
+    import contactk.algebra as algebra
+
+    calls = []
+    kernel = algebra.bracket_terms
+
+    def counting(*args, **kwargs):
+        calls.append(frozenset(args[1:3]))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(algebra, "bracket_terms", counting)
+    n = len(window_indices(cfg_caseB, 2))
+    rows = structure_rows(cfg_caseB, 2)
+    assert len(calls) == len(set(calls)) == n * (n - 1) // 2
+    assert len({row[:2] for row in rows}) == n * n
 
 
 def test_bracket_terms_adds_into_the_given_dict(all_configs, cfg_l5):

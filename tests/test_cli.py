@@ -103,7 +103,8 @@ def test_table_radius_zero(capsys, caseb_path):
 
 def test_huge_radius_exits_2_before_any_bracket(capsys, l2_path, tmp_path, monkeypatch):
     # radius 12 on l2 is 105,625 window indices, under the window cap, but
-    # about 5.6e9 pairs to verify and 1.1e10 to table: both stop at once
+    # about 5.6e9 pairs to verify or trivialize and 1.1e10 to table: all
+    # three stop at once
     import contactk.algebra as algebra
     import contactk.cli as cli
     import contactk.cohomology as cohomology
@@ -126,6 +127,11 @@ def test_huge_radius_exits_2_before_any_bracket(capsys, l2_path, tmp_path, monke
     code, out, err = run(capsys, ["table", "--config", l2_path, "--radius", "12"])
     assert (code, out) == (2, "")
     assert "gives 11156640625 bracket pairs" in err
+    code, out, err = run(capsys, [
+        "cocycle", "trivialize", "--config", l2_path, "--coboundary", str(func),
+        "--radius", "12"])
+    assert (code, out) == (2, "")
+    assert "gives 5578373125 bracket pairs" in err
 
 
 def test_decompose_past_the_pair_cap_exits_2_before_any_window(
@@ -237,11 +243,11 @@ def test_cocycle_round_trip(capsys, l2_path, tmp_path):
     assert out == "PASS cocycle-axioms (75 pairs, 25 triples)\n"
 
     recovered = tmp_path / "f.txt"
-    code, _, _ = run(capsys, [
+    code, out, _ = run(capsys, [
         "cocycle", "trivialize", "--config", l2_path,
         "--coboundary", str(func), "--radius", "2", "--out", str(recovered)])
-    assert code == 0
-    assert recovered.read_text()
+    assert (code, out) == (0, "")
+    assert recovered.read_text() == "x[0,0,0]t[1,0,0] -1/2\nx[0,1,1] 3\n"
 
     code, out, _ = run(capsys, [
         "cocycle", "verify", "--config", l2_path,
@@ -249,6 +255,23 @@ def test_cocycle_round_trip(capsys, l2_path, tmp_path):
         "--radius", "2"])
     assert code == 0
     assert out == "PASS trivialization (25425 pairs)\n"
+
+
+def test_trivialize_refuses_a_form_it_cannot_trivialize(capsys, l2_path, tmp_path):
+    # a one-entry table that is no coboundary (and that `cocycle check`
+    # passes at its default triples): trivialize prints verify's FAIL and
+    # witness lines, exits 1 and writes no functional
+    table = tmp_path / "t.txt"
+    table.write_text("x[0,0,-1]t[0,0,1] x[0,-1,1] 3/2\n")
+    recovered = tmp_path / "f.txt"
+    code, out, _ = run(capsys, [
+        "cocycle", "trivialize", "--config", l2_path, "--table", str(table),
+        "--radius", "2", "--out", str(recovered)])
+    assert code == 1
+    assert out == ("FAIL trivialization (25425 pairs)\n"
+                   "  witness: x[0,-1,1] , x[0,0,-1]t[0,0,1] "
+                   "-> form -3/2, functional-on-bracket 0\n")
+    assert not recovered.exists()
 
 
 def test_cocycle_table_check_detects_non_cocycle(capsys, caseb_path, tmp_path):
