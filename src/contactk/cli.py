@@ -392,6 +392,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("samples", "triples"):
+            if getattr(args, flag, 1) < 1:
+                raise UsageError(f"--{flag} must be at least 1")
         return args.fn(args)
     except (ConfigError, LiteralError, UsageError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -21,27 +21,22 @@ from .algebra import (
 
 
 class LinearOperator:
-    """Basis rule extended linearly, with a memo and a descriptive tag."""
+    """Basis rule extended linearly, with a descriptive tag and no memo."""
 
-    __slots__ = ("config", "rule", "tag", "_memo")
+    __slots__ = ("config", "rule", "tag")
 
     def __init__(self, config: AlgebraConfig, rule, tag: str):
         self.config = config
         self.rule = rule
         self.tag = tag
-        self._memo: dict[BasisIndex, AlgebraElement] = {}
 
     def on_basis(self, index: BasisIndex) -> AlgebraElement:
-        out = self._memo.get(index)
-        if out is None:
-            out = self.rule(index)
-            self._memo[index] = out
-        return out
+        return self.rule(index)
 
     def __call__(self, u: AlgebraElement) -> AlgebraElement:
         terms: dict[BasisIndex, Fraction] = {}
         for idx, c in u.terms.items():
-            add_into(terms, self.on_basis(idx).terms, c)
+            add_into(terms, self.rule(idx).terms, c)
         return AlgebraElement(self.config, terms)
 
     @classmethod
@@ -52,7 +47,7 @@ class LinearOperator:
         def rule(index):
             terms: dict[BasisIndex, Fraction] = {}
             for s, op in parts:
-                add_into(terms, op.on_basis(index).terms, s)
+                add_into(terms, op.rule(index).terms, s)
             return AlgebraElement(config, terms)
 
         tag = " + ".join(f"{s}*({op.tag})" if s != 1 else op.tag for s, op in parts)
@@ -347,11 +342,11 @@ class DerivationDecomposer:
         self.star = hom_star_basis(config)
 
         # columns: outer lowerings, star homs, adjoint actions; decompose
-        # reads each part off the solution by this order
-        self.column_ops = (
+        # reads each part off the solution by this order.  Only the first
+        # two kinds are operators: column `ad b` is the kernel's [b, w]
+        self._ops = (
             [outer_lower_partial(config, p) for p in self.outer]
-            + [diagonal_derivation(hom) for hom in self.star]
-            + [ad(AlgebraElement.from_term(config, b)) for b in self.inner_support])
+            + [diagonal_derivation(hom) for hom in self.star])
         self.labels = (
             [f"dt {config.shape.index_token(p)}" for p in self.outer]
             + [f"hom {k}" for k in range(len(self.star))]
@@ -367,9 +362,11 @@ class DerivationDecomposer:
         for w in self.window:
             if self.rank == ncols:
                 break
+            columns = [op.rule(w).terms for op in self._ops]
+            columns += [bracket_terms(self.config, b, w) for b in self.inner_support]
             by_result: dict[BasisIndex, dict[int, Fraction]] = {}
-            for ci, op in enumerate(self.column_ops):
-                for r, coeff in op.on_basis(w).terms.items():
+            for ci, column in enumerate(columns):
+                for r, coeff in column.items():
                     by_result.setdefault(r, {})[ci] = coeff
             for r in sorted(by_result, key=BasisIndex.sort_key):
                 if self._echelon.add(by_result[r], len(self.metas)):
@@ -389,24 +386,28 @@ class DerivationDecomposer:
                 label for c, label in enumerate(self.labels) if c not in pivoted)
 
         # the stored rows are reduced, so each pivot's coefficient is its
-        # row's combination applied to the right-hand side
-        rhs = [D.on_basis(w).terms.get(r, 0) for w, r in self.metas]
+        # row's combination applied to the right-hand side (D once per w)
+        images = {w: D.rule(w).terms for w in {w for w, _r in self.metas}}
+        rhs = [images[w].get(r, 0) for w, r in self.metas]
         solution = [0] * ncols
         for pc, _row, comb in self._echelon.rows:
             solution[pc] = as_number(sum(x * rhs[m] for m, x in comb.items()))
 
         # verification sweep doubles as the residual check
-        reconstruction = [(ci, c) for ci, c in enumerate(solution) if c]
+        no, ns = len(self.outer), len(self.star)
+        ops = [(op, c) for op, c in zip(self._ops, solution) if c]
+        inner = {b: c for b, c in zip(self.inner_support, solution[no + ns:]) if c}
         for w in self.window:
             total: dict[BasisIndex, Fraction] = {}
-            for ci, c in reconstruction:
-                add_into(total, self.column_ops[ci].on_basis(w).terms, c)
-            expected = D.on_basis(w).terms
+            for op, c in ops:
+                add_into(total, op.rule(w).terms, c)
+            for b, c in inner.items():
+                bracket_terms(self.config, b, w, c, total)
+            expected = D.rule(w).terms
             if total != expected:
                 witness = next(iter(add_into(total, expected, -1)))
                 raise ResidualError(w, witness)
 
-        no, ns = len(self.outer), len(self.star)
         hom_coords = tuple(solution[no:no + ns])
         hom = None
         if self.star:
@@ -415,7 +416,6 @@ class DerivationDecomposer:
                 if c:
                     hom_values = [a + c * b for a, b in zip(hom_values, h.values)]
             hom = LatticeHom(self.config, hom_values)
-        inner = {b: c for b, c in zip(self.inner_support, solution[no + ns:]) if c}
         return DerivationDecomposition(
             dict(zip(self.outer, solution)), hom, hom_coords,
             AlgebraElement(self.config, inner))

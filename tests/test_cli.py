@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ from contactk.cli import (
     load_config, load_functional, load_table_cocycle, main, parse_operator_spec,
 )
 
+GOLDEN = Path(__file__).parent / "golden"
 CASEB = "ell: 1 0 0 0 0 0\nj0: zero\ngamma: 1 0 0\ngamma: 0 1 0\ngamma: 0 0 1\n"
 L2 = "ell: 0 1 0 0 0 0\nj0: naturals\ngamma: 0 1 0\ngamma: 0 0 1\n"
 L3 = "ell: 0 0 1 0 0 0\nj0: naturals\ngamma: 0 1 0\ngamma: 0 0 1\n"
@@ -219,6 +221,18 @@ def test_deriv_decompose(capsys, l2_path):
     assert out.strip().endswith("residual: zero")
 
 
+def test_deriv_decompose_residual_output(capsys):
+    # x[0,3,3] is outside the inner support of radius 1, so the sweep
+    # finds an action that no column reproduces
+    code, out, err = run(capsys, [
+        "deriv", "decompose", "--config", str(GOLDEN / "l2.cfg"),
+        "--op", "ad 1*x[0,3,3]"])
+    assert code == 1
+    assert out == ("residual: unmatched action on x[0,-2,-2]t[0,0,1] "
+                   "at result term x[0,0,0]\n")
+    assert err == ""
+
+
 def test_deriv_decompose_ambiguous(capsys, l2_path):
     code, out, _ = run(capsys, [
         "deriv", "decompose", "--config", l2_path, "--op", "dt 1bar",
@@ -372,3 +386,21 @@ def test_missing_config_file(capsys):
     code, _, err = run(capsys, ["check-config", "--config", "/nope/x.cfg"])
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["suite", "--samples", "-1"], "--samples"),
+    (["suite", "--samples", "0"], "--samples"),
+    (["deriv", "check", "--op", "dt 1bar", "--samples", "-3"], "--samples"),
+    (["cocycle", "check", "--triples", "-1"], "--triples"),
+])
+def test_sample_counts_below_one_exit_2(capsys, l2_path, tmp_path, argv, flag):
+    # a count below 1 would check nothing and still print PASS
+    table = tmp_path / "t.txt"
+    table.write_text("x[0,1,0] x[0,0,1] 1\n")
+    if argv[0] == "cocycle":
+        argv = argv + ["--table", str(table)]
+    code, out, err = run(capsys, argv + ["--config", l2_path])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} must be at least 1\n"

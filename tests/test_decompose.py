@@ -144,3 +144,33 @@ def test_decomposition_is_deterministic(cfg_decomp, decomposer):
     assert a.outer_coeffs == b.outer_coeffs
     assert a.hom_coords == b.hom_coords
     assert a.inner == b.inner
+
+
+def test_sweep_checks_indices_the_factorization_never_visits(cfg_decomp, decomposer):
+    # D equals a decomposable operator except at the window's last index,
+    # which no stored row comes from; only the sweep can see the difference
+    last = decomposer.window[-1]
+    assert last not in {w for w, _r in decomposer.metas}
+    base = ad(basis_element(cfg_decomp, (0, 1, 0)))
+
+    def rule(idx):
+        image = base.on_basis(idx)
+        return image + AlgebraElement.from_term(cfg_decomp, last) if idx == last else image
+
+    D = LinearOperator(cfg_decomp, rule, "ad x[0,1,0], off at one index")
+    assert decomposer.decompose(base).inner == basis_element(cfg_decomp, (0, 1, 0))
+    with pytest.raises(ResidualError) as info:
+        decomposer.decompose(D)
+    assert info.value.window_index == last
+    assert info.value.result_index == last
+
+
+def test_adjoint_columns_match_the_operator_route(cfg_decomp, decomposer):
+    # each column `ad b` is the kernel's [b, w]; decomposing the operator
+    # ad(x_b) must give back exactly b, with no outer or hom part
+    rng = random.Random(79)
+    for b in rng.sample(decomposer.inner_support, 10):
+        got = decomposer.decompose(ad(AlgebraElement.from_term(cfg_decomp, b)))
+        assert got.inner == AlgebraElement.from_term(cfg_decomp, b)
+        assert not any(got.outer_coeffs.values())
+        assert not any(got.hom_coords)
