@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import product
+from operator import sub
 
 from .indices import (
     AlgebraConfig, ConfigError, ExponentVector, GroupElement, _index_of_slot,
@@ -296,6 +297,24 @@ def bracket_support(config: AlgebraConfig, alpha_sum: GroupElement,
     return out
 
 
+def sums_reaching(config: AlgebraConfig, index: BasisIndex) -> list[tuple]:
+    """Keys `(*coords, *exps)` of every index sum whose `bracket_support`
+    contains `index`: that lemma inverted family by family.  Per pair row
+    the sum is alpha − shift with e, e+1_sq, e+1_sp or e+1_sp+1_sq for its
+    active families; then alpha itself with e and e+1_0.  A key raised at
+    a slot that holds no exponents belongs to no valid sum; it may stay,
+    since the list need only hold every sum that reaches `index`."""
+    coords, e = index.alpha.coords, index.exps
+    out = [(*coords, *e), (*coords, *e.raised(0))]
+    for sp, sq, shift, fam_gg, fam_ge, fam_eg, fam_ee in config.pair_rows:
+        base = tuple(map(sub, coords, shift.coords))
+        for on, exps in ((fam_gg, e), (fam_ge, e.raised(sq)),
+                         (fam_eg, e.raised(sp)), (fam_ee, e.raised(sp).raised(sq))):
+            if on:
+                out.append((*base, *exps))
+    return out
+
+
 def bracket_closed(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
     """Bracket via the per-basis-pair expansion; the production route."""
     _check_same_config(u, v)
@@ -319,7 +338,11 @@ _BASIS_RE = re.compile(
 
 
 def parse_rational(text: str, what: str) -> Fraction:
-    """Exact rational from text; LiteralError naming `what` if malformed."""
+    """Exact rational from text; LiteralError naming `what` if malformed.
+    Exponent notation is refused: a text as short as 1e999999999 would
+    stand for an integer of any size."""
+    if "e" in text.lower():
+        raise LiteralError(f"bad rational in {what}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

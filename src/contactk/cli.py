@@ -31,8 +31,8 @@ from .derivations import (
     outer_lower_partial,
 )
 from .cohomology import (
-    LinearFunctional, TableCocycle, check_cocycle, coboundary, trivialize,
-    verify_trivialization,
+    LinearFunctional, TableCocycle, check_cocycle, coboundary, targeted_triples,
+    trivialize, verify_trivialization,
 )
 from .suite import render_report, run_suites
 
@@ -41,9 +41,16 @@ class UsageError(ValueError):
     pass
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise UsageError(f"{path}: not UTF-8 text") from None
+
+
 def load_config(path: str) -> AlgebraConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    return parse_config_text(_read_text(path))
 
 
 # -- operator specs ---------------------------------------------------
@@ -90,11 +97,10 @@ def parse_operator_spec(config: AlgebraConfig, text: str) -> LinearOperator:
 # -- cocycle / functional files ---------------------------------------
 
 def _content_lines(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                yield lineno, line
+    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
 
 
 def load_functional(config: AlgebraConfig, path: str) -> LinearFunctional:
@@ -253,8 +259,13 @@ def cmd_cocycle_check(args) -> int:
     rng = random.Random(args.seed)
     triples = [tuple(sample_index(config, rng) for _ in range(3))
                for _ in range(args.triples)]
+    kinds = f"{len(triples)} triples"
+    if isinstance(psi, TableCocycle):
+        aimed = targeted_triples(psi, rng, args.triples)
+        kinds = f"{len(triples)} uniform + {len(aimed)} targeted triples"
+        triples += aimed
     skew, sums = check_cocycle(psi, triples)
-    counts = f"({skew.checked} pairs, {sums.checked} triples)"
+    counts = f"({skew.checked} pairs, {kinds})"
     if skew.passed and sums.passed:
         print(f"PASS cocycle-axioms {counts}")
         return 0
@@ -391,6 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact values print in full however long they grow: lift Python's
+    # limit on int-to-text digits (3.10.7 and later) for this command
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         for flag in ("samples", "triples"):
             if getattr(args, flag, 1) < 1:
@@ -399,6 +415,9 @@ def main(argv=None) -> int:
     except (ConfigError, LiteralError, UsageError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -11,12 +11,12 @@ regime.  Divisions are exact; the case guards are the case split.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 
-from .indices import AlgebraConfig, ConfigError
+from .indices import AlgebraConfig, ConfigError, ExponentVector
 from .algebra import (
-    AlgebraElement, BasisIndex, CheckReport, basis_element, bracket_closed,
-    bracket_support, bracket_terms, format_basis_index, unit,
+    COORD_BOUND, AlgebraElement, BasisIndex, CheckReport, bracket_closed,
+    bracket_support, bracket_terms, format_basis_index, sums_reaching,
 )
 
 # one shared zero for every zero value; it is a Fraction, not int 0, so
@@ -77,16 +77,32 @@ class LinearFunctional:
         return total
 
 
-class CoboundaryCocycle(Cocycle):
-    """psi_f(u,v) = f([u,v]); satisfies the cocycle axioms identically."""
+def _sum_key(iu: BasisIndex, iv: BasisIndex) -> tuple:
+    """Key of a pair's index sum, as `sums_reaching` lists it."""
+    return (*map(add, iu.alpha.coords, iv.alpha.coords),
+            *map(add, iu.exps, iv.exps))
 
-    __slots__ = ("functional",)
+
+class CoboundaryCocycle(Cocycle):
+    """psi_f(u,v) = f([u,v]); satisfies the cocycle axioms identically.
+
+    For a functional without a rule, the sums whose bracket can reach a
+    nonzero table entry (`sums_reaching`) are read from the table when
+    the coboundary is built, and a pair with any other sum is zero
+    without a bracket; a later change to the table is not seen."""
+
+    __slots__ = ("functional", "_reach")
 
     def __init__(self, functional: LinearFunctional):
         super().__init__(functional.config)
         self.functional = functional
+        self._reach = None if functional.rule is not None else {
+            key for r, value in functional.table.items() if value
+            for key in sums_reaching(self.config, r)}
 
     def on_basis(self, iu, iv):
+        if self._reach is not None and _sum_key(iu, iv) not in self._reach:
+            return _ZERO
         return self.functional.eval_terms(bracket_terms(self.config, iu, iv))
 
 
@@ -155,6 +171,38 @@ def check_cocycle(psi: Cocycle, triples) -> tuple[CheckReport, CheckReport]:
     return CheckReport(len(pairs), skew_failures), CheckReport(len(triples), sum_failures)
 
 
+def pair_reaching(config: AlgebraConfig, index: BasisIndex, rng) -> tuple:
+    """A seeded pair (u, v) whose index sum is a valid key drawn from
+    `sums_reaching(config, index)`, so that [u, v] can have a term at
+    `index`.  u has coordinates in the sampling box and exponents at most
+    the sum's; v is the sum less u."""
+    ngens = len(config.lattice.generators)
+    sums = [key for key in sums_reaching(config, index)
+            if all(s in config.exp_slots for s, e in enumerate(key[ngens:]) if e)]
+    key = rng.choice(sums)
+    coords, exps = key[:ngens], key[ngens:]
+    u_coords = [rng.randint(-COORD_BOUND, COORD_BOUND) for _ in range(ngens)]
+    u_exps = [rng.randint(0, e) for e in exps]
+    return (BasisIndex(config.lattice.element(u_coords), ExponentVector(u_exps)),
+            BasisIndex(config.lattice.element(map(sub, coords, u_coords)),
+                       ExponentVector(map(sub, exps, u_exps))))
+
+
+def targeted_triples(psi: TableCocycle, rng, count: int) -> list[tuple]:
+    """`count` seeded triples (u, v, w) aimed at a table's support: w is
+    one index of a drawn entry, and (u, v) a `pair_reaching` the other
+    index, its partner, so [u, v] can have a term where psi(., w) is
+    nonzero."""
+    entries = list(psi.entries)
+    if not entries:
+        return []
+    out = []
+    for _ in range(count):
+        w, partner = rng.sample(rng.choice(entries), 2)
+        out.append((*pair_reaching(psi.config, partner, rng), w))
+    return out
+
+
 # -- regimes and probes -----------------------------------------------
 
 def closed_form_regime(config: AlgebraConfig) -> bool:
@@ -173,16 +221,16 @@ def recursion_probes(config: AlgebraConfig) -> list[int]:
     return out
 
 
-def _probe_element(config: AlgebraConfig, p: int) -> AlgebraElement:
+def _probe_index(config: AlgebraConfig, p: int) -> BasisIndex:
     if p == 0:
-        return unit(config)
+        return BasisIndex(config.lattice.zero, config.zero_exps)
     shape = config.shape
     alpha = config.shift_coords[p].neg()
     if shape.block_of(p) == 5:
         exps = config.zero_exps.raised(shape.slot(p + shape.n))
     else:
         exps = config.zero_exps
-    return AlgebraElement.from_term(config, BasisIndex(alpha, exps))
+    return BasisIndex(alpha, exps)
 
 
 def trivialize_recursive(psi: Cocycle, probe: int) -> LinearFunctional:
@@ -191,8 +239,9 @@ def trivialize_recursive(psi: Cocycle, probe: int) -> LinearFunctional:
     The probe picks the bracket identity the recursion inverts: bracketing
     with the probe's negative-shift monomial relates each basis value of f
     to values at lowered exponents, so f is solved one exponent at a
-    time; `_bottom_up` runs each chain without Python recursion.  Every
-    route is confirmed by the round-trip verifier.
+    time; `_bottom_up` runs each chain without Python recursion.  It
+    reads psi on single basis pairs, through `psi.on_basis`.  Every route
+    is confirmed by the round-trip verifier.
     """
     config = psi.config
     shape = config.shape
@@ -200,21 +249,19 @@ def trivialize_recursive(psi: Cocycle, probe: int) -> LinearFunctional:
         raise ConfigError("recursive trivializer needs exponents or a later block")
     if probe not in recursion_probes(config):
         raise ConfigError(f"invalid probe index {probe} for this configuration")
-    w = _probe_element(config, probe)
+    w = _probe_index(config, probe)
     tag = f"probe {shape.index_token(probe)}"
 
     if probe == 0:
         def step(b: BasisIndex):
             a0 = b.alpha.vector[0]
             i0 = b.exps[0]
-            x = AlgebraElement.from_term(config, b)
             if a0 != 0:
-                val = psi(w, x)
+                val = psi.on_basis(w, b)
                 if i0:
                     val -= 2 * i0 * (yield BasisIndex(b.alpha, b.exps.lowered(0)))
                 return val / (2 * a0)
-            raised = AlgebraElement.from_term(config, BasisIndex(b.alpha, b.exps.raised(0)))
-            return psi(w, raised) / (2 * (i0 + 1))
+            return psi.on_basis(w, BasisIndex(b.alpha, b.exps.raised(0))) / (2 * (i0 + 1))
     else:
         sp = shape.slot(probe)
         sq = shape.slot(probe + shape.n)
@@ -224,39 +271,34 @@ def trivialize_recursive(psi: Cocycle, probe: int) -> LinearFunctional:
             vec = b.alpha.vector
             ap, aq = vec[sp], vec[sq]
             ip, iq = b.exps[sp], b.exps[sq]
-            x = AlgebraElement.from_term(config, b)
             if block == 2:
                 if aq != ap:
-                    val = psi(w, x)
+                    val = psi.on_basis(w, b)
                     if iq:
                         val -= iq * (yield BasisIndex(b.alpha, b.exps.lowered(sq)))
                     return val / (aq - ap)
-                raised = AlgebraElement.from_term(
-                    config, BasisIndex(b.alpha, b.exps.raised(sq)))
-                return psi(w, raised) / (iq + 1)
+                return psi.on_basis(w, BasisIndex(b.alpha, b.exps.raised(sq))) / (iq + 1)
             if block == 3:
                 if aq != ap:
-                    val = psi(w, x)
+                    val = psi.on_basis(w, b)
                     if ip:
                         val += ip * (yield BasisIndex(b.alpha, b.exps.lowered(sp)))
                     if iq:
                         val -= iq * (yield BasisIndex(b.alpha, b.exps.lowered(sq)))
                     return val / (aq - ap)
                 raised_exps = b.exps.raised(sq)
-                raised = AlgebraElement.from_term(config, BasisIndex(b.alpha, raised_exps))
-                val = psi(w, raised)
+                val = psi.on_basis(w, BasisIndex(b.alpha, raised_exps))
                 if ip:
                     val += ip * (yield BasisIndex(b.alpha, raised_exps.lowered(sp)))
                 return val / (iq + 1)
             # block 5: the raised probe pairs the mirror exponent against
             # the unbarred coordinate
             if iq != ap:
-                val = psi(w, x)
+                val = psi.on_basis(w, b)
                 if ip:
                     val += ip * (yield BasisIndex(b.alpha, b.exps.lowered(sp)))
                 return val / (iq - ap)
-            raised = AlgebraElement.from_term(config, BasisIndex(b.alpha, b.exps.raised(sp)))
-            return -psi(w, raised) / (ip + 1)
+            return -psi.on_basis(w, BasisIndex(b.alpha, b.exps.raised(sp))) / (ip + 1)
 
     f = LinearFunctional(config, tag=tag)
     f.rule = _bottom_up(f, step)
@@ -306,7 +348,8 @@ def pivot_index(config: AlgebraConfig, alpha) -> int:
 
 
 def trivialize_closed_form(psi: Cocycle) -> LinearFunctional:
-    """Four-case closed form for the pure-group single-block regime."""
+    """Four-case closed form for the pure-group single-block regime; it
+    reads psi on single basis pairs, through `psi.on_basis`."""
     config = psi.config
     shape = config.shape
     if not closed_form_regime(config):
@@ -326,31 +369,30 @@ def trivialize_closed_form(psi: Cocycle) -> LinearFunctional:
             vec[shape.slot(q)] = 1
             unit_at[q] = lattice.membership(tuple(vec))
 
-    one = unit(config)
-    neg_two0 = basis_element(config, tuple(-2 * c for c in unit0))
-    top = basis_element(
-        config, tuple(2 * a + b for a, b in zip(unit0, ref.coords)))
+    def group_index(coords) -> BasisIndex:
+        return BasisIndex(lattice.element(coords), config.zero_exps)
+
+    one = group_index(lattice.zero.coords)
+    neg_two0 = group_index(tuple(-2 * c for c in unit0))
+    top = group_index(tuple(2 * a + b for a, b in zip(unit0, ref.coords)))
 
     def rule(b: BasisIndex) -> Fraction:
         vec = b.alpha.vector
-        x = AlgebraElement.from_term(config, b)
         if b.alpha.coords == ref.coords:
-            return psi(neg_two0, top) / (4 * (2 + ell1))
+            return psi.on_basis(neg_two0, top) / (4 * (2 + ell1))
         a0 = vec[0]
         if a0 != 0:
-            return psi(one, x) / (2 * a0)
+            return psi.on_basis(one, b) / (2 * a0)
         p = pivot_index(config, b.alpha)
         ap = vec[shape.slot(p)]
         aq = vec[shape.slot(p + shape.n)]
         if ap != aq:
-            probe = AlgebraElement.from_term(
-                config, BasisIndex(config.shift_coords[p].neg(), config.zero_exps))
-            return psi(probe, x) / (aq - ap)
-        square = basis_element(config, tuple(2 * c for c in unit_at[p]))
+            probe = BasisIndex(config.shift_coords[p].neg(), config.zero_exps)
+            return psi.on_basis(probe, b) / (aq - ap)
+        square = group_index(tuple(2 * c for c in unit_at[p]))
         moved = b.alpha.add_coords(tuple(
             bq - bp for bp, bq in zip(unit_at[p], unit_at[p + shape.n])))
-        shifted = AlgebraElement.from_term(config, BasisIndex(moved, b.exps))
-        return psi(square, shifted) / (2 * (aq + 1))
+        return psi.on_basis(square, BasisIndex(moved, b.exps)) / (2 * (aq + 1))
 
     return LinearFunctional(config, rule=rule, tag="closed-form")
 
@@ -371,24 +413,24 @@ def trivialize(psi: Cocycle, probe: int | None = None) -> LinearFunctional:
 def verify_trivialization(psi: Cocycle, f: LinearFunctional, pairs) -> CheckReport:
     """Exact comparison psi(u,v) vs f([u,v]) over the given basis pairs.
 
-    For a coboundary psi = g([u,v]) the call keeps g(r) - f(r) per result
-    index r, and a pair passes unsummed when all its terms have zero
-    difference.  The first pair with a given index sum (α+β, i+j) is
-    bracketed; at the second, g - f is checked once on `bracket_support`
-    of the sum, and when it vanishes there every later pair with that sum
-    passes without a bracket (both sides are the same sum of equal
-    values).  Any other psi goes through `on_basis`, one bracket per pair.
+    For a coboundary psi = g([u,v]) the call keeps whether g(r) != f(r)
+    per result index r, and a pair passes unsummed when no term differs.
+    The first pair with a given index sum (α+β, i+j) is bracketed; at the
+    second, g - f is checked once on `bracket_support` of the sum, and
+    when it vanishes there every later pair with that sum passes without
+    a bracket (both sides are the same sum of equal values).  Any other
+    psi goes through `on_basis`, one bracket per pair.
     """
     config = psi.config
     g = psi.functional if isinstance(psi, CoboundaryCocycle) else None
-    diff: dict[BasisIndex, Fraction] = {}
+    diff: dict[BasisIndex, bool] = {}
     # per index sum, keyed by its coordinates and exponents: None after
     # its first pair, then whether g - f vanishes on its bracket support
     clear: dict[tuple, bool | None] = {}
 
-    def differs(r: BasisIndex) -> Fraction:
+    def differs(r: BasisIndex) -> bool:
         if (d := diff.get(r)) is None:
-            d = diff[r] = g.eval_basis(r) - f.eval_basis(r)
+            d = diff[r] = g.eval_basis(r) != f.eval_basis(r)
         return d
 
     failures = []
@@ -396,8 +438,7 @@ def verify_trivialization(psi: Cocycle, f: LinearFunctional, pairs) -> CheckRepo
     for iu, iv in pairs:
         checked += 1
         if g is not None:
-            key = (*map(add, iu.alpha.coords, iv.alpha.coords),
-                   *map(add, iu.exps, iv.exps))
+            key = _sum_key(iu, iv)
             if key not in clear:
                 clear[key] = None
             else:

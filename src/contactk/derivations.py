@@ -30,9 +30,6 @@ class LinearOperator:
         self.rule = rule
         self.tag = tag
 
-    def on_basis(self, index: BasisIndex) -> AlgebraElement:
-        return self.rule(index)
-
     def __call__(self, u: AlgebraElement) -> AlgebraElement:
         terms: dict[BasisIndex, Fraction] = {}
         for idx, c in u.terms.items():

@@ -13,7 +13,8 @@ from contactk import (
     format_element, parse_element, sample_element, sample_index,
     structure_rows, unit, weight, window_indices,
 )
-from contactk.algebra import bracket_support, bracket_terms
+from contactk.indices import ExponentVector
+from contactk.algebra import bracket_support, bracket_terms, sums_reaching
 from contactk.linalg import add_into
 
 
@@ -298,3 +299,34 @@ def test_both_routes_stay_in_the_bracket_support(all_configs, support_kind):
                 if not oracle.keys() <= mutant or not closed.keys() <= mutant:
                     killed[kind] = killed.get(kind, 0) + 1
     assert len(killed) == 6, killed
+
+
+def test_sums_reaching_inverts_the_bracket_support(all_configs):
+    # the lemma behind a coboundary's table-reach skip: for every ordered
+    # pair of caseB at radius 2 and of each other golden config at radius
+    # 1, the key of the pair's index sum is in sums_reaching of every
+    # index either route emits.  Conversely, each key listed for such an
+    # index that is a valid sum has that index in its bracket_support
+    for name, config in all_configs.items():
+        if name == "mixed":
+            continue
+        ngens = len(config.lattice.generators)
+        reaching = {}
+        window = window_indices(config, 2 if name == "caseB" else 1)
+        for iu, iv in itertools.product(window, repeat=2):
+            key = (*iu.alpha.add(iv.alpha).coords, *iu.exps.add(iv.exps))
+            oracle = bracket_operator(AlgebraElement.from_term(config, iu),
+                                      AlgebraElement.from_term(config, iv)).terms
+            closed = bracket_terms(config, iu, iv)
+            for r in {*oracle, *closed}:
+                if r not in reaching:
+                    reaching[r] = set(sums_reaching(config, r))
+                assert key in reaching[r], (name, iu, iv, r)
+        assert reaching, name
+        for r, keys in reaching.items():
+            for key in keys:
+                exps = key[ngens:]
+                if all(s in config.exp_slots for s, e in enumerate(exps) if e):
+                    alpha = config.lattice.element(key[:ngens])
+                    support = bracket_support(config, alpha, ExponentVector(exps))
+                    assert r in support, (name, r, key)

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from contactk import coboundary, parse_element, trivialize, window_indices
+from contactk import (
+    check_cocycle, coboundary, parse_element, sample_index, trivialize,
+    window_indices,
+)
+from contactk.algebra import bracket_support
+from contactk.cohomology import targeted_triples
 from contactk.cli import (
     load_config, load_functional, load_table_cocycle, main, parse_operator_spec,
 )
@@ -272,9 +278,8 @@ def test_cocycle_round_trip(capsys, l2_path, tmp_path):
 
 
 def test_trivialize_refuses_a_form_it_cannot_trivialize(capsys, l2_path, tmp_path):
-    # a one-entry table that is no coboundary (and that `cocycle check`
-    # passes at its default triples): trivialize prints verify's FAIL and
-    # witness lines, exits 1 and writes no functional
+    # a one-entry table that is no coboundary: trivialize prints verify's
+    # FAIL and witness lines, exits 1 and writes no functional
     table = tmp_path / "t.txt"
     table.write_text("x[0,0,-1]t[0,0,1] x[0,-1,1] 3/2\n")
     recovered = tmp_path / "f.txt"
@@ -286,6 +291,39 @@ def test_trivialize_refuses_a_form_it_cannot_trivialize(capsys, l2_path, tmp_pat
                    "  witness: x[0,-1,1] , x[0,0,-1]t[0,0,1] "
                    "-> form -3/2, functional-on-bracket 0\n")
     assert not recovered.exists()
+
+
+def test_check_aims_triples_at_a_table_support(capsys, l2_path, tmp_path):
+    # the same one-entry table passes every one of 2,000 uniform triples
+    # (they never reach its two indices); the targeted triples, drawn
+    # after the uniform ones from the same seed, catch it at the defaults
+    table = tmp_path / "t.txt"
+    table.write_text("x[0,0,-1]t[0,0,1] x[0,-1,1] 3/2\n")
+    config = load_config(l2_path)
+    psi = load_table_cocycle(config, str(table))
+    rng = random.Random(0)
+    uniform = [tuple(sample_index(config, rng) for _ in range(3)) for _ in range(2000)]
+    assert check_cocycle(psi, uniform)[1].passed
+    code, out, err = run(capsys, [
+        "cocycle", "check", "--config", l2_path, "--table", str(table)])
+    assert (code, err) == (1, "")
+    assert out == ("FAIL cocycle-axioms (279 pairs, 50 uniform + 50 targeted triples)\n"
+                   "  sum witness: x[0,0,3] , x[0,-1,-2]t[1,0,0] , "
+                   "x[0,0,-1]t[0,0,1] -> 3/2\n")
+
+    # every targeted triple is aimed: w is a table index and u + v a sum
+    # whose bracket support holds w's partner
+    pair = next(iter(psi.entries))
+    for iu, iv, iw in targeted_triples(psi, random.Random(5), 200):
+        partner = pair[1] if iw == pair[0] else pair[0]
+        assert iw in pair
+        assert partner in bracket_support(config, iu.alpha.add(iv.alpha), iu.exps.add(iv.exps))
+
+    # a table with no nonzero entry gets no targeted triples
+    table.write_text("x[0,0,-1]t[0,0,1] x[0,-1,1] 0\n")
+    code, out, _ = run(capsys, [
+        "cocycle", "check", "--config", l2_path, "--table", str(table)])
+    assert (code, out) == (0, "PASS cocycle-axioms (149 pairs, 50 uniform + 0 targeted triples)\n")
 
 
 def test_cocycle_table_check_detects_non_cocycle(capsys, caseb_path, tmp_path):
@@ -306,7 +344,7 @@ def test_cocycle_table_check_detects_non_cocycle(capsys, caseb_path, tmp_path):
         "cocycle", "check", "--config", caseb_path,
         "--table", str(table), "--triples", "150", "--seed", "0"])
     assert code == 1
-    assert out == ("FAIL cocycle-axioms (449 pairs, 150 triples)\n"
+    assert out == ("FAIL cocycle-axioms (887 pairs, 150 uniform + 150 targeted triples)\n"
                    "  sum witness: x[-1,2,-2] , x[0,1,0] , x[1,1,3] -> 8\n")
 
 
@@ -330,6 +368,21 @@ def test_functional_file_bad_value(capsys, l2_path, tmp_path):
         "cocycle", "check", "--config", l2_path, "--coboundary", str(func)])
     assert code == 2
     assert f"error: bad rational in the value at {func}:1" in err
+
+
+@pytest.mark.parametrize("value", ["1e3", "1E3", "2e-1", "1e999999999"])
+def test_exponent_notation_is_refused(capsys, l2_path, tmp_path, value):
+    # a few characters of exponent notation could stand for an integer of
+    # any size, so a value in it is a bad rational, like any malformed one
+    func = tmp_path / "g.txt"
+    func.write_text(f"x[0,1,1] {value}\n")
+    code, out, err = run(capsys, [
+        "cocycle", "check", "--config", l2_path, "--coboundary", str(func)])
+    assert (code, out) == (2, "")
+    assert err == f"error: bad rational in the value at {func}:1\n"
+    code, _, err = run(capsys, [
+        "bracket", "--config", l2_path, f"1*x[0,{value},0]", "1*x[0,0,0]"])
+    assert code == 2 and err == "error: bad rational in x[...]\n"
 
 
 def test_cocycle_requires_a_source(capsys, caseb_path):
@@ -362,7 +415,7 @@ def test_integral_values_are_int_and_no_float_appears(capsys, l2_path, tmp_path)
     window = window_indices(config, 1)
     for spec, kind, value in [("3 dt 1bar", int, 3), ("3/2 dt 1bar", Fraction, Fraction(3, 2))]:
         op = parse_operator_spec(config, spec)
-        actions = [c for w in window for c in op.on_basis(w).terms.values()]
+        actions = [c for w in window for c in op.rule(w).terms.values()]
         assert actions and all(type(c) is kind and c == value for c in actions)
 
     # file values stay Fraction even when integral

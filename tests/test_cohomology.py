@@ -15,6 +15,8 @@ from contactk import (
     sample_index, trivialize, trivialize_closed_form, trivialize_recursive,
     verify_trivialization, window_indices,
 )
+from contactk.algebra import bracket_terms
+from contactk.cohomology import pair_reaching
 
 
 def random_functional(config, rng, support_size=6):
@@ -394,3 +396,85 @@ def test_recursive_round_trip_on_mixed(cfg_mixed, probe):
     pairs = _drawn_then_flipped(cfg_mixed, rng, 100)
     report = verify_trivialization(psi, f, pairs)
     assert report.passed and report.checked == len(pairs), report.failures[:1]
+
+
+def _skip_cases(all_configs, cfg_decomp):
+    # every golden and bench config: (name, config, pairs, g).  g's table
+    # is drawn from the radius-1 window (the sampling box on mixed, whose
+    # window passes the cap); the pairs are the radius-1 window pairs u <= v,
+    # or 100 drawn pairs on mixed, then 100 pairs aimed at g's table
+    for name, config in {**all_configs, "decomp": cfg_decomp}.items():
+        rng = random.Random(99)
+        if name == "mixed":
+            pairs = [(sample_index(config, rng), sample_index(config, rng))
+                     for _ in range(100)]
+            g = random_functional(config, rng)
+        else:
+            window = window_indices(config, 1)
+            pairs = window_pairs(config, 1)
+            g = LinearFunctional(config, tag="g", table={
+                i: Fraction(rng.choice([-3, -1, 2, 5]), rng.randrange(1, 4))
+                for i in rng.sample(window, 6)})
+        table = list(g.table)
+        pairs += [pair_reaching(config, rng.choice(table), rng) for _ in range(100)]
+        yield name, config, pairs, g
+
+
+def test_table_reach_skip_changes_no_value(all_configs, cfg_decomp, kernel_calls):
+    # a table coboundary answers zero without a bracket for a pair whose
+    # sum cannot reach its table; on_basis must still equal g summed over
+    # the kernel's bracket, on the window pairs and on 200 drawn pairs
+    # (100 of them aimed at g's table).  A skipped pair makes no kernel
+    # call and any other pair one; both kinds occur, and some aimed
+    # values are nonzero
+    for name, config, pairs, g in _skip_cases(all_configs, cfg_decomp):
+        rng = random.Random(100)
+        pairs += [(sample_index(config, rng), sample_index(config, rng))
+                  for _ in range(100)]
+        psi = coboundary(g)
+        skipped = nonzero = 0
+        for iu, iv in pairs:
+            kernel_calls.clear()
+            value = psi.on_basis(iu, iv)
+            assert value == g.eval_terms(bracket_terms(config, iu, iv)), (name, iu, iv)
+            key = (*iu.alpha.add(iv.alpha).coords, *iu.exps.add(iv.exps))
+            skip = key not in psi._reach
+            assert len(kernel_calls) == (0 if skip else 1), (name, iu, iv)
+            skipped += skip
+            nonzero += value != 0
+        assert skipped and nonzero, (name, skipped, nonzero)
+
+
+def test_trivializers_agree_with_and_without_the_skip(all_configs, cfg_decomp):
+    # the trivializers read psi one basis pair at a time; a table g takes
+    # the table-reach skip, and the same table with a zero rule takes the
+    # unskipped path.  Every recursion probe and the closed form give the
+    # same f, value and type, on the window and on every index its verify
+    # touches, and both verify
+    routes = 0
+    for name, config, pairs, g in _skip_cases(all_configs, cfg_decomp):
+        ruled = LinearFunctional(config, table=g.table, rule=lambda i: Fraction(0))
+        probes = [None] if closed_form_regime(config) else recursion_probes(config)
+        for probe in probes:
+            fs = []
+            for h in (g, ruled):
+                psi = coboundary(h)
+                assert (psi._reach is None) == (h is ruled)
+                if probe is None:
+                    f = trivialize_closed_form(psi)
+                else:
+                    f = trivialize_recursive(psi, probe)
+                report = verify_trivialization(psi, f, pairs)
+                assert report.passed, (name, probe, report.failures[:1])
+                fs.append(f)
+            plain, unskipped = fs
+            touched = {*plain._memo, *unskipped._memo}
+            if name != "mixed":
+                touched.update(window_indices(config, 1))
+            values = [(plain.eval_basis(i), unskipped.eval_basis(i)) for i in touched]
+            assert all(a == b and type(a) is type(b) for a, b in values), (name, probe)
+            assert any(a for a, _ in values), (name, probe)
+            routes += 1
+    # l2, l3, l5 and decomp take probes 1 and 0, l4 and l6n probe 0, mixed
+    # probes 2, 3, 5 and 0, caseB the closed form; l6z has no route
+    assert routes == 15

@@ -154,7 +154,7 @@ def test_sweep_checks_indices_the_factorization_never_visits(cfg_decomp, decompo
     base = ad(basis_element(cfg_decomp, (0, 1, 0)))
 
     def rule(idx):
-        image = base.on_basis(idx)
+        image = base.rule(idx)
         return image + AlgebraElement.from_term(cfg_decomp, last) if idx == last else image
 
     D = LinearOperator(cfg_decomp, rule, "ad x[0,1,0], off at one index")

@@ -40,12 +40,12 @@ def test_diagonal_actions_are_int_when_integral(cfg_caseB, cfg_decomp):
     for mu in hom_star_basis(cfg_decomp) + hom_space_basis(cfg_decomp):
         assert all(type(v) is Fraction for v in mu.values)
         d = diagonal_derivation(mu)
-        actions = [(w, c) for w in window for c in d.on_basis(w).terms.values()]
+        actions = [(w, c) for w in window for c in d.rule(w).terms.values()]
         assert actions and all(type(c) is int and c == mu(w.alpha) for w, c in actions)
     mu = LatticeHom(cfg_caseB, [Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2)])
     half = diagonal_derivation(mu)
     actions = [c for w in window_indices(cfg_caseB, 1)
-               for c in half.on_basis(w).terms.values()]
+               for c in half.rule(w).terms.values()]
     assert {type(c) for c in actions} == {int, Fraction}
     assert all(type(c) is int for c in actions if c.denominator == 1)
 
@@ -102,7 +102,7 @@ def test_ad_rule_equals_the_closed_bracket(all_configs):
         D = ad(u)
         for i in rng.sample(window, 40):
             want = bracket_closed(u, AlgebraElement.from_term(config, i)).terms
-            got = D.on_basis(i).terms
+            got = D.rule(i).terms
             assert list(got.items()) == list(want.items())
             assert [type(c) for c in got.values()] == [type(c) for c in want.values()]
 
@@ -173,7 +173,7 @@ def test_unit_adjoint_constants(cfg_l2, cfg_caseB):
         rhs = LinearOperator.combine(config, parts)
         adu = ad(unit(config))
         for idx in window_indices(config, 2):
-            assert adu.on_basis(idx) == rhs.on_basis(idx)
+            assert adu.rule(idx) == rhs.rule(idx)
 
 
 def _lower0(config, idx):
@@ -269,7 +269,7 @@ def test_in_place_sums_leave_operands_unchanged_and_images_fresh(cfg_l3):
         first, second = op(u), op(u)
         assert first == second and first.terms is not second.terms
         for idx in u.terms:
-            a, b = op.on_basis(idx), op.on_basis(idx)
+            a, b = op.rule(idx), op.rule(idx)
             assert a == b and a.terms is not b.terms
         assert u.terms == u_terms and v.terms == v_terms
     assert C(u) == 2 * D(u) + Fraction(-1, 3) * outer(u)
