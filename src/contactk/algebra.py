@@ -17,12 +17,12 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import product
-from operator import sub
+from operator import add, sub
 
 from .indices import (
     AlgebraConfig, ConfigError, ExponentVector, GroupElement, _index_of_slot,
 )
-from .linalg import add_into, add_term, as_number
+from .linalg import add_into, add_term, as_number, exact_rational
 
 
 class LiteralError(ValueError):
@@ -185,10 +185,11 @@ def grading(u: AlgebraElement) -> AlgebraElement:
     terms: dict[BasisIndex, Fraction] = {}
     for s in config.weight_group_slots:
         add_into(terms, scale_partial(_index_of_slot(shape, s), u).terms)
+    zero = config.lattice.zero
     for s in config.weight_exp_slots:
         p = _index_of_slot(shape, s)
         t_p = AlgebraElement.from_term(
-            config, BasisIndex(config.lattice.zero, config.zero_exps.raised(s)))
+            config, BasisIndex(zero, config.zero_exps.raised(s)))
         add_into(terms, multiply(t_p, lower_partial(p, u)).terms)
     return AlgebraElement(config, terms)
 
@@ -227,47 +228,44 @@ def bracket_terms(config: AlgebraConfig, iu: BasisIndex, iv: BasisIndex,
     """In place, zero-free `terms += c * [iu, iv]` for two basis monomials by
     the per-pair expansion; returns `terms` (a new dict when None)."""
     terms = {} if terms is None else terms
-    avec, ie = iu.alpha.vector, iu.exps
-    bvec, je = iv.alpha.vector, iv.exps
-    alpha_sum = iu.alpha.add(iv.alpha)
+    alpha, beta = iu.alpha, iv.alpha
+    avec, ie = alpha.vector, iu.exps
+    bvec, je = beta.vector, iv.exps
+    # the sum's tuples; elements are built from them only for emitted terms
+    coords = (*map(add, alpha.coords, beta.coords),)
+    vector = (*map(add, avec, bvec),)
     exps_sum = ie.add(je)
 
     # dropped-term convention: a lowered vector of None (an entry below
     # zero) adds nothing
     for sp, sq, shift, fam_gg, fam_ge, fam_eg, fam_ee in config.pair_rows:
-        shifted = None
-        if fam_gg:
-            k = avec[sp] * bvec[sq] - avec[sq] * bvec[sp]
-            if k:
-                shifted = alpha_sum.add_coords(shift.coords)
-                add_term(terms, BasisIndex(shifted, exps_sum), c * k)
-        if fam_ge:
-            k = avec[sp] * je[sq] - ie[sq] * bvec[sp]
-            if k and (lowered := exps_sum.lowered(sq)) is not None:
-                if shifted is None:
-                    shifted = alpha_sum.add_coords(shift.coords)
-                add_term(terms, BasisIndex(shifted, lowered), c * k)
-        if fam_eg:
-            k = ie[sp] * bvec[sq] - je[sp] * avec[sq]
-            if k and (lowered := exps_sum.lowered(sp)) is not None:
-                if shifted is None:
-                    shifted = alpha_sum.add_coords(shift.coords)
-                add_term(terms, BasisIndex(shifted, lowered), c * k)
-        if fam_ee:
-            k = ie[sp] * je[sq] - ie[sq] * je[sp]
-            if k and (lowered := exps_sum.lowered(sp, sq)) is not None:
-                if shifted is None:
-                    shifted = alpha_sum.add_coords(shift.coords)
-                add_term(terms, BasisIndex(shifted, lowered), c * k)
+        k_gg = fam_gg and avec[sp] * bvec[sq] - avec[sq] * bvec[sp]
+        k_ge = fam_ge and avec[sp] * je[sq] - ie[sq] * bvec[sp]
+        k_eg = fam_eg and ie[sp] * bvec[sq] - je[sp] * avec[sq]
+        k_ee = fam_ee and ie[sp] * je[sq] - ie[sq] * je[sp]
+        if not (k_gg or k_ge or k_eg or k_ee):
+            continue
+        shifted = GroupElement((*map(add, coords, shift.coords),),
+                               (*map(add, vector, shift.vector),))
+        if k_gg:
+            add_term(terms, BasisIndex(shifted, exps_sum), c * k_gg)
+        if k_ge and (lowered := exps_sum.lowered(sq)) is not None:
+            add_term(terms, BasisIndex(shifted, lowered), c * k_ge)
+        if k_eg and (lowered := exps_sum.lowered(sp)) is not None:
+            add_term(terms, BasisIndex(shifted, lowered), c * k_eg)
+        if k_ee and (lowered := exps_sum.lowered(sp, sq)) is not None:
+            add_term(terms, BasisIndex(shifted, lowered), c * k_ee)
 
     wu = 2 - weight(config, iu)
     wv = 2 - weight(config, iv)
     k = wu * bvec[0] - avec[0] * wv
-    if k:
-        add_term(terms, BasisIndex(alpha_sum, exps_sum), c * k)
-    k = wu * je[0] - ie[0] * wv
-    if k and (lowered := exps_sum.lowered(0)) is not None:
-        add_term(terms, BasisIndex(alpha_sum, lowered), c * k)
+    k0 = wu * je[0] - ie[0] * wv
+    if k or k0:
+        alpha_sum = GroupElement(coords, vector)
+        if k:
+            add_term(terms, BasisIndex(alpha_sum, exps_sum), c * k)
+        if k0 and (lowered := exps_sum.lowered(0)) is not None:
+            add_term(terms, BasisIndex(alpha_sum, lowered), c * k0)
     return terms
 
 
@@ -285,7 +283,7 @@ def bracket_support(config: AlgebraConfig, alpha_sum: GroupElement,
     the bracket of every pair with these sums."""
     out = []
     for sp, sq, shift, fam_gg, fam_ge, fam_eg, fam_ee in config.pair_rows:
-        shifted = alpha_sum.add_coords(shift.coords)
+        shifted = alpha_sum.add(shift)
         if fam_gg:
             out.append(BasisIndex(shifted, exps_sum))
         for on, slots in ((fam_ge, (sq,)), (fam_eg, (sp,)), (fam_ee, (sp, sq))):
@@ -338,14 +336,10 @@ _BASIS_RE = re.compile(
 
 
 def parse_rational(text: str, what: str) -> Fraction:
-    """Exact rational from text; LiteralError naming `what` if malformed.
-    Exponent notation is refused: a text as short as 1e999999999 would
-    stand for an integer of any size."""
-    if "e" in text.lower():
-        raise LiteralError(f"bad rational in {what}")
+    """`linalg.exact_rational`, or LiteralError naming `what` if malformed."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return exact_rational(text)
+    except ValueError:
         raise LiteralError(f"bad rational in {what}") from None
 
 

@@ -361,20 +361,25 @@ def trivialize_closed_form(psi: Cocycle) -> LinearFunctional:
     ell1 = shape.ell[0]
     ref = reference_vector_coords(config)
 
-    unit0 = lattice.membership(tuple(int(s == 0) for s in range(shape.dim)))
-    unit_at = {}
-    for p in shape.blocks(1, 1):
-        for q in (p, p + shape.n):
-            vec = [0] * shape.dim
-            vec[shape.slot(q)] = 1
-            unit_at[q] = lattice.membership(tuple(vec))
-
     def group_index(coords) -> BasisIndex:
         return BasisIndex(lattice.element(coords), config.zero_exps)
 
+    def unit(q) -> tuple:
+        """Coordinates of the unit vector at index q."""
+        return lattice.membership(tuple(int(s == shape.slot(q)) for s in range(shape.dim)))
+
+    unit0 = unit(0)
     one = group_index(lattice.zero.coords)
     neg_two0 = group_index(tuple(-2 * c for c in unit0))
     top = group_index(tuple(2 * a + b for a, b in zip(unit0, ref.coords)))
+    # per pivot p: the probe at the negated shift of p, the square at twice
+    # the unit vector at p, and the move by p's mirror unit vector less p's
+    probes, squares, moves = {}, {}, {}
+    for p in shape.blocks(1, 1):
+        at_p, at_mirror = unit(p), unit(p + shape.n)
+        probes[p] = BasisIndex(config.shift_coords[p].neg(), config.zero_exps)
+        squares[p] = group_index(tuple(2 * c for c in at_p))
+        moves[p] = lattice.element(map(sub, at_mirror, at_p))
 
     def rule(b: BasisIndex) -> Fraction:
         vec = b.alpha.vector
@@ -387,12 +392,9 @@ def trivialize_closed_form(psi: Cocycle) -> LinearFunctional:
         ap = vec[shape.slot(p)]
         aq = vec[shape.slot(p + shape.n)]
         if ap != aq:
-            probe = BasisIndex(config.shift_coords[p].neg(), config.zero_exps)
-            return psi.on_basis(probe, b) / (aq - ap)
-        square = group_index(tuple(2 * c for c in unit_at[p]))
-        moved = b.alpha.add_coords(tuple(
-            bq - bp for bp, bq in zip(unit_at[p], unit_at[p + shape.n])))
-        return psi.on_basis(square, BasisIndex(moved, b.exps)) / (2 * (aq + 1))
+            return psi.on_basis(probes[p], b) / (aq - ap)
+        moved = BasisIndex(b.alpha.add(moves[p]), b.exps)
+        return psi.on_basis(squares[p], moved) / (2 * (aq + 1))
 
     return LinearFunctional(config, rule=rule, tag="closed-form")
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .linalg import Echelon, as_number
+from .linalg import Echelon, as_number, exact_rational
 
 
 class ConfigError(ValueError):
@@ -116,7 +116,7 @@ class Shape:
 class Lattice:
     """Free finitely generated coordinate lattice inside Q^dim."""
 
-    __slots__ = ("shape", "generators", "_span", "_cache")
+    __slots__ = ("shape", "generators", "_columns", "_span")
 
     def __init__(self, shape: Shape, generators):
         self.shape = shape
@@ -130,10 +130,10 @@ class Lattice:
         if not gens:
             raise ConfigError("gamma needs at least one generator")
         self.generators = tuple(gens)
+        self._columns = tuple(zip(*gens))
         self._check_support()
         self._prepare_solver()
         self._check_required_members()
-        self._cache: dict[tuple, GroupElement] = {}
 
     def _check_support(self):
         shape = self.shape
@@ -187,19 +187,11 @@ class Lattice:
         return tuple(int(c) for c in coords)
 
     def element(self, coords) -> GroupElement:
-        coords = tuple(int(c) for c in coords)
+        coords = tuple(map(int, coords))
         if len(coords) != len(self.generators):
             raise ConfigError("coordinate tuple has wrong length")
-        return self._intern(coords)
-
-    def _intern(self, coords: tuple[int, ...]) -> GroupElement:
-        # skips element()'s checks: coords must already be a tuple of ints of
-        # the generator count, as sums and negations of valid coords are
-        cached = self._cache.get(coords)
-        if cached is None:
-            cached = GroupElement(self, coords)
-            self._cache[coords] = cached
-        return cached
+        return GroupElement(coords, tuple(
+            [sum(map(operator.mul, coords, column)) for column in self._columns]))
 
     @property
     def zero(self) -> GroupElement:
@@ -219,41 +211,30 @@ def _unit_vector(dim: int, slot: int) -> tuple:
 
 
 class GroupElement:
-    """Lattice element: integer generator coordinates plus the resolved vector."""
+    """Lattice element as a plain value: integer generator coordinates and
+    the vector they resolve to.  Sums and negations act on both tuples, so
+    no vector is recomputed from the generators; equality and hashing
+    read the coordinates only."""
 
-    __slots__ = ("lattice", "coords", "_vector", "_hash")
+    __slots__ = ("coords", "vector")
 
-    def __init__(self, lattice: Lattice, coords: tuple[int, ...]):
-        self.lattice = lattice
+    def __init__(self, coords: tuple[int, ...], vector: tuple):
         self.coords = coords
-        self._vector = None
-        self._hash = None
-
-    @property
-    def vector(self) -> tuple:
-        if self._vector is None:
-            gens = self.lattice.generators
-            dim = self.lattice.shape.dim
-            self._vector = tuple(
-                sum(c * g[s] for c, g in zip(self.coords, gens)) for s in range(dim))
-        return self._vector
+        self.vector = vector
 
     def add(self, other: GroupElement) -> GroupElement:
-        return self.lattice._intern(tuple(map(operator.add, self.coords, other.coords)))
-
-    def add_coords(self, coords: tuple[int, ...]) -> GroupElement:
-        return self.lattice._intern(tuple(map(operator.add, self.coords, coords)))
+        return GroupElement(tuple(map(operator.add, self.coords, other.coords)),
+                            tuple(map(operator.add, self.vector, other.vector)))
 
     def neg(self) -> GroupElement:
-        return self.lattice._intern(tuple(map(operator.neg, self.coords)))
+        return GroupElement(tuple(map(operator.neg, self.coords)),
+                            tuple(map(operator.neg, self.vector)))
 
     def __eq__(self, other):
         return isinstance(other, GroupElement) and self.coords == other.coords
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.coords)
-        return self._hash
+        return hash(self.coords)
 
     def __repr__(self):
         return f"GroupElement{self.coords}"
@@ -404,8 +385,8 @@ def parse_config_text(text: str) -> AlgebraConfig:
             j0 = value
         elif key == "gamma":
             try:
-                gens.append([Fraction(x) for x in value.split()])
-            except (ValueError, ZeroDivisionError):
+                gens.append([exact_rational(x) for x in value.split()])
+            except ValueError:
                 raise ConfigError(f"line {lineno}: bad rational in gamma line") from None
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")

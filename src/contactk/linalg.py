@@ -29,6 +29,18 @@ def add_into(terms: dict, other, scale=1) -> dict:
     return terms
 
 
+def exact_rational(text: str) -> Fraction:
+    """Exact rational from text: an integer, a/b or a decimal; ValueError
+    otherwise.  Exponent notation is refused: a text as short as
+    1e999999999 would stand for an integer of any size."""
+    if "e" in text.lower():
+        raise ValueError(f"exponent notation in {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def as_number(q):
     """`q` as an int when integral, keeping hot arithmetic off `Fraction`."""
     return int(q) if q.denominator == 1 else q

@@ -385,6 +385,16 @@ def test_exponent_notation_is_refused(capsys, l2_path, tmp_path, value):
     assert code == 2 and err == "error: bad rational in x[...]\n"
 
 
+@pytest.mark.parametrize("value", ["1e-400", "1E3", "2e-1", "1e999999999", "1/0"])
+def test_gamma_lines_take_the_literal_rational_rule(capsys, tmp_path, value):
+    # config files and literals read rationals by one rule
+    cfg = tmp_path / "l6n.cfg"
+    cfg.write_text(f"ell: 0 0 0 0 0 1\nj0: naturals\ngamma: {value} 0 0\n")
+    code, out, err = run(capsys, ["check-config", "--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert err == "error: line 3: bad rational in gamma line\n"
+
+
 def test_cocycle_requires_a_source(capsys, caseb_path):
     code, _, err = run(capsys, ["cocycle", "check", "--config", caseb_path])
     assert code == 2

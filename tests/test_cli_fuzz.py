@@ -1,11 +1,14 @@
-"""Fuzzed cocycle input files: every line ends in an answer or a clean error.
+"""Fuzzed input files and specs: every input ends in an answer or a clean error.
 
 Arbitrary lines go to `cocycle check`, `trivialize` and `verify` through
-`cli.main`, as `--coboundary`, `--table` and `--functional` files.  Each
-run must return exit code 0, 1 or 2 and raise nothing.  The lines mix
-valid literals and values with broken ones (wrong entry counts, entries
-off the lattice, integers of up to 5,000 digits, malformed rationals) and
-with arbitrary text.  Examples that once ended in a traceback are pinned.
+`cli.main`, as `--coboundary`, `--table` and `--functional` files; config
+files (as text and as raw bytes) go to `check-config`, and operator specs
+to `deriv check --op`.  Each run must return exit code 0, 1 or 2 and raise
+nothing.  The inputs mix valid literals, values, config lines and operator
+terms with broken ones (wrong entry counts, entries off the lattice,
+integers of up to 5,000 digits, malformed rationals) and with arbitrary
+text.  Examples that once ended in a traceback or a wrong answer are
+pinned.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import io
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from contactk import Shape
 from contactk.cli import main
 
 CONFIGS = {
@@ -146,3 +150,100 @@ def test_undecodable_files_exit_2(config_paths, tmp_path_factory, data):
         data.decode("utf-8")
     except UnicodeDecodeError:
         assert code == 2
+
+
+# -- config files and operator specs ----------------------------------
+
+_small = st.integers(-2, 2).map(str)
+_rationals = st.one_of(_small, _small, st.sampled_from(["1/2", "-1/3", "2/4"]), _odd)
+
+
+@st.composite
+def _config_texts(draw):
+    # a valid config (unit generators at its required slots, perhaps at
+    # slot 0 too), then a few edits that may or may not keep it valid, so
+    # that files reach each check of the parser and the lattice
+    ell = draw(st.lists(st.integers(0, 1), min_size=6, max_size=6).filter(any))
+    shape = Shape(ell)
+    n = shape.n
+    slots = [shape.slot(p) for p in shape.blocks(1, 5)]
+    slots += [shape.slot(p + n) for p in shape.blocks(1, 3)]
+    zero_slot = draw(st.booleans())
+    rows = [[0] * shape.dim for _ in range(len(slots) + zero_slot)]
+    for row, s in zip(rows, [0] * zero_slot + slots):
+        row[s] = 1
+    rows = [[str(x) for x in row] for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        if not rows:
+            break
+        k = draw(st.integers(0, len(rows) - 1))
+        edit = draw(st.sampled_from(["entry", "entry", "halve", "drop", "extra"]))
+        if edit == "entry" and rows[k]:
+            rows[k][draw(st.integers(0, len(rows[k]) - 1))] = draw(_rationals)
+        elif edit == "halve":
+            rows[k] = [f"{x}/2" for x in rows[k]]
+        elif edit == "drop":
+            rows.pop(k)
+        else:
+            rows.append(draw(st.lists(_rationals, max_size=shape.dim + 1)))
+    j0 = "zero" if zero_slot and draw(st.booleans()) else "naturals"
+    lines = [f"ell: {' '.join(map(str, ell))}", f"j0: {j0}"]
+    lines += [f"gamma: {' '.join(row)}" for row in rows]
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(lines) - 1))
+        key = lines[k].partition(":")[0]
+        lines[k] = draw(st.one_of(
+            _junk, st.lists(st.one_of(_small, _odd), max_size=7).map(" ".join)
+            .map(f"{key}: {{}}".format)))
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@_fuzz(150)
+@given(text=_config_texts())
+@example(text="ell: 0 0 0 0 0 1\nj0: naturals\ngamma: 1e-400 0 0\n")
+def test_fuzzed_config_files_exit_cleanly(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("config") / "fuzz.cfg"
+    path.write_text(text, encoding="utf-8")
+    assert _exit_code(["check-config", "--config", path]) in (0, 2)
+
+
+@_fuzz(20)
+@given(data=st.binary(max_size=60))
+@example(data=b"ell: 0 0 0 0 0 1\nj0: naturals\ngamma: 1 0 \xff\n")
+def test_fuzzed_config_bytes_exit_cleanly(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("config_bytes") / "fuzz.cfg"
+    path.write_bytes(data)
+    assert _exit_code(["check-config", "--config", path]) in (0, 2)
+
+
+_l2_literal = st.builds(
+    VALID["l2"].format, a=st.just(0), b=st.integers(-2, 2), c=st.integers(-2, 2),
+    i=st.integers(0, 2), j=st.just(0), k=st.integers(0, 2))
+_coeffs = st.sampled_from(["1", "-2", "3/2"])
+# on l2 a hom vanishes on the block-2 shift (0, -1, -1) when its values
+# are (a, -a); index 1bar is the one outer lowering
+_valid_terms = st.one_of(
+    st.builds("ad {}*{}".format, _coeffs, _l2_literal),
+    st.builds("ad {}*{} + {}*{}".format, _coeffs, _l2_literal, _coeffs, _l2_literal),
+    st.integers(-3, 3).map(lambda a: f"dmu {a} {-a}"),
+    st.just("dt 1bar"))
+_odd_terms = st.one_of(
+    st.builds("ad {}*{}".format, _values, _any_literals),
+    st.builds("dmu {} {}".format, _rationals, _rationals),
+    st.builds("dmu {}".format, st.lists(_rationals, max_size=3).map(" ".join)),
+    st.builds("dt {}".format, st.sampled_from(
+        ["1", "0", "2", "0bar", "3bar", "bar", "-1", "1barbar", ""])),
+    _junk)
+_scalars = st.sampled_from(["", "", "2 ", "-1/2*", "3*", "1/0 ", "0 ", "1e3 "])
+_op_specs = st.lists(
+    st.tuples(_scalars, st.one_of(_valid_terms, _valid_terms, _odd_terms)).map("".join),
+    max_size=3).map(" + ".join)
+
+
+@_fuzz(60)
+@given(spec=_op_specs)
+def test_fuzzed_operator_specs_exit_cleanly(config_paths, spec):
+    # "--op=SPEC": argparse would take a spec such as "-1/2*" for a flag
+    argv = ["deriv", "check", "--config", config_paths["l2"], f"--op={spec}",
+            "--samples", "5"]
+    assert _exit_code(argv) in (0, 1, 2)

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from contactk import ConfigError, Shape, make_config, parse_config_text
+from contactk import ConfigError, GroupElement, Shape, make_config, parse_config_text
 from contactk.indices import ExponentVector
 
 
@@ -107,14 +108,32 @@ def test_lattice_element_rejects_wrong_length(cfg_caseB):
             lat.element(coords)
 
 
-def test_group_arithmetic_returns_interned_elements(cfg_mixed):
-    lat = cfg_mixed.lattice
-    a = lat.element((1, -2, 0, 3, 0, 0, 1, 0))
-    b = lat.element((2, 2, -1, 0, 0, 5, 0, -3))
-    assert a.add(b) is lat.element((3, 0, -1, 3, 0, 5, 1, -3))
-    assert a.add_coords(b.coords) is lat.element((3, 0, -1, 3, 0, 5, 1, -3))
-    assert a.neg() is lat.element((-1, 2, 0, -3, 0, 0, -1, 0))
-    assert a.add(a.neg()) is lat.zero
+# a lattice with a rational generator: its vectors hold Fractions
+CFG_HALF = make_config((0, 1, 0, 0, 0, 0), "naturals",
+                       [(0, Fraction(1, 2), 0), (0, 0, 1)])
+
+
+@given(data=st.data())
+def test_group_arithmetic_is_value_arithmetic(cfg_mixed, data):
+    for lat in (cfg_mixed.lattice, CFG_HALF.lattice):
+        coords = st.tuples(*[st.integers(-9, 9)] * len(lat.generators))
+        a, b = data.draw(coords), data.draw(coords)
+        ea, eb = lat.element(a), lat.element(b)
+        assert lat.membership(ea.vector) == a
+        expected = [
+            (ea.add(eb), lat.element(map(operator.add, a, b))),
+            (ea.neg(), lat.element(map(operator.neg, a))),
+            (ea.add(ea.neg()), lat.zero),
+        ]
+        for got, want in expected:
+            assert got.coords == want.coords
+            assert got.vector == want.vector
+            assert got == want and hash(got) == hash(want)
+        # equality and hashing follow the coordinates alone
+        assert (ea == eb) == (a == b)
+        assert len({ea, eb, lat.element(a)}) == (1 if a == b else 2)
+        assert GroupElement(a, eb.vector) == ea
+        assert hash(GroupElement(a, eb.vector)) == hash(ea)
 
 
 def test_lattice_requires_unit_members():

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from contactk import bracket_closed, render_report, run_suites
+import gc
+
+from contactk import GroupElement, bracket_closed, render_report, run_suites
 
 
 def test_all_suites_pass(cfg_caseB):
@@ -53,3 +55,17 @@ def test_corrupted_bracket_fails_jacobi(cfg_caseB):
     assert not by_name["jacobi"].passed
     assert by_name["jacobi"].witness
     assert not by_name["antisymmetry"].passed
+
+
+def test_sessions_leave_no_state_in_a_config(cfg_mixed):
+    # a config holds no table that suites fill: after a warm-up run,
+    # further seeds leave the count of live lattice elements unchanged
+    def live_elements():
+        gc.collect()
+        return sum(isinstance(x, GroupElement) for x in gc.get_objects())
+
+    run_suites(cfg_mixed, 0, 60)
+    before = live_elements()
+    for seed in (1, 2, 3):
+        run_suites(cfg_mixed, seed, 60)
+    assert live_elements() == before
