@@ -6,10 +6,10 @@ while the closed route is one per-pair kernel, `bracket_terms`, which
 expands the same bilinear form from precomputed per-index tables and
 which `bracket_closed` and the window sweeps call.  They share only the
 sparse accumulator (`linalg.add_into`, `add_term`), which has its own
-unit tests, and the dropped-term convention, which both must apply
-identically: a produced index with a negative exponent entry is dropped
-(group parts always stay in the lattice because they are built from
-lattice coordinates).
+unit tests.  Neither route ever makes an index with a negative exponent
+entry: each term that lowers an exponent has a coefficient that is zero
+unless the entry it lowers is positive (group parts always stay in the
+lattice because they are built from lattice coordinates).
 """
 
 from __future__ import annotations
@@ -165,11 +165,8 @@ def lower_partial(p: int, u: AlgebraElement) -> AlgebraElement:
     for idx, c in u.terms.items():
         e = idx.exps[s]
         if e:
-            lowered = idx.exps.lowered(s)
-            if lowered is None:
-                continue  # dropped-term convention
             # lowering one slot is injective, so no two terms collide
-            terms[BasisIndex(idx.alpha, lowered)] = e * c
+            terms[BasisIndex(idx.alpha, idx.exps.lowered(s))] = e * c
     return AlgebraElement(u.config, terms)
 
 
@@ -236,8 +233,8 @@ def bracket_terms(config: AlgebraConfig, iu: BasisIndex, iv: BasisIndex,
     vector = (*map(add, avec, bvec),)
     exps_sum = ie.add(je)
 
-    # dropped-term convention: a lowered vector of None (an entry below
-    # zero) adds nothing
+    # a term that lowers entries of the sum has a coefficient of zero
+    # unless those entries are positive, so no lowered entry goes negative
     for sp, sq, shift, fam_gg, fam_ge, fam_eg, fam_ee in config.pair_rows:
         k_gg = fam_gg and avec[sp] * bvec[sq] - avec[sq] * bvec[sp]
         k_ge = fam_ge and avec[sp] * je[sq] - ie[sq] * bvec[sp]
@@ -249,12 +246,12 @@ def bracket_terms(config: AlgebraConfig, iu: BasisIndex, iv: BasisIndex,
                                (*map(add, vector, shift.vector),))
         if k_gg:
             add_term(terms, BasisIndex(shifted, exps_sum), c * k_gg)
-        if k_ge and (lowered := exps_sum.lowered(sq)) is not None:
-            add_term(terms, BasisIndex(shifted, lowered), c * k_ge)
-        if k_eg and (lowered := exps_sum.lowered(sp)) is not None:
-            add_term(terms, BasisIndex(shifted, lowered), c * k_eg)
-        if k_ee and (lowered := exps_sum.lowered(sp, sq)) is not None:
-            add_term(terms, BasisIndex(shifted, lowered), c * k_ee)
+        if k_ge:
+            add_term(terms, BasisIndex(shifted, exps_sum.lowered(sq)), c * k_ge)
+        if k_eg:
+            add_term(terms, BasisIndex(shifted, exps_sum.lowered(sp)), c * k_eg)
+        if k_ee:
+            add_term(terms, BasisIndex(shifted, exps_sum.lowered(sp, sq)), c * k_ee)
 
     wu = 2 - weight(config, iu)
     wv = 2 - weight(config, iv)
@@ -264,8 +261,8 @@ def bracket_terms(config: AlgebraConfig, iu: BasisIndex, iv: BasisIndex,
         alpha_sum = GroupElement(coords, vector)
         if k:
             add_term(terms, BasisIndex(alpha_sum, exps_sum), c * k)
-        if k0 and (lowered := exps_sum.lowered(0)) is not None:
-            add_term(terms, BasisIndex(alpha_sum, lowered), c * k0)
+        if k0:
+            add_term(terms, BasisIndex(alpha_sum, exps_sum.lowered(0)), c * k0)
     return terms
 
 
@@ -277,21 +274,22 @@ def bracket_support(config: AlgebraConfig, alpha_sum: GroupElement,
     Lemma: each index `bracket_terms` emits for such a pair is in this
     list, as the kernel's loop shows: per `config.pair_rows` row, the
     shifted sum with e, e−1_sq, e−1_sp or e−1_sp−1_sq for its active
-    families, and then (alpha_sum, e) and (alpha_sum, e−1_0), a lowered
-    vector of None dropped.  Only the coefficients depend on the pair.
-    So a functional difference that vanishes on this list vanishes on
-    the bracket of every pair with these sums."""
+    families, and then (alpha_sum, e) and (alpha_sum, e−1_0), each
+    lowered one only where e's entries are positive (the kernel's
+    coefficient for it is zero otherwise).  Only the coefficients depend
+    on the pair.  So a functional difference that vanishes on this list
+    vanishes on the bracket of every pair with these sums."""
     out = []
     for sp, sq, shift, fam_gg, fam_ge, fam_eg, fam_ee in config.pair_rows:
         shifted = alpha_sum.add(shift)
         if fam_gg:
             out.append(BasisIndex(shifted, exps_sum))
         for on, slots in ((fam_ge, (sq,)), (fam_eg, (sp,)), (fam_ee, (sp, sq))):
-            if on and (lowered := exps_sum.lowered(*slots)) is not None:
-                out.append(BasisIndex(shifted, lowered))
+            if on and all(exps_sum[s] for s in slots):
+                out.append(BasisIndex(shifted, exps_sum.lowered(*slots)))
     out.append(BasisIndex(alpha_sum, exps_sum))
-    if (lowered := exps_sum.lowered(0)) is not None:
-        out.append(BasisIndex(alpha_sum, lowered))
+    if exps_sum[0]:
+        out.append(BasisIndex(alpha_sum, exps_sum.lowered(0)))
     return out
 
 

@@ -15,8 +15,8 @@ from operator import add, sub
 
 from .indices import AlgebraConfig, ConfigError, ExponentVector
 from .algebra import (
-    COORD_BOUND, AlgebraElement, BasisIndex, CheckReport, bracket_closed,
-    bracket_support, bracket_terms, format_basis_index, sums_reaching,
+    COORD_BOUND, BasisIndex, CheckReport, bracket_support, bracket_terms,
+    format_basis_index, sums_reaching,
 )
 
 # one shared zero for every zero value; it is a Fraction, not int 0, so
@@ -25,7 +25,7 @@ _ZERO = Fraction(0)
 
 
 class Cocycle:
-    """Bilinear skew form given on basis pairs; extended bilinearly."""
+    """Bilinear skew form, given by its values on basis pairs."""
 
     __slots__ = ("config",)
 
@@ -35,38 +35,22 @@ class Cocycle:
     def on_basis(self, iu: BasisIndex, iv: BasisIndex) -> Fraction:
         raise NotImplementedError
 
-    def __call__(self, u: AlgebraElement, v: AlgebraElement) -> Fraction:
-        total = _ZERO
-        for iu, cu in u.terms.items():
-            for iv, cv in v.terms.items():
-                val = self.on_basis(iu, iv)
-                if val:
-                    total += cu * cv * val
-        return total
-
 
 class LinearFunctional:
-    """Finite table plus an optional memoized rule for off-table indices."""
+    """Finite table plus an optional rule for off-table indices; no memo."""
 
-    __slots__ = ("config", "table", "rule", "tag", "_memo")
+    __slots__ = ("config", "table", "rule", "tag")
 
     def __init__(self, config: AlgebraConfig, table=None, rule=None, tag="table"):
         self.config = config
         self.table = dict(table or {})
         self.rule = rule
         self.tag = tag
-        self._memo: dict[BasisIndex, Fraction] = {}
 
     def eval_basis(self, index: BasisIndex) -> Fraction:
         if index in self.table:
             return self.table[index]
-        if self.rule is None:
-            return _ZERO
-        out = self._memo.get(index)
-        if out is None:
-            out = self.rule(index)
-            self._memo[index] = out
-        return out
+        return _ZERO if self.rule is None else self.rule(index)
 
     def eval_terms(self, terms: dict) -> Fraction:
         total = _ZERO
@@ -149,8 +133,10 @@ class TableCocycle(Cocycle):
 
 def check_cocycle(psi: Cocycle, triples) -> tuple[CheckReport, CheckReport]:
     """Exact cocycle axioms: skew-symmetry on the distinct ordered pairs of
-    the triples, in first-seen order, and the three-term sum on each triple.
-    Skew failures are (a, b); sum failures are (iu, iv, iw, total)."""
+    the triples, in first-seen order, and the three-term sum
+    psi([u,v],w) + psi([v,w],u) + psi([w,u],v) on each triple, each term
+    summed over the kernel's bracket through `psi.on_basis`.  Skew
+    failures are (a, b); sum failures are (iu, iv, iw, total)."""
     config = psi.config
     triples = list(triples)
     pairs = dict.fromkeys(
@@ -160,12 +146,10 @@ def check_cocycle(psi: Cocycle, triples) -> tuple[CheckReport, CheckReport]:
         if psi.on_basis(a, a) != 0 or psi.on_basis(a, b) + psi.on_basis(b, a) != 0]
     sum_failures = []
     for iu, iv, iw in triples:
-        xu = AlgebraElement.from_term(config, iu)
-        xv = AlgebraElement.from_term(config, iv)
-        xw = AlgebraElement.from_term(config, iw)
-        total = (psi(bracket_closed(xu, xv), xw)
-                 + psi(bracket_closed(xv, xw), xu)
-                 + psi(bracket_closed(xw, xu), xv))
+        total = _ZERO
+        for a, b, c in ((iu, iv, iw), (iv, iw, iu), (iw, iu, iv)):
+            for r, k in bracket_terms(config, a, b).items():
+                total += k * psi.on_basis(r, c)
         if total != 0:
             sum_failures.append((iu, iv, iw, total))
     return CheckReport(len(pairs), skew_failures), CheckReport(len(triples), sum_failures)
@@ -309,19 +293,23 @@ def _bottom_up(f: LinearFunctional, step):
     """Rule for f from `step(b)`, a generator that yields each index whose
     value it needs, is sent that value, and returns f(b).  A value f does
     not know yet is worked out first, on an explicit stack rather than by
-    recursion, so a chain of lowered exponents evaluates bottom up."""
+    recursion, so a chain of lowered exponents evaluates bottom up.  The
+    rule memoizes what it works out, in its own closure: the memo lives
+    as long as f, and no other functional sees it."""
+    memo: dict[BasisIndex, Fraction] = {}
+
     def rule(b: BasisIndex) -> Fraction:
-        stack = [(b, step(b))]
-        value = None
+        value = memo.get(b)
+        stack = [] if value is not None else [(b, step(b))]
         while stack:
             index, gen = stack[-1]
             try:
                 need = gen.send(value)
             except StopIteration as done:
-                value = f._memo[index] = done.value
+                value = memo[index] = done.value
                 stack.pop()
                 continue
-            value = f.table.get(need, f._memo.get(need))
+            value = f.table.get(need, memo.get(need))
             if value is None:
                 stack.append((need, step(need)))
         return value

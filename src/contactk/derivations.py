@@ -21,7 +21,8 @@ from .algebra import (
 
 
 class LinearOperator:
-    """Basis rule extended linearly, with a descriptive tag and no memo."""
+    """Basis rule with a descriptive tag and no memo: `rule(index)` is the
+    image of one monomial as a fresh, zero-free `{BasisIndex: coeff}`."""
 
     __slots__ = ("config", "rule", "tag")
 
@@ -29,12 +30,6 @@ class LinearOperator:
         self.config = config
         self.rule = rule
         self.tag = tag
-
-    def __call__(self, u: AlgebraElement) -> AlgebraElement:
-        terms: dict[BasisIndex, Fraction] = {}
-        for idx, c in u.terms.items():
-            add_into(terms, self.rule(idx).terms, c)
-        return AlgebraElement(self.config, terms)
 
     @classmethod
     def combine(cls, config, parts) -> "LinearOperator":
@@ -44,8 +39,8 @@ class LinearOperator:
         def rule(index):
             terms: dict[BasisIndex, Fraction] = {}
             for s, op in parts:
-                add_into(terms, op.rule(index).terms, s)
-            return AlgebraElement(config, terms)
+                add_into(terms, op.rule(index), s)
+            return terms
 
         tag = " + ".join(f"{s}*({op.tag})" if s != 1 else op.tag for s, op in parts)
         return cls(config, rule, tag or "zero")
@@ -58,7 +53,7 @@ def ad(u: AlgebraElement) -> LinearOperator:
         terms: dict[BasisIndex, Fraction] = {}
         for iu, cu in u.terms.items():
             bracket_terms(config, iu, idx, cu, terms)
-        return AlgebraElement(config, terms)
+        return terms
 
     return LinearOperator(config, rule, f"ad {format_element(u)}")
 
@@ -100,11 +95,12 @@ class LatticeHom:
 
 
 def diagonal_derivation(hom: LatticeHom) -> LinearOperator:
-    config = hom.config
+    def rule(idx):
+        value = as_number(hom(idx.alpha))
+        return {idx: value} if value else {}
+
     return LinearOperator(
-        config,
-        lambda idx: AlgebraElement.from_term(config, idx, as_number(hom(idx.alpha))),
-        f"dmu {' '.join(str(v) for v in hom.values)}")
+        hom.config, rule, f"dmu {' '.join(str(v) for v in hom.values)}")
 
 
 def mirror_difference_hom(config: AlgebraConfig, p: int) -> LatticeHom:
@@ -135,25 +131,34 @@ def outer_lower_partial(config: AlgebraConfig, p: int) -> LinearOperator:
     if p not in outer_indices(config):
         raise ConfigError(
             f"lowering at index {config.shape.index_token(p)} is not an outer derivation")
-    return LinearOperator(
-        config,
-        lambda idx: lower_partial(p, AlgebraElement.from_term(config, idx)),
-        f"dt {config.shape.index_token(p)}")
+    s = config.shape.slot(p)
+
+    def rule(idx):
+        e = idx.exps[s]
+        return {BasisIndex(idx.alpha, idx.exps.lowered(s)): e} if e else {}
+
+    return LinearOperator(config, rule, f"dt {config.shape.index_token(p)}")
 
 
 def check_derivation(D: LinearOperator, pairs) -> CheckReport:
-    """Exact Leibniz check of D on basis pairs: D[u,v] = [Du,v] + [u,Dv]."""
+    """Exact Leibniz check of D on basis pairs: D[u,v] = [Du,v] + [u,Dv],
+    summed from kernel terms and D.rule; failures hold both as elements."""
     config = D.config
     failures = []
     checked = 0
     for iu, iv in pairs:
         checked += 1
-        xu = AlgebraElement.from_term(config, iu)
-        xv = AlgebraElement.from_term(config, iv)
-        lhs = D(bracket_closed(xu, xv))
-        rhs = bracket_closed(D(xu), xv) + bracket_closed(xu, D(xv))
+        lhs: dict[BasisIndex, Fraction] = {}
+        for r, c in bracket_terms(config, iu, iv).items():
+            add_into(lhs, D.rule(r), c)
+        rhs: dict[BasisIndex, Fraction] = {}
+        for r, c in D.rule(iu).items():
+            bracket_terms(config, r, iv, c, rhs)
+        for r, c in D.rule(iv).items():
+            bracket_terms(config, iu, r, c, rhs)
         if lhs != rhs:
-            failures.append((iu, iv, lhs, rhs))
+            failures.append(
+                (iu, iv, AlgebraElement(config, lhs), AlgebraElement(config, rhs)))
     return CheckReport(checked, failures)
 
 
@@ -359,7 +364,7 @@ class DerivationDecomposer:
         for w in self.window:
             if self.rank == ncols:
                 break
-            columns = [op.rule(w).terms for op in self._ops]
+            columns = [op.rule(w) for op in self._ops]
             columns += [bracket_terms(self.config, b, w) for b in self.inner_support]
             by_result: dict[BasisIndex, dict[int, Fraction]] = {}
             for ci, column in enumerate(columns):
@@ -384,7 +389,7 @@ class DerivationDecomposer:
 
         # the stored rows are reduced, so each pivot's coefficient is its
         # row's combination applied to the right-hand side (D once per w)
-        images = {w: D.rule(w).terms for w in {w for w, _r in self.metas}}
+        images = {w: D.rule(w) for w in {w for w, _r in self.metas}}
         rhs = [images[w].get(r, 0) for w, r in self.metas]
         solution = [0] * ncols
         for pc, _row, comb in self._echelon.rows:
@@ -397,10 +402,10 @@ class DerivationDecomposer:
         for w in self.window:
             total: dict[BasisIndex, Fraction] = {}
             for op, c in ops:
-                add_into(total, op.rule(w).terms, c)
+                add_into(total, op.rule(w), c)
             for b, c in inner.items():
                 bracket_terms(self.config, b, w, c, total)
-            expected = D.rule(w).terms
+            expected = D.rule(w)
             if total != expected:
                 witness = next(iter(add_into(total, expected, -1)))
                 raise ResidualError(w, witness)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .linalg import Echelon, as_number, exact_rational
+from .linalg import Echelon, as_number, exact_rational, plain
 
 
 class ConfigError(ValueError):
@@ -84,7 +84,7 @@ class Shape:
     def parse_index_token(self, tok: str) -> int:
         base = tok[:-3] if tok.endswith("bar") else tok
         try:
-            p = int(base)
+            p = int(plain(base))
         except ValueError:
             raise ConfigError(f"bad index token {tok!r}") from None
         if tok.endswith("bar"):
@@ -262,13 +262,12 @@ class ExponentVector(tuple):
     def add(self, other) -> "ExponentVector":
         return ExponentVector(map(operator.add, self, other))
 
-    def lowered(self, *slots) -> "ExponentVector | None":
-        """Subtract one at each given slot; None if any entry would go negative."""
+    def lowered(self, *slots) -> "ExponentVector":
+        """Subtract one at each given slot; every caller lowers only
+        positive entries."""
         entries = list(self)
         for s in slots:
             entries[s] -= 1
-            if entries[s] < 0:
-                return None
         return ExponentVector(entries)
 
     def raised(self, slot: int) -> "ExponentVector":
@@ -376,7 +375,7 @@ def parse_config_text(text: str) -> AlgebraConfig:
             if len(parts) != 6:
                 raise ConfigError(f"line {lineno}: ell needs six integers")
             try:
-                ell = [int(x) for x in parts]
+                ell = [int(plain(x)) for x in parts]
             except ValueError:
                 raise ConfigError(f"line {lineno}: ell needs six integers") from None
         elif key == "j0":

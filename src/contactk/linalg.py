@@ -29,11 +29,19 @@ def add_into(terms: dict, other, scale=1) -> dict:
     return terms
 
 
+def plain(text: str) -> str:
+    """`text`, or ValueError unless it is ASCII without `_` (`int` and
+    `Fraction` would also read `_` separators and non-ASCII digits)."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not plain ASCII digits: {text!r}")
+    return text
+
+
 def exact_rational(text: str) -> Fraction:
-    """Exact rational from text: an integer, a/b or a decimal; ValueError
-    otherwise.  Exponent notation is refused: a text as short as
-    1e999999999 would stand for an integer of any size."""
-    if "e" in text.lower():
+    """Exact rational from `plain` text: an integer, a/b or a decimal;
+    ValueError otherwise.  Exponent notation is refused: a text as short
+    as 1e999999999 would stand for an integer of any size."""
+    if "e" in plain(text).lower():
         raise ValueError(f"exponent notation in {text!r}")
     try:
         return Fraction(text)

@@ -24,7 +24,7 @@ from contactk import (
     outer_indices, run_suites, sample_index, structure_rows, trivialize,
     unit, window_indices, zero_slot_hom,
 )
-from contactk.algebra import scale_partial
+from contactk.algebra import bracket_terms, scale_partial
 from contactk.derivations import outer_lower_partial
 from contactk.linalg import as_number
 
@@ -328,11 +328,10 @@ def _bracket_rows(config, radius):
     position: dict = {}
     rows = []
     for i, iu in enumerate(window):
-        u = _term(config, iu)
         # unordered pairs suffice: both the coboundary of g and the
         # coboundary of the recovered f are skew by construction
         for iv in window[i + 1:]:
-            terms = bracket_closed(u, _term(config, iv)).terms
+            terms = bracket_terms(config, iu, iv)
             if terms:
                 assert all(c.denominator == 1 for c in terms.values())
                 rows.append(tuple((position.setdefault(r, len(position)), int(c))
@@ -407,7 +406,7 @@ def test_criterion_8_negative_controls(cfg_caseB):
 
     # (b) the grading half of the mixed operator alone breaks Leibniz
     D = LinearOperator(config, lambda idx: scale_partial(
-        1, _term(config, idx)), "scale 1")
+        1, _term(config, idx)).terms, "scale 1")
     dreport = check_derivation(D, _pairs(config, 1080, 80))
     assert not dreport.passed and dreport.failures
 

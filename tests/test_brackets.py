@@ -149,8 +149,10 @@ def test_nested_exponent_eigenvalue(cfg_l6n):
         assert nested == (-4 * (idx.exps[sp] + 1) * idx.exps[spb]) * v
 
 
-def test_dropped_terms_match_across_routes(cfg_l5):
-    # exponent lowering below zero silently removes the term in both routes
+def test_lowering_terms_match_across_routes(cfg_l5):
+    # both pair members lower exponents at slots where the other has none;
+    # each lowered term has a coefficient of zero unless its entry of the
+    # sum is positive, so both routes give the same nonempty bracket
     u = parse_element(cfg_l5, "1*x[0,1,0]t[0,1,0]")
     v = parse_element(cfg_l5, "1*x[0,-1,0]t[0,0,1]")
     b = bracket_closed(u, v)
@@ -248,7 +250,7 @@ def test_bracket_terms_adds_into_the_given_dict(all_configs, cfg_l5):
                 c = Fraction(rng.choice([-3, -1, 1, 2]), rng.randrange(1, 4))
                 iu, iv = sample_index(config, rng), sample_index(config, rng)
                 yield config, iu, iv, c, rng
-        # the pair of `test_dropped_terms_match_across_routes`
+        # the pair of `test_lowering_terms_match_across_routes`
         u = parse_element(cfg_l5, "1*x[0,1,0]t[0,1,0]")
         v = parse_element(cfg_l5, "1*x[0,-1,0]t[0,0,1]")
         yield cfg_l5, next(iter(u.terms)), next(iter(v.terms)), 1, random.Random(38)
@@ -299,6 +301,22 @@ def test_both_routes_stay_in_the_bracket_support(all_configs, support_kind):
                 if not oracle.keys() <= mutant or not closed.keys() <= mutant:
                     killed[kind] = killed.get(kind, 0) + 1
     assert len(killed) == 6, killed
+
+
+def test_bracket_support_lists_no_negative_exponent(all_configs):
+    # bracket_support lowers an entry of the exponent sum only where it
+    # is positive: every index it lists, for every index sum of two
+    # radius-1 window indices of each golden config, has nonnegative
+    # exponents
+    for name, config in all_configs.items():
+        if name == "mixed":
+            continue
+        window = window_indices(config, 1)
+        sums = {(iu.alpha.add(iv.alpha), iu.exps.add(iv.exps))
+                for iu, iv in itertools.combinations_with_replacement(window, 2)}
+        for alpha_sum, exps_sum in sums:
+            listed = bracket_support(config, alpha_sum, exps_sum)
+            assert all(e >= 0 for r in listed for e in r.exps), (name, exps_sum)
 
 
 def test_sums_reaching_inverts_the_bracket_support(all_configs):

@@ -370,10 +370,11 @@ def test_functional_file_bad_value(capsys, l2_path, tmp_path):
     assert f"error: bad rational in the value at {func}:1" in err
 
 
-@pytest.mark.parametrize("value", ["1e3", "1E3", "2e-1", "1e999999999"])
+@pytest.mark.parametrize("value", ["1e3", "1E3", "2e-1", "1e999999999", "1_0", "\u0661"])
 def test_exponent_notation_is_refused(capsys, l2_path, tmp_path, value):
     # a few characters of exponent notation could stand for an integer of
-    # any size, so a value in it is a bad rational, like any malformed one
+    # any size, so a value in it is a bad rational, like any malformed one;
+    # so is one with `_` or a non-ASCII digit, which Fraction would read
     func = tmp_path / "g.txt"
     func.write_text(f"x[0,1,1] {value}\n")
     code, out, err = run(capsys, [
@@ -385,7 +386,8 @@ def test_exponent_notation_is_refused(capsys, l2_path, tmp_path, value):
     assert code == 2 and err == "error: bad rational in x[...]\n"
 
 
-@pytest.mark.parametrize("value", ["1e-400", "1E3", "2e-1", "1e999999999", "1/0"])
+@pytest.mark.parametrize(
+    "value", ["1e-400", "1E3", "2e-1", "1e999999999", "1/0", "1_0", "\u0661"])
 def test_gamma_lines_take_the_literal_rational_rule(capsys, tmp_path, value):
     # config files and literals read rationals by one rule
     cfg = tmp_path / "l6n.cfg"
@@ -393,6 +395,45 @@ def test_gamma_lines_take_the_literal_rational_rule(capsys, tmp_path, value):
     code, out, err = run(capsys, ["check-config", "--config", str(cfg)])
     assert (code, out) == (2, "")
     assert err == "error: line 3: bad rational in gamma line\n"
+
+
+@pytest.mark.parametrize("digits", ["\u0661", "1_0"])
+@pytest.mark.parametrize("where", ["term", "index token", "scalar", "ell"])
+def test_numbers_in_text_are_ascii(capsys, l2_path, tmp_path, where, digits):
+    # int and Fraction also read non-ASCII digits (U+0661 is the
+    # Arabic-Indic one) and `_` separators; every number contactk reads
+    # from text is refused with its usual error unless written in ASCII
+    # (entries and file values: `test_exponent_notation_is_refused`).  A
+    # term's coefficient and an operator's scalar must match a pattern
+    # first, which refuses `_` but lets any Unicode digit through
+    cfg = tmp_path / "ell.cfg"
+    cfg.write_text(f"ell: {digits} 0 0 0 0 0\nj0: zero\n"
+                   "gamma: 1 0 0\ngamma: 0 1 0\ngamma: 0 0 1\n")
+    argv, err = {
+        "term": (["bracket", "--config", l2_path, f"{digits}*x[0,1,1]", "1*x[0,0,1]"],
+                 f"bad rational in term '{digits}*x[0,1,1]'" if digits != "1_0"
+                 else "cannot parse term '1_0*x[0,1,1]'"),
+        "index token": (["deriv", "check", "--config", l2_path, f"--op=dt {digits}bar"],
+                        f"bad index token '{digits}bar'"),
+        "scalar": (["deriv", "check", "--config", l2_path, f"--op={digits} dt 1bar"],
+                   "bad rational in operator scalar" if digits != "1_0"
+                   else "cannot parse operator term '1_0 dt 1bar'"),
+        "ell": (["check-config", "--config", str(cfg)], "line 1: ell needs six integers"),
+    }[where]
+    code, out, got = run(capsys, argv)
+    assert (code, out, got) == (2, "", f"error: {err}\n")
+
+
+def test_ascii_rationals_keep_their_forms(capsys, l2_path, tmp_path):
+    # a sign, a bare decimal point on either side, and a/b still parse
+    func = tmp_path / "g.txt"
+    func.write_text("x[0,1,1] +2\nx[0,1,0] .5\nx[0,0,1] 5.\nx[0,-1,0] -3/4\n")
+    config = load_config(l2_path)
+    assert sorted(load_functional(config, str(func)).table.values()) == [
+        Fraction(-3, 4), Fraction(1, 2), 2, 5]
+    code, out, _ = run(capsys, [
+        "cocycle", "check", "--config", l2_path, "--coboundary", str(func)])
+    assert code == 0 and out.startswith("PASS cocycle-axioms")
 
 
 def test_cocycle_requires_a_source(capsys, caseb_path):
@@ -425,7 +466,7 @@ def test_integral_values_are_int_and_no_float_appears(capsys, l2_path, tmp_path)
     window = window_indices(config, 1)
     for spec, kind, value in [("3 dt 1bar", int, 3), ("3/2 dt 1bar", Fraction, Fraction(3, 2))]:
         op = parse_operator_spec(config, spec)
-        actions = [c for w in window for c in op.rule(w).terms.values()]
+        actions = [c for w in window for c in op.rule(w).values()]
         assert actions and all(type(c) is kind and c == value for c in actions)
 
     # file values stay Fraction even when integral

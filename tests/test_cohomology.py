@@ -16,7 +16,7 @@ from contactk import (
     verify_trivialization, window_indices,
 )
 from contactk.algebra import bracket_terms
-from contactk.cohomology import pair_reaching
+from contactk.cohomology import pair_reaching, targeted_triples
 
 
 def random_functional(config, rng, support_size=6):
@@ -38,11 +38,69 @@ def test_coboundary_pinned_value(cfg_caseB):
     shift_inv = parse_basis_index(cfg_caseB, "x[0,1,1]")
     f = LinearFunctional(cfg_caseB, table={shift_inv: Fraction(1)}, tag="ind")
     psi = coboundary(f)
-    a = basis_element(cfg_caseB, (0, 2, 0))
-    b = basis_element(cfg_caseB, (0, 0, 2))
-    assert psi(a, b) == 4
-    assert psi(b, a) == -4
-    assert psi(a, a) == 0
+    a = parse_basis_index(cfg_caseB, "x[0,2,0]")
+    b = parse_basis_index(cfg_caseB, "x[0,0,2]")
+    assert psi.on_basis(a, b) == 4
+    assert psi.on_basis(b, a) == -4
+    assert psi.on_basis(a, a) == 0
+
+
+def _bilinear(psi, u, v):
+    """psi extended bilinearly to elements: the reference that
+    check_cocycle's sums over the kernel's bracket must agree with."""
+    total = Fraction(0)
+    for iu, cu in u.terms.items():
+        for iv, cv in v.terms.items():
+            val = psi.on_basis(iu, iv)
+            if val:
+                total += cu * cv * val
+    return total
+
+
+def _reference_check(psi, triples):
+    """(skew failures, sum failures) of check_cocycle, computed through
+    elements: the bilinear form of bracket_closed brackets."""
+    config = psi.config
+    pairs = dict.fromkeys(
+        pair for iu, iv, iw in triples for pair in ((iu, iv), (iv, iw), (iu, iw)))
+    skew = [(a, b) for a, b in pairs
+            if psi.on_basis(a, a) != 0 or psi.on_basis(a, b) + psi.on_basis(b, a) != 0]
+    sums = []
+    for iu, iv, iw in triples:
+        xu, xv, xw = (AlgebraElement.from_term(config, i) for i in (iu, iv, iw))
+        total = (_bilinear(psi, bracket_closed(xu, xv), xw)
+                 + _bilinear(psi, bracket_closed(xv, xw), xu)
+                 + _bilinear(psi, bracket_closed(xw, xu), xv))
+        if total != 0:
+            sums.append((iu, iv, iw, total))
+    return skew, sums
+
+
+def test_check_cocycle_matches_the_bilinear_reference(cfg_caseB, cfg_l2):
+    # criterion 8's table with its 300 triples, and the README's l2 form
+    # with the triples `cocycle check` draws at its defaults: the same
+    # failures, in the same order, with the same totals and their types
+    rng = random.Random(108)
+    window = window_indices(cfg_caseB, 1)
+    entries = {}
+    for _ in range(40):
+        a, b = rng.sample(window, 2)
+        if (b, a) not in entries:
+            entries[(a, b)] = Fraction(rng.randrange(1, 6))
+    cases = [(TableCocycle(cfg_caseB, entries),
+              [tuple(rng.choice(window) for _ in range(3)) for _ in range(300)])]
+    pair = (parse_basis_index(cfg_l2, "x[0,0,-1]t[0,0,1]"),
+            parse_basis_index(cfg_l2, "x[0,-1,1]"))
+    form = TableCocycle(cfg_l2, {pair: Fraction(3, 2)})
+    rng = random.Random(0)
+    triples = [tuple(sample_index(cfg_l2, rng) for _ in range(3)) for _ in range(50)]
+    cases.append((form, triples + targeted_triples(form, rng, 50)))
+    for psi, triples in cases:
+        skew, sums = check_cocycle(psi, triples)
+        ref_skew, ref_sums = _reference_check(psi, triples)
+        assert skew.failures == ref_skew
+        assert sums.failures == ref_sums and sums.failures
+        assert [type(t) for *_, t in sums.failures] == [type(t) for *_, t in ref_sums]
 
 
 def test_coboundaries_pass_the_checker(all_configs):
@@ -445,6 +503,14 @@ def test_table_reach_skip_changes_no_value(all_configs, cfg_decomp, kernel_calls
         assert skipped and nonzero, (name, skipped, nonzero)
 
 
+def _recording(rule, touched):
+    """`rule`, adding each index it is called on to `touched`."""
+    def recorded(index):
+        touched.add(index)
+        return rule(index)
+    return recorded
+
+
 def test_trivializers_agree_with_and_without_the_skip(all_configs, cfg_decomp):
     # the trivializers read psi one basis pair at a time; a table g takes
     # the table-reach skip, and the same table with a zero rule takes the
@@ -457,6 +523,7 @@ def test_trivializers_agree_with_and_without_the_skip(all_configs, cfg_decomp):
         probes = [None] if closed_form_regime(config) else recursion_probes(config)
         for probe in probes:
             fs = []
+            touched = set()
             for h in (g, ruled):
                 psi = coboundary(h)
                 assert (psi._reach is None) == (h is ruled)
@@ -464,11 +531,11 @@ def test_trivializers_agree_with_and_without_the_skip(all_configs, cfg_decomp):
                     f = trivialize_closed_form(psi)
                 else:
                     f = trivialize_recursive(psi, probe)
+                f.rule = _recording(f.rule, touched)
                 report = verify_trivialization(psi, f, pairs)
                 assert report.passed, (name, probe, report.failures[:1])
                 fs.append(f)
             plain, unskipped = fs
-            touched = {*plain._memo, *unskipped._memo}
             if name != "mixed":
                 touched.update(window_indices(config, 1))
             values = [(plain.eval_basis(i), unskipped.eval_basis(i)) for i in touched]
@@ -478,3 +545,22 @@ def test_trivializers_agree_with_and_without_the_skip(all_configs, cfg_decomp):
     # l2, l3, l5 and decomp take probes 1 and 0, l4 and l6n probe 0, mixed
     # probes 2, 3, 5 and 0, caseB the closed form; l6z has no route
     assert routes == 15
+
+
+@pytest.mark.parametrize("name, probe", [
+    ("cfg_l2", 1), ("cfg_l2", 0), ("cfg_l5", 1), ("cfg_l6n", 0)])
+def test_recursion_memo_belongs_to_one_functional(request, name, probe):
+    # two coboundaries on one config, trivialized by the same probe and
+    # evaluated in turn: each f equals its own g on the window (these
+    # algebras are perfect), so no value computed for one functional is
+    # read by another.  The functionals themselves keep no memo
+    config = request.getfixturevalue(name)
+    window = window_indices(config, 2)
+    rng = random.Random(101)
+    gs = [LinearFunctional(config, tag="g", table={
+        i: Fraction(rng.choice([-3, -1, 2, 5]), rng.randrange(1, 4))
+        for i in rng.sample(window, 8)}) for _ in range(2)]
+    fs = [trivialize_recursive(coboundary(g), probe) for g in gs]
+    for f, g in zip(fs, gs):
+        assert [f.eval_basis(i) for i in window] == [g.eval_basis(i) for i in window]
+        assert not hasattr(f, "_memo")

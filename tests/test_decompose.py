@@ -15,6 +15,7 @@ from contactk import (
 )
 from contactk.algebra import scale_partial
 from contactk.derivations import outer_lower_partial
+from contactk.linalg import add_into
 
 
 @pytest.fixture(scope="module")
@@ -107,7 +108,7 @@ def test_residual_error_for_out_of_support_inner(cfg_decomp, decomposer):
 
 def test_residual_error_for_non_derivation(cfg_decomp, decomposer):
     D = LinearOperator(cfg_decomp, lambda idx: scale_partial(
-        1, AlgebraElement.from_term(cfg_decomp, idx, 1)), "scale 1")
+        1, AlgebraElement.from_term(cfg_decomp, idx, 1)).terms, "scale 1")
     with pytest.raises(ResidualError):
         decomposer.decompose(D)
 
@@ -155,7 +156,7 @@ def test_sweep_checks_indices_the_factorization_never_visits(cfg_decomp, decompo
 
     def rule(idx):
         image = base.rule(idx)
-        return image + AlgebraElement.from_term(cfg_decomp, last) if idx == last else image
+        return add_into(image, {last: 1}) if idx == last else image
 
     D = LinearOperator(cfg_decomp, rule, "ad x[0,1,0], off at one index")
     assert decomposer.decompose(base).inner == basis_element(cfg_decomp, (0, 1, 0))

@@ -15,7 +15,8 @@ from contactk import (
     mirror_difference_hom, outer_indices, outer_lower_partial, parse_element,
     probe_sets, sample_index, unit, window_indices, window_size, zero_slot_hom,
 )
-from contactk.algebra import sample_element, scale_partial
+from contactk.algebra import lower_partial, sample_element, scale_partial
+from contactk.linalg import add_into
 
 
 def _pairs(config, seed, count):
@@ -30,7 +31,8 @@ def test_mirror_difference_hom_values(cfg_caseB):
             for c in ((1, 0, 0), (0, 1, 0), (0, 0, 1))] == [0, -1, 1]
     d = diagonal_derivation(mu)
     u = basis_element(cfg_caseB, (0, 2, 0))
-    assert format_element(d(u)) == "-2*x[0,2,0]"
+    (i,) = u.terms
+    assert format_element(AlgebraElement(cfg_caseB, d.rule(i))) == "-2*x[0,2,0]"
 
 
 def test_diagonal_actions_are_int_when_integral(cfg_caseB, cfg_decomp):
@@ -40,12 +42,12 @@ def test_diagonal_actions_are_int_when_integral(cfg_caseB, cfg_decomp):
     for mu in hom_star_basis(cfg_decomp) + hom_space_basis(cfg_decomp):
         assert all(type(v) is Fraction for v in mu.values)
         d = diagonal_derivation(mu)
-        actions = [(w, c) for w in window for c in d.rule(w).terms.values()]
+        actions = [(w, c) for w in window for c in d.rule(w).values()]
         assert actions and all(type(c) is int and c == mu(w.alpha) for w, c in actions)
     mu = LatticeHom(cfg_caseB, [Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2)])
     half = diagonal_derivation(mu)
     actions = [c for w in window_indices(cfg_caseB, 1)
-               for c in half.rule(w).terms.values()]
+               for c in half.rule(w).values()]
     assert {type(c) for c in actions} == {int, Fraction}
     assert all(type(c) is int for c in actions if c.denominator == 1)
 
@@ -102,7 +104,7 @@ def test_ad_rule_equals_the_closed_bracket(all_configs):
         D = ad(u)
         for i in rng.sample(window, 40):
             want = bracket_closed(u, AlgebraElement.from_term(config, i)).terms
-            got = D.rule(i).terms
+            got = D.rule(i)
             assert list(got.items()) == list(want.items())
             assert [type(c) for c in got.values()] == [type(c) for c in want.values()]
 
@@ -129,7 +131,7 @@ def test_diagonal_and_outer_are_derivations(all_configs):
 
 def test_scale_partial_alone_is_not_a_derivation(cfg_caseB):
     D = LinearOperator(cfg_caseB, lambda idx: scale_partial(
-        1, AlgebraElement.from_term(cfg_caseB, idx, 1)), "scale 1")
+        1, AlgebraElement.from_term(cfg_caseB, idx, 1)).terms, "scale 1")
     report = check_derivation(D, _pairs(cfg_caseB, 35, 60))
     assert not report.passed
     iu, iv, lhs, rhs = report.failures[0]
@@ -177,8 +179,7 @@ def test_unit_adjoint_constants(cfg_l2, cfg_caseB):
 
 
 def _lower0(config, idx):
-    from contactk.algebra import lower_partial
-    return lower_partial(0, AlgebraElement.from_term(config, idx, 1))
+    return lower_partial(0, AlgebraElement.from_term(config, idx, 1)).terms
 
 
 def test_probe_sets_caseB(cfg_caseB):
@@ -266,10 +267,67 @@ def test_in_place_sums_leave_operands_unchanged_and_images_fresh(cfg_l3):
     C = LinearOperator.combine(cfg_l3, [(2, D), (Fraction(-1, 3), outer)])
     assert not any(hasattr(op, "_memo") for op in (D, outer, C))
     for op in (D, outer, C):
-        first, second = op(u), op(u)
-        assert first == second and first.terms is not second.terms
         for idx in u.terms:
             a, b = op.rule(idx), op.rule(idx)
-            assert a == b and a.terms is not b.terms
+            assert a == b and a is not b
         assert u.terms == u_terms and v.terms == v_terms
-    assert C(u) == 2 * D(u) + Fraction(-1, 3) * outer(u)
+    for idx in u.terms:
+        want = add_into(add_into({}, D.rule(idx), 2), outer.rule(idx), Fraction(-1, 3))
+        assert C.rule(idx) == want
+
+
+def _element_route(kind, config, idx):
+    """The image of one basis monomial by the element route that each
+    operator kind's rule stands for, as a terms dict."""
+    x = AlgebraElement.from_term(config, idx)
+    name, arg = kind
+    if name == "ad":
+        return bracket_closed(arg, x).terms
+    if name == "dmu":
+        return (arg(idx.alpha) * x).terms
+    if name == "dt":
+        return lower_partial(arg, x).terms
+    total = AlgebraElement.zero(config)
+    for s, part in arg:
+        total = total + s * AlgebraElement(config, _element_route(part, config, idx))
+    return total.terms
+
+
+def test_each_rule_returns_a_fresh_zero_free_dict_equal_to_its_element_route(
+        all_configs, cfg_decomp):
+    # ad is the closed bracket, dmu the hom's scaling, dt lower_partial,
+    # combine and a parsed spec the scaled sum of their parts; every call
+    # returns a new dict with no zero value, on 20 drawn indices and the
+    # radius-1 window (100 drawn indices on mixed)
+    from contactk.cli import parse_operator_spec
+    seen = set()
+    for name, config in {**all_configs, "decomp": cfg_decomp}.items():
+        rng = random.Random(59)
+        indices = [sample_index(config, rng) for _ in range(100 if name == "mixed" else 20)]
+        if name != "mixed":
+            indices += window_indices(config, 1)
+        u = sample_element(config, rng)
+        outer = outer_indices(config)
+        parts = [(("ad", u), ad(u))]
+        parts += [(("dmu", mu), diagonal_derivation(mu)) for mu in hom_space_basis(config)[-1:]]
+        parts += [(("dt", p), outer_lower_partial(config, p)) for p in outer]
+        scalars = [Fraction(rng.choice([-3, -1, 2, 5]), rng.randrange(1, 3)) for _ in parts]
+        combined = LinearOperator.combine(
+            config, [(s, op) for s, (_, op) in zip(scalars, parts)])
+        spec = " + ".join([f"2 dt {config.shape.index_token(p)}" for p in outer]
+                          + [f"-1 ad {format_element(u)}"])
+        cases = parts + [
+            (("combine", [(s, kind) for s, (kind, _) in zip(scalars, parts)]), combined),
+            (("combine", [(2, ("dt", p)) for p in outer] + [(-1, ("ad", u))]),
+             parse_operator_spec(config, spec)),
+        ]
+        for kind, op in cases:
+            images = 0
+            for idx in indices:
+                got = op.rule(idx)
+                assert got is not op.rule(idx) and all(got.values()), (name, op.tag)
+                assert got == _element_route(kind, config, idx), (name, op.tag, idx)
+                images += bool(got)
+            assert images, (name, op.tag)
+            seen.add(kind[0])
+    assert seen == {"ad", "dmu", "dt", "combine"}
