@@ -269,45 +269,33 @@ def bracket_terms(config: AlgebraConfig, iu: BasisIndex, iv: BasisIndex,
 def bracket_support(config: AlgebraConfig, alpha_sum: GroupElement,
                     exps_sum: ExponentVector) -> list[BasisIndex]:
     """Every index a bracket [x^α t^i, x^β t^j] can have, from the sums
-    alpha_sum = α+β and exps_sum = e = i+j alone (at most 4n+2 of them).
+    alpha_sum = α+β and exps_sum = e = i+j alone.
 
-    Lemma: each index `bracket_terms` emits for such a pair is in this
-    list, as the kernel's loop shows: per `config.pair_rows` row, the
-    shifted sum with e, e−1_sq, e−1_sp or e−1_sp−1_sq for its active
-    families, and then (alpha_sum, e) and (alpha_sum, e−1_0), each
-    lowered one only where e's entries are positive (the kernel's
-    coefficient for it is zero otherwise).  Only the coefficients depend
-    on the pair.  So a functional difference that vanishes on this list
+    Lemma: each index `bracket_terms` emits for such a pair is
+    (alpha_sum + shift, e lowered at slots) for a (shift, slots) of
+    `config.bracket_shapes` with e positive at those slots (the kernel's
+    coefficient is zero otherwise), and each shape is emitted for some
+    pair.  So a functional difference that vanishes on this list
     vanishes on the bracket of every pair with these sums."""
     out = []
-    for sp, sq, shift, fam_gg, fam_ge, fam_eg, fam_ee in config.pair_rows:
+    for shift, shapes in config.bracket_shapes:
         shifted = alpha_sum.add(shift)
-        if fam_gg:
-            out.append(BasisIndex(shifted, exps_sum))
-        for on, slots in ((fam_ge, (sq,)), (fam_eg, (sp,)), (fam_ee, (sp, sq))):
-            if on and all(exps_sum[s] for s in slots):
+        for slots in shapes:
+            if all(map(exps_sum.__getitem__, slots)):
                 out.append(BasisIndex(shifted, exps_sum.lowered(*slots)))
-    out.append(BasisIndex(alpha_sum, exps_sum))
-    if exps_sum[0]:
-        out.append(BasisIndex(alpha_sum, exps_sum.lowered(0)))
     return out
 
 
 def sums_reaching(config: AlgebraConfig, index: BasisIndex) -> list[tuple]:
     """Keys `(*coords, *exps)` of every index sum whose `bracket_support`
-    contains `index`: that lemma inverted family by family.  Per pair row
-    the sum is alpha − shift with e, e+1_sq, e+1_sp or e+1_sp+1_sq for its
-    active families; then alpha itself with e and e+1_0.  A key raised at
-    a slot that holds no exponents belongs to no valid sum; it may stay,
-    since the list need only hold every sum that reaches `index`."""
+    contains `index`: that lemma inverted, (alpha − shift, e raised at
+    slots) per entry of `config.bracket_shapes`.  Every raised slot holds
+    exponents, so each key is a valid sum."""
     coords, e = index.alpha.coords, index.exps
-    out = [(*coords, *e), (*coords, *e.raised(0))]
-    for sp, sq, shift, fam_gg, fam_ge, fam_eg, fam_ee in config.pair_rows:
+    out = []
+    for shift, shapes in config.bracket_shapes:
         base = tuple(map(sub, coords, shift.coords))
-        for on, exps in ((fam_gg, e), (fam_ge, e.raised(sq)),
-                         (fam_eg, e.raised(sp)), (fam_ee, e.raised(sp).raised(sq))):
-            if on:
-                out.append((*base, *exps))
+        out += [(*base, *e.raised(*slots)) for slots in shapes]
     return out
 
 

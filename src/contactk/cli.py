@@ -283,7 +283,7 @@ def cmd_cocycle_check(args) -> int:
 def cmd_cocycle_trivialize(args) -> int:
     config = load_config(args.config)
     psi = load_cocycle(config, args)
-    probe = config.shape.parse_index_token(args.probe) if args.probe else None
+    probe = None if args.probe is None else config.shape.parse_index_token(args.probe)
     check_pair_cap(config, args.radius, ordered=False)
     functional = trivialize(psi, probe)
     window = window_indices(config, args.radius)

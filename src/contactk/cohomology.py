@@ -156,14 +156,12 @@ def check_cocycle(psi: Cocycle, triples) -> tuple[CheckReport, CheckReport]:
 
 
 def pair_reaching(config: AlgebraConfig, index: BasisIndex, rng) -> tuple:
-    """A seeded pair (u, v) whose index sum is a valid key drawn from
+    """A seeded pair (u, v) whose index sum is a key drawn from
     `sums_reaching(config, index)`, so that [u, v] can have a term at
     `index`.  u has coordinates in the sampling box and exponents at most
     the sum's; v is the sum less u."""
     ngens = len(config.lattice.generators)
-    sums = [key for key in sums_reaching(config, index)
-            if all(s in config.exp_slots for s, e in enumerate(key[ngens:]) if e)]
-    key = rng.choice(sums)
+    key = rng.choice(sums_reaching(config, index))
     coords, exps = key[:ngens], key[ngens:]
     u_coords = [rng.randint(-COORD_BOUND, COORD_BOUND) for _ in range(ngens)]
     u_exps = [rng.randint(0, e) for e in exps]
@@ -232,7 +230,8 @@ def trivialize_recursive(psi: Cocycle, probe: int) -> LinearFunctional:
     if closed_form_regime(config):
         raise ConfigError("recursive trivializer needs exponents or a later block")
     if probe not in recursion_probes(config):
-        raise ConfigError(f"invalid probe index {probe} for this configuration")
+        raise ConfigError(f"invalid probe index {shape.index_token(probe)} "
+                          "for this configuration")
     w = _probe_index(config, probe)
     tag = f"probe {shape.index_token(probe)}"
 
@@ -388,14 +387,14 @@ def trivialize_closed_form(psi: Cocycle) -> LinearFunctional:
 
 
 def trivialize(psi: Cocycle, probe: int | None = None) -> LinearFunctional:
-    """Route to the applicable trivializer; pick a default probe if needed."""
+    """Recurse on the given probe; without one, route automatically."""
     config = psi.config
-    if closed_form_regime(config):
-        return trivialize_closed_form(psi)
-    probes = recursion_probes(config)
-    if not probes:
-        raise ConfigError("no trivializer route for this configuration")
     if probe is None:
+        if closed_form_regime(config):
+            return trivialize_closed_form(psi)
+        probes = recursion_probes(config)
+        if not probes:
+            raise ConfigError("no trivializer route for this configuration")
         probe = probes[0]
     return trivialize_recursive(psi, probe)
 

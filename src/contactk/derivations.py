@@ -226,7 +226,7 @@ def probe_sets(config: AlgebraConfig) -> ProbeSets:
     diagonal = [negative_shift(p) for p in shape.blocks(1, 1)]
     diagonal += [negative_shift_raised(q) for q in shape.blocks(4, 4)]
     for r in shape.blocks(6, 6):
-        exps = zero.raised(shape.slot(r)).raised(shape.slot(r + shape.n))
+        exps = zero.raised(shape.slot(r), shape.slot(r + shape.n))
         diagonal.append(AlgebraElement.from_term(
             config, BasisIndex(lattice.zero, exps)))
     if not config.j0_naturals:

@@ -263,16 +263,20 @@ class ExponentVector(tuple):
         return ExponentVector(map(operator.add, self, other))
 
     def lowered(self, *slots) -> "ExponentVector":
-        """Subtract one at each given slot; every caller lowers only
-        positive entries."""
+        """Subtract one at each given slot (self for none); every caller
+        lowers only positive entries."""
+        if not slots:
+            return self
         entries = list(self)
         for s in slots:
             entries[s] -= 1
         return ExponentVector(entries)
 
-    def raised(self, slot: int) -> "ExponentVector":
+    def raised(self, *slots) -> "ExponentVector":
+        """Add one at each given slot."""
         entries = list(self)
-        entries[slot] += 1
+        for s in slots:
+            entries[s] += 1
         return ExponentVector(entries)
 
 
@@ -283,7 +287,7 @@ class AlgebraConfig:
         "shape", "lattice", "j0_naturals",
         "exp_slots", "shift_coords",
         "weight_group_slots", "weight_exp_slots",
-        "pair_rows", "zero_exps",
+        "pair_rows", "bracket_shapes", "zero_exps",
     )
 
     def __init__(self, shape: Shape, lattice: Lattice, j0_naturals: bool):
@@ -324,20 +328,27 @@ class AlgebraConfig:
 
         # per-index data consumed by the closed bracket: for each unbarred
         # index p, its slot, the mirror slot, the shift coordinates, and
-        # which term families p participates in
+        # which term families p participates in.  Alongside, by shift, the
+        # slots each term the kernel can emit lowers: the unshifted sum (its
+        # coefficient reads lattice slot 0), the sum lowered at slot 0, then
+        # each row's active families in the kernel's order
         rows = []
+        shapes = [(self.shift_coords[0],
+                   ((),) * lattice.has_zero_slot + ((0,),) * j0_naturals)]
         for p in shape.blocks(1, 6):
             b = shape.block_of(p)
-            rows.append((
-                shape.slot(p),
-                shape.slot(p + n),
-                self.shift_coords[p],
+            sp, sq = shape.slot(p), shape.slot(p + n)
+            families = (
                 b <= 3,            # group-group family
                 2 <= b <= 5,       # group-exponent family
                 b == 3,            # exponent-group family
                 b in (3, 5, 6),    # exponent-exponent family
-            ))
+            )
+            rows.append((sp, sq, self.shift_coords[p], *families))
+            shapes.append((self.shift_coords[p], tuple(
+                s for on, s in zip(families, ((), (sq,), (sp,), (sp, sq))) if on)))
         self.pair_rows = tuple(rows)
+        self.bracket_shapes = tuple(shapes)
         self.zero_exps = ExponentVector((0,) * shape.dim)
 
     def weight(self, alpha: GroupElement, exps) -> Fraction | int:

@@ -1,4 +1,4 @@
-"""Shared configuration fixtures, and a classifier of bracket indices.
+"""Shared configuration fixtures, and the bracket shape of an index.
 
 One configuration per active block, a mixed configuration touching all
 six blocks, and a wider lattice for decomposition tests.  Session scope:
@@ -8,6 +8,8 @@ this), and construction re-solves lattice pivots.
 """
 
 from __future__ import annotations
+
+from operator import sub
 
 import pytest
 
@@ -85,24 +87,26 @@ def all_configs(cfg_caseB, cfg_l2, cfg_l3, cfg_l4, cfg_l5, cfg_l6z,
     }
 
 
-def _support_kind(r, alpha_sum, exps_sum):
-    """Which of the six candidate kinds of `algebra.bracket_support` a
-    bracket index r of a pair with sums (alpha_sum, exps_sum) is: a pair
-    row's shifted sum with e, e-1_sq, e-1_sp or e-1_sp-1_sq (the four term
-    families), or the unshifted sum with e or e-1_0.  It is read off r
-    itself: which exponent slots it lowers, and whether its group part
-    moved.  Unbarred slots are odd, mirror slots even; only block 6,
-    whose shift is zero, lowers two slots without moving."""
-    lowered = [s for s, (a, b) in enumerate(zip(exps_sum, r.exps)) if a != b]
-    if len(lowered) == 2:
-        return "exponent-exponent"
-    if r.alpha == alpha_sum:
-        return {(): "sum", (0,): "sum lowered at 0"}[tuple(lowered)]
-    if not lowered:
-        return "group-group"
-    return "exponent-group" if lowered[0] % 2 else "group-exponent"
+def _bracket_shape(r, alpha_sum, exps_sum):
+    """The shape of a bracket index r of a pair with sums (alpha_sum,
+    exps_sum), to be looked up in `table_shapes`: r's move from
+    alpha_sum, and the slots where r lowers exps_sum."""
+    return (tuple(map(sub, r.alpha.coords, alpha_sum.coords)),
+            tuple(s for s, (a, b) in enumerate(zip(exps_sum, r.exps)) if a != b))
+
+
+def table_shapes(config) -> set:
+    """Every entry of `config.bracket_shapes` as (shift coordinates,
+    lowered slots)."""
+    return {(shift.coords, slots)
+            for shift, shapes in config.bracket_shapes for slots in shapes}
 
 
 @pytest.fixture(scope="session")
-def support_kind():
-    return _support_kind
+def bracket_shape():
+    return _bracket_shape
+
+
+@pytest.fixture(scope="session", name="table_shapes")
+def table_shapes_fixture():
+    return table_shapes

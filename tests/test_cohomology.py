@@ -407,14 +407,14 @@ def test_verify_brackets_the_first_pair_of_each_sum(cfg_l2, kernel_calls):
     assert len(set(calls)) == len(calls) and report.checked == len(pairs)
 
 
-def test_verify_failures_match_the_operator_reference(all_configs, support_kind,
-                                                      kernel_calls):
+def test_verify_failures_match_the_operator_reference(all_configs, bracket_shape,
+                                                      table_shapes, kernel_calls):
     # f = g except at bracket results of the pairs, one drawn for each
-    # candidate kind of bracket_support the config's brackets reach (all
-    # four families on mixed), so that a sum's certificate sees every
-    # kind.  Failures equal the operator-route reference in value and
-    # order; the first pair of each sum is bracketed, and no pair twice
-    hit = set()
+    # shape of the config's table, so that a sum's certificate sees every
+    # shape.  Every shape is hit, and killed: some failing pair's bracket
+    # holds the index altered for it.  Failures equal the operator-route
+    # reference in value and order; the first pair of each sum is
+    # bracketed, and no pair twice
     for name, config in all_configs.items():
         rng = random.Random(96)
         if name == "mixed":
@@ -422,25 +422,28 @@ def test_verify_failures_match_the_operator_reference(all_configs, support_kind,
         else:
             pairs = window_pairs(config, 1)
         g = random_functional(config, rng)
-        by_kind = {}
+        brackets, by_shape = {}, {}
         for iu, iv in pairs:
             alpha_sum, exps_sum = _sum_key(iu, iv)
-            for r in bracket_operator(AlgebraElement.from_term(config, iu),
-                                      AlgebraElement.from_term(config, iv)).terms:
-                by_kind.setdefault(support_kind(r, alpha_sum, exps_sum), []).append(r)
-        assert name != "mixed" or len(by_kind) == 5  # no zero-slot axis
-        hit.update(by_kind)
+            brackets[iu, iv] = bracket_operator(AlgebraElement.from_term(config, iu),
+                                                AlgebraElement.from_term(config, iv)).terms
+            for r in brackets[iu, iv]:
+                by_shape.setdefault(bracket_shape(r, alpha_sum, exps_sum), []).append(r)
+        assert by_shape.keys() == table_shapes(config), name
         f = LinearFunctional(config, table=g.table, tag="altered")
-        for kind in sorted(by_kind):
-            r = rng.choice(by_kind[kind])
+        altered = {}
+        for shape in sorted(by_shape):
+            r = altered[shape] = rng.choice(by_shape[shape])
             f.table[r] = g.eval_basis(r) + rng.choice([-2, -1, Fraction(1, 2), 3])
         kernel_calls.clear()
         report = verify_trivialization(coboundary(g), f, pairs)
         assert report.failures == _reference_failures(config, g, f, pairs), name
         assert report.failures and report.checked == len(pairs)
+        failing = [brackets[iu, iv] for iu, iv, _, _ in report.failures]
+        for shape, r in altered.items():
+            assert any(r in bracket for bracket in failing), (name, shape)
         assert set(_first_pair_of_each_sum(pairs)) <= set(kernel_calls), name
         assert len(set(kernel_calls)) == len(kernel_calls), name
-    assert len(hit) == 6
 
 
 @pytest.mark.parametrize("probe", ["2", "3", "5", "0"])

@@ -1,0 +1,166 @@
+"""Symbolic certificates: laws of the bracket for every pair at once.
+
+`bracket_terms`, `bracket_support`, `sums_reaching` and `bracket_operator`
+only add, subtract and multiply the entries of their indices, and branch
+only to skip a coefficient or an exponent entry that is zero.  Given
+indices whose lattice coordinates and exponents are sympy symbols, each
+returns its answer for a generic pair, with polynomial coefficients.
+Setting the symbols to integers keeps sums and products, so an identity
+between the symbolic answers holds for every pair.  Each vector is built
+from the symbolic coordinates through the generators, so that a slot the
+lattice holds at zero stays zero.
+
+Proven here, on every golden and bench config: the shapes the kernel
+emits with a coefficient that is not identically zero are exactly the
+shapes `bracket_support` lists; every sum `sums_reaching` lists reaches
+its index; and the kernel equals the operator route.
+"""
+
+from __future__ import annotations
+
+import copy
+from pathlib import Path
+
+import pytest
+import sympy
+
+from contactk.algebra import (
+    AlgebraElement, BasisIndex, bracket_operator, bracket_support, bracket_terms,
+    sums_reaching,
+)
+from contactk.cli import load_config
+from contactk.indices import ExponentVector, GroupElement
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = {f"{path.parent.name}/{path.stem}": path
+           for folder in (ROOT / "tests" / "golden", ROOT / "bench" / "configs")
+           for path in sorted(folder.glob("*.cfg"))}
+
+# the four kernel families, as their positions in a `pair_rows` row
+FAMILIES = {"group-group": 3, "group-exponent": 4, "exponent-group": 5,
+            "exponent-exponent": 6}
+
+
+@pytest.fixture(scope="module", params=sorted(CONFIGS))
+def config(request):
+    return load_config(CONFIGS[request.param])
+
+
+def symbolic_index(config, name, coords=None, exps=None) -> BasisIndex:
+    """An index with coordinates `coords` and exponents `exps`, by default
+    fresh symbols `{name}c<k>` and `{name}e<slot>` at the exponent slots
+    (zero elsewhere); its vector is built through the generators."""
+    gens = config.lattice.generators
+    dim = config.shape.dim
+    if coords is None:
+        coords = sympy.symbols(f"{name}c:{len(gens)}")
+    if exps is None:
+        exps = [sympy.Symbol(f"{name}e{s}") if s in config.exp_slots else 0
+                for s in range(dim)]
+    vector = tuple(sympy.expand(sum(c * g[s] for c, g in zip(coords, gens)))
+                   for s in range(dim))
+    return BasisIndex(GroupElement(tuple(coords), vector), ExponentVector(exps))
+
+
+def _key(index: BasisIndex) -> tuple:
+    return (tuple(map(sympy.expand, index.alpha.coords)),
+            tuple(map(sympy.expand, index.exps)))
+
+
+def normal(terms: dict) -> dict:
+    """`{(coords, exps): coefficient}` with every entry expanded, equal
+    keys merged, and coefficients that are identically zero dropped."""
+    out = {}
+    for r, c in terms.items():
+        key = _key(r)
+        out[key] = sympy.expand(out.get(key, 0) + c)
+    return {key: c for key, c in out.items() if c != 0}
+
+
+def shape_of(key: tuple, alpha_sum, exps_sum) -> tuple:
+    """(shift coordinates, lowered slots) of a bracket index against its
+    pair's sums; each must be an integer move, and each lowering by one."""
+    coords, exps = key
+    shift = tuple(int(sympy.expand(c - s)) for c, s in zip(coords, alpha_sum.coords))
+    drops = [sympy.expand(s - e) for s, e in zip(exps_sum, exps)]
+    assert set(drops) <= {0, 1}, drops
+    return shift, tuple(s for s, d in enumerate(drops) if d)
+
+
+def emitted_shapes(config, iu, iv) -> set:
+    alpha_sum, exps_sum = iu.alpha.add(iv.alpha), iu.exps.add(iv.exps)
+    return {shape_of(key, alpha_sum, exps_sum)
+            for key in normal(bracket_terms(config, iu, iv))}
+
+
+def support_shapes(config, iu, iv) -> set:
+    alpha_sum, exps_sum = iu.alpha.add(iv.alpha), iu.exps.add(iv.exps)
+    return {shape_of(_key(r), alpha_sum, exps_sum)
+            for r in bracket_support(config, alpha_sum, exps_sum)}
+
+
+def kernel_equals_operator(config, iu, iv) -> bool:
+    operator = bracket_operator(AlgebraElement.from_term(config, iu),
+                                AlgebraElement.from_term(config, iv)).terms
+    return normal(bracket_terms(config, iu, iv)) == normal(operator)
+
+
+def test_support_is_exactly_the_emitted_shapes(config):
+    iu, iv = symbolic_index(config, "a"), symbolic_index(config, "b")
+    shapes = emitted_shapes(config, iu, iv)
+    assert shapes and shapes == support_shapes(config, iu, iv)
+    assert len(shapes) == sum(len(group) for _, group in config.bracket_shapes)
+
+
+def test_every_listed_sum_reaches_its_index(config):
+    # for a generic target r and each key of sums_reaching(r): the key is
+    # a valid sum, and a generic pair with that sum has a term at r
+    ngens = len(config.lattice.generators)
+    target = symbolic_index(config, "r")
+    u = symbolic_index(config, "a")
+    keys = sums_reaching(config, target)
+    assert keys
+    for key in keys:
+        coords, exps = key[:ngens], key[ngens:]
+        assert all(s in config.exp_slots for s, e in enumerate(exps) if e), key
+        v = symbolic_index(config, "b", [c - a for c, a in zip(coords, u.alpha.coords)],
+                           [e - a for e, a in zip(exps, u.exps)])
+        assert _key(target) in normal(bracket_terms(config, u, v)), key
+
+
+def test_kernel_equals_the_operator_route(config):
+    iu, iv = symbolic_index(config, "a"), symbolic_index(config, "b")
+    assert kernel_equals_operator(config, iu, iv)
+
+
+def test_the_unshifted_shape_is_not_emitted_on_l2():
+    # negative control: l2's lattice has no slot-0 vector, so a table
+    # with the unshifted sum put back lists a shape the kernel never emits
+    config = load_config(CONFIGS["golden/l2"])
+    (zero, group), *rows = config.bracket_shapes
+    assert () not in group
+    mutant = copy.copy(config)
+    mutant.bracket_shapes = ((zero, ((), *group)), *rows)
+    iu, iv = symbolic_index(config, "a"), symbolic_index(config, "b")
+    assert emitted_shapes(config, iu, iv) == support_shapes(config, iu, iv)
+    assert emitted_shapes(mutant, iu, iv) != support_shapes(mutant, iu, iv)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_each_family_is_needed(family):
+    # negative control: with one family switched off in a copy's
+    # pair_rows, the kernel differs from the operator route on every
+    # config that has that family
+    at = FAMILIES[family]
+    having = set()
+    for name, path in CONFIGS.items():
+        config = load_config(path)
+        if not any(row[at] for row in config.pair_rows):
+            continue
+        having.add(path.stem)
+        mutant = copy.copy(config)
+        mutant.pair_rows = tuple(row[:at] + (False,) + row[at + 1:]
+                                 for row in config.pair_rows)
+        iu, iv = symbolic_index(config, "a"), symbolic_index(config, "b")
+        assert not kernel_equals_operator(mutant, iu, iv), (family, name)
+    assert having

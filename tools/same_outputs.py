@@ -6,8 +6,9 @@ Runs one fixed list of `contactk` commands against `PARENT/src` and
 against `CHANGE/src`, each command in a fresh `python -m contactk.cli`
 process, and compares per command the exit code, stdout, stderr (less
 `suite`'s `duration:` line) and the `--out` file when there is one.  It
-prints how many commands ran, how many differ, the exit codes seen, and
-the first difference; its exit code is 1 when any command differs.
+prints how many commands ran, how many differ, the exit codes seen, the
+first difference, and per command kind and config how many commands
+differ; its exit code is 1 when any command differs.
 
 The commands: `table` on the goldens in `PARENT/tests/golden` at their
 golden radii; then on each config in `PARENT/bench/configs`, `check-config`,
@@ -25,6 +26,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -138,6 +140,14 @@ def _first_difference(a: tuple, b: tuple) -> str:
     return ""
 
 
+def _kind(command: list[str]) -> tuple[str, str]:
+    """(kind, config) of a command: its words before `--config` and the
+    form flag it reads, and the config file's name."""
+    at = command.index("--config")
+    words = command[:at] + [a for a in command if a in ("--table", "--coboundary")]
+    return " ".join(words), Path(command[at + 1]).stem
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -163,6 +173,8 @@ def main(argv=None) -> int:
         command, what = differ[0]
         print(f"first difference: contactk {' '.join(command)}")
         print(f"  {what}")
+        for (kind, name), count in sorted(Counter(_kind(c) for c, _ in differ).items()):
+            print(f"{count} differ: {kind} on {name}")
     return 1 if differ else 0
 
 
