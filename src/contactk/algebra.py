@@ -129,6 +129,28 @@ def unit(config: AlgebraConfig) -> AlgebraElement:
     return basis_element(config, (0,) * len(config.lattice.generators))
 
 
+def probe_index(config: AlgebraConfig, p: int) -> BasisIndex:
+    """The probe monomial of index p: x at the negated shift of p (the
+    unit for p = 0, whose shift is zero), raised at p's mirror slot in
+    blocks 4 and 5."""
+    shape = config.shape
+    exps = config.zero_exps
+    if p and shape.block_of(p) in (4, 5):
+        exps = exps.raised(shape.slot(p + shape.n))
+    return BasisIndex(config.shift_coords[p].neg(), exps)
+
+
+def recursion_probes(config: AlgebraConfig) -> list[int]:
+    """Probe indices accepted by the recursive trivializer, in preference
+    order: blocks 2, 3, 5, then 0 for the unit route.  Their monomials
+    are the triangular probe family."""
+    shape = config.shape
+    out = shape.blocks(2, 3) + shape.blocks(5, 5)
+    if config.j0_naturals:
+        out.append(0)
+    return out
+
+
 def multiply(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
     """Commutative product: indices add in both components."""
     _check_same_config(u, v)

@@ -284,13 +284,10 @@ def cmd_cocycle_trivialize(args) -> int:
     config = load_config(args.config)
     psi = load_cocycle(config, args)
     probe = None if args.probe is None else config.shape.parse_index_token(args.probe)
-    check_pair_cap(config, args.radius, ordered=False)
-    functional = trivialize(psi, probe)
-    window = window_indices(config, args.radius)
-    report = verify_trivialization(
-        psi, functional, itertools.combinations_with_replacement(window, 2))
+    functional, window, report = _verify_on_window(
+        psi, args.radius, lambda: trivialize(psi, probe))
     if not report.passed:
-        return _trivialization_failed(report)
+        return 1
     with _output(args.out) as out:
         for idx in window:
             value = functional.eval_basis(idx)
@@ -303,23 +300,28 @@ def cmd_cocycle_verify(args) -> int:
     config = load_config(args.config)
     psi = load_cocycle(config, args)
     functional = load_functional(config, args.functional)
-    check_pair_cap(config, args.radius, ordered=False)
-    window = window_indices(config, args.radius)
-    pairs = itertools.combinations_with_replacement(window, 2)
-    report = verify_trivialization(psi, functional, pairs)
-    if report.passed:
-        print(f"PASS trivialization ({report.checked} pairs)")
-        return 0
-    return _trivialization_failed(report)
+    _, _, report = _verify_on_window(psi, args.radius, lambda: functional)
+    if not report.passed:
+        return 1
+    print(f"PASS trivialization ({report.checked} pairs)")
+    return 0
 
 
-def _trivialization_failed(report) -> int:
-    """Print a failed verify report's FAIL and witness lines; exit code 1."""
-    iu, iv, lhs, rhs = report.failures[0]
-    print(f"FAIL trivialization ({report.checked} pairs)")
-    print(f"  witness: {format_basis_index(iu)} , {format_basis_index(iv)} "
-          f"-> form {lhs}, functional-on-bracket {rhs}")
-    return 1
+def _verify_on_window(psi, radius: int, build):
+    """Check the pair cap, build the functional and verify it on the radius
+    window's pairs u <= v; print a failure's witness lines.  Returns
+    (functional, window, report)."""
+    check_pair_cap(psi.config, radius, ordered=False)
+    functional = build()
+    window = window_indices(psi.config, radius)
+    report = verify_trivialization(
+        psi, functional, itertools.combinations_with_replacement(window, 2))
+    if not report.passed:
+        iu, iv, lhs, rhs = report.failures[0]
+        print(f"FAIL trivialization ({report.checked} pairs)")
+        print(f"  witness: {format_basis_index(iu)} , {format_basis_index(iv)} "
+              f"-> form {lhs}, functional-on-bracket {rhs}")
+    return functional, window, report
 
 
 # -- wiring -----------------------------------------------------------
@@ -332,6 +334,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def with_config(p):
         p.add_argument("--config", required=True, help="configuration file path")
+        return p
+
+    def with_form(p):
+        with_config(p)
+        p.add_argument("--table", help="cocycle table file")
+        p.add_argument("--coboundary", help="functional file defining a coboundary")
         return p
 
     with_config(sub.add_parser("check-config", help="validate a configuration file")
@@ -376,22 +384,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     cocycle = sub.add_parser("cocycle", help="2-cocycle tools").add_subparsers(
         dest="subcommand", required=True)
-    p = with_config(cocycle.add_parser("check", help="axioms on sampled triples"))
-    p.add_argument("--table", help="cocycle table file")
-    p.add_argument("--coboundary", help="functional file defining a coboundary")
+    p = with_form(cocycle.add_parser("check", help="axioms on sampled triples"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--triples", type=int, default=50)
     p.set_defaults(fn=cmd_cocycle_check)
-    p = with_config(cocycle.add_parser("trivialize", help="construct a trivializing functional"))
-    p.add_argument("--table", help="cocycle table file")
-    p.add_argument("--coboundary", help="functional file defining a coboundary")
+    p = with_form(cocycle.add_parser("trivialize", help="construct a trivializing functional"))
     p.add_argument("--probe", help="probe index token (default: automatic)")
     p.add_argument("--radius", type=int, default=2, help="emission window radius")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_cocycle_trivialize)
-    p = with_config(cocycle.add_parser("verify", help="compare a form with a functional"))
-    p.add_argument("--table", help="cocycle table file")
-    p.add_argument("--coboundary", help="functional file defining a coboundary")
+    p = with_form(cocycle.add_parser("verify", help="compare a form with a functional"))
     p.add_argument("--functional", required=True, help="functional file to verify")
     p.add_argument("--radius", type=int, default=2, help="window radius")
     p.set_defaults(fn=cmd_cocycle_verify)

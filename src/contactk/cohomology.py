@@ -16,7 +16,7 @@ from operator import add, sub
 from .indices import AlgebraConfig, ConfigError, ExponentVector
 from .algebra import (
     COORD_BOUND, BasisIndex, CheckReport, bracket_support, bracket_terms,
-    format_basis_index, sums_reaching,
+    format_basis_index, probe_index, recursion_probes, sums_reaching,
 )
 
 # one shared zero for every zero value; it is a Fraction, not int 0, so
@@ -193,37 +193,42 @@ def closed_form_regime(config: AlgebraConfig) -> bool:
     return (not config.j0_naturals) and config.shape.n == config.shape.ell[0]
 
 
-def recursion_probes(config: AlgebraConfig) -> list[int]:
-    """Probe indices accepted by the recursive trivializer, in preference
-    order: blocks 2, 3, 5, then 0 for the unit route."""
-    shape = config.shape
-    out = list(shape.blocks(2, 3)) + list(shape.blocks(5, 5))
-    if config.j0_naturals:
-        out.append(0)
-    return out
+def probe_recurrence(config: AlgebraConfig, p: int) -> tuple:
+    """`(w, d, kappa, up)` for the probe monomial w = `probe_index(config,
+    p)`: every basis monomial b, with vector a and exponents i, satisfies
 
+        [w, b] = d(a, i) b + sum over (s, k) in kappa of k i[s] (b lowered at s),
 
-def _probe_index(config: AlgebraConfig, p: int) -> BasisIndex:
+    and d(a, i raised at up) = d(a, i).  With sp = slot(p), sq = slot(p bar):
+
+        probe     d(a, i)       kappa            up
+        0 (unit)  2 a[0]        {0: 2}           0
+        block 2   a[sq] - a[sp] {sq: 1}          sq
+        block 3   a[sq] - a[sp] {sp: -1, sq: 1}  sq
+        block 5   i[sq] - a[sp] {sp: -1}         sp
+    """
+    w = probe_index(config, p)
     if p == 0:
-        return BasisIndex(config.lattice.zero, config.zero_exps)
+        return w, lambda a, i: 2 * a[0], ((0, 2),), 0
     shape = config.shape
-    alpha = config.shift_coords[p].neg()
-    if shape.block_of(p) == 5:
-        exps = config.zero_exps.raised(shape.slot(p + shape.n))
-    else:
-        exps = config.zero_exps
-    return BasisIndex(alpha, exps)
+    sp, sq = shape.slot(p), shape.slot(p + shape.n)
+    block = shape.block_of(p)
+    if block == 5:
+        return w, lambda a, i: i[sq] - a[sp], ((sp, -1),), sp
+    kappa = ((sq, 1),) if block == 2 else ((sp, -1), (sq, 1))
+    return w, lambda a, i: a[sq] - a[sp], kappa, sq
 
 
 def trivialize_recursive(psi: Cocycle, probe: int) -> LinearFunctional:
     """Build f with psi = psi_f by downward recursion on one exponent.
 
-    The probe picks the bracket identity the recursion inverts: bracketing
-    with the probe's negative-shift monomial relates each basis value of f
-    to values at lowered exponents, so f is solved one exponent at a
-    time; `_bottom_up` runs each chain without Python recursion.  It
-    reads psi on single basis pairs, through `psi.on_basis`.  Every route
-    is confirmed by the round-trip verifier.
+    psi(w, b) = f([w, b]) and the probe's `probe_recurrence` give f(b)
+    from f at b lowered at kappa's slots, over d.  Where d is zero the
+    identity at b raised at `up`, where d is zero too, gives f(b) from
+    its `up` term instead.  So f is solved one exponent at a time;
+    `_bottom_up` runs each chain without Python recursion.  It reads psi
+    on single basis pairs, through `psi.on_basis`.  Every route is
+    confirmed by the round-trip verifier.
     """
     config = psi.config
     shape = config.shape
@@ -232,58 +237,26 @@ def trivialize_recursive(psi: Cocycle, probe: int) -> LinearFunctional:
     if probe not in recursion_probes(config):
         raise ConfigError(f"invalid probe index {shape.index_token(probe)} "
                           "for this configuration")
-    w = _probe_index(config, probe)
-    tag = f"probe {shape.index_token(probe)}"
+    w, d, kappa, up = probe_recurrence(config, probe)
+    k_up = dict(kappa)[up]
+    rest = tuple((s, k) for s, k in kappa if s != up)
 
-    if probe == 0:
-        def step(b: BasisIndex):
-            a0 = b.alpha.vector[0]
-            i0 = b.exps[0]
-            if a0 != 0:
-                val = psi.on_basis(w, b)
-                if i0:
-                    val -= 2 * i0 * (yield BasisIndex(b.alpha, b.exps.lowered(0)))
-                return val / (2 * a0)
-            return psi.on_basis(w, BasisIndex(b.alpha, b.exps.raised(0))) / (2 * (i0 + 1))
-    else:
-        sp = shape.slot(probe)
-        sq = shape.slot(probe + shape.n)
-        block = shape.block_of(probe)
+    def step(b: BasisIndex):
+        alpha, exps = b.alpha, b.exps
+        scale = d(alpha.vector, exps)
+        lowers = kappa
+        if not scale:
+            scale = k_up * (exps[up] + 1)
+            lowers = rest
+            exps = exps.raised(up)
+            b = BasisIndex(alpha, exps)
+        val = psi.on_basis(w, b)
+        for s, k in lowers:
+            if exps[s]:
+                val -= k * exps[s] * (yield BasisIndex(alpha, exps.lowered(s)))
+        return val / scale
 
-        def step(b: BasisIndex):
-            vec = b.alpha.vector
-            ap, aq = vec[sp], vec[sq]
-            ip, iq = b.exps[sp], b.exps[sq]
-            if block == 2:
-                if aq != ap:
-                    val = psi.on_basis(w, b)
-                    if iq:
-                        val -= iq * (yield BasisIndex(b.alpha, b.exps.lowered(sq)))
-                    return val / (aq - ap)
-                return psi.on_basis(w, BasisIndex(b.alpha, b.exps.raised(sq))) / (iq + 1)
-            if block == 3:
-                if aq != ap:
-                    val = psi.on_basis(w, b)
-                    if ip:
-                        val += ip * (yield BasisIndex(b.alpha, b.exps.lowered(sp)))
-                    if iq:
-                        val -= iq * (yield BasisIndex(b.alpha, b.exps.lowered(sq)))
-                    return val / (aq - ap)
-                raised_exps = b.exps.raised(sq)
-                val = psi.on_basis(w, BasisIndex(b.alpha, raised_exps))
-                if ip:
-                    val += ip * (yield BasisIndex(b.alpha, raised_exps.lowered(sp)))
-                return val / (iq + 1)
-            # block 5: the raised probe pairs the mirror exponent against
-            # the unbarred coordinate
-            if iq != ap:
-                val = psi.on_basis(w, b)
-                if ip:
-                    val += ip * (yield BasisIndex(b.alpha, b.exps.lowered(sp)))
-                return val / (iq - ap)
-            return -psi.on_basis(w, BasisIndex(b.alpha, b.exps.raised(sp))) / (ip + 1)
-
-    f = LinearFunctional(config, tag=tag)
+    f = LinearFunctional(config, tag=f"probe {shape.index_token(probe)}")
     f.rule = _bottom_up(f, step)
     return f
 
@@ -316,14 +289,6 @@ def _bottom_up(f: LinearFunctional, step):
     return rule
 
 
-def reference_vector_coords(config: AlgebraConfig):
-    """Coordinates of the all-minus-one pure-group reference vector."""
-    coords = config.lattice.zero
-    for p in config.shape.blocks(1, 1):
-        coords = coords.add(config.shift_coords[p])
-    return coords
-
-
 def pivot_index(config: AlgebraConfig, alpha) -> int:
     """First block-1 index where alpha leaves the reference pattern."""
     shape = config.shape
@@ -341,30 +306,28 @@ def trivialize_closed_form(psi: Cocycle) -> LinearFunctional:
     shape = config.shape
     if not closed_form_regime(config):
         raise ConfigError("closed-form trivializer needs the pure-group regime")
-    # zero-slot exponents are off, so the lattice must cover slot 0
-    if not config.lattice.has_zero_slot:
-        raise ConfigError("configuration invariant violated")  # pragma: no cover
+    # zero-slot exponents are off, so `AlgebraConfig` made sure that the
+    # lattice covers slot 0 and holds its unit vector
     lattice = config.lattice
     ell1 = shape.ell[0]
-    ref = reference_vector_coords(config)
+    # the all-minus-one pure-group reference vector
+    ref = lattice.zero
+    for p in shape.blocks(1, 1):
+        ref = ref.add(config.shift_coords[p])
 
     def group_index(coords) -> BasisIndex:
         return BasisIndex(lattice.element(coords), config.zero_exps)
 
-    def unit(q) -> tuple:
-        """Coordinates of the unit vector at index q."""
-        return lattice.membership(tuple(int(s == shape.slot(q)) for s in range(shape.dim)))
-
-    unit0 = unit(0)
-    one = group_index(lattice.zero.coords)
+    unit0 = lattice.unit_coords(0)
+    one = probe_index(config, 0)
     neg_two0 = group_index(tuple(-2 * c for c in unit0))
     top = group_index(tuple(2 * a + b for a, b in zip(unit0, ref.coords)))
     # per pivot p: the probe at the negated shift of p, the square at twice
     # the unit vector at p, and the move by p's mirror unit vector less p's
     probes, squares, moves = {}, {}, {}
     for p in shape.blocks(1, 1):
-        at_p, at_mirror = unit(p), unit(p + shape.n)
-        probes[p] = BasisIndex(config.shift_coords[p].neg(), config.zero_exps)
+        at_p, at_mirror = lattice.unit_coords(p), lattice.unit_coords(p + shape.n)
+        probes[p] = probe_index(config, p)
         squares[p] = group_index(tuple(2 * c for c in at_p))
         moves[p] = lattice.element(map(sub, at_mirror, at_p))
 

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .indices import AlgebraConfig, ConfigError
 from .linalg import Echelon, add_into, as_number
 from .algebra import (
-    AlgebraElement, BasisIndex, CheckReport, basis_element, bracket_closed,
-    bracket_terms, format_basis_index, format_element, lower_partial, unit,
+    AlgebraElement, BasisIndex, CheckReport, bracket_closed, bracket_terms,
+    format_basis_index, format_element, lower_partial, probe_index,
+    recursion_probes, unit,
 )
 
 
@@ -164,14 +166,10 @@ def check_derivation(D: LinearOperator, pairs) -> CheckReport:
 
 def check_mirror_identity(config: AlgebraConfig, p: int, indices) -> CheckReport:
     """Operator identity: the mirror-difference diagonal derivation equals
-    ad of the negative-shift monomial plus the lowering difference."""
-    shape = config.shape
-    if p not in shape.blocks(1, 3):
-        raise ConfigError(f"index {p} is not in blocks 1..3")
+    ad of p's probe monomial plus the lowering difference."""
     hom = mirror_difference_hom(config, p)
-    probe = AlgebraElement.from_term(
-        config, BasisIndex(config.shift_coords[p].neg(), config.zero_exps))
-    pb = p + shape.n
+    probe = AlgebraElement.from_term(config, probe_index(config, p))
+    pb = p + config.shape.n
     failures = []
     checked = 0
     for idx in indices:
@@ -184,78 +182,53 @@ def check_mirror_identity(config: AlgebraConfig, p: int, indices) -> CheckReport
     return CheckReport(checked, failures)
 
 
-class ProbeSets:
+class ProbeSets(NamedTuple):
     """The four probe families used by the decomposition arguments."""
 
-    __slots__ = ("triangular", "diagonal", "raising", "lowering")
-
-    def __init__(self, triangular, diagonal, raising, lowering):
-        self.triangular = triangular
-        self.diagonal = diagonal
-        self.raising = raising
-        self.lowering = lowering
+    triangular: list[AlgebraElement]
+    diagonal: list[AlgebraElement]
+    raising: list[AlgebraElement]
+    lowering: list[AlgebraElement]
 
 
 def probe_sets(config: AlgebraConfig) -> ProbeSets:
+    """The triangular family is the recursion probes' monomials; the
+    diagonal family holds the probe monomials of blocks 1 and 4."""
     shape = config.shape
     lattice = config.lattice
-    zero = config.zero_exps
 
-    def negative_shift(p):
-        return AlgebraElement.from_term(
-            config, BasisIndex(config.shift_coords[p].neg(), zero))
+    def monomial(index):
+        return AlgebraElement.from_term(config, index)
 
-    def negative_shift_raised(q):
-        exps = zero.raised(shape.slot(q + shape.n))
-        return AlgebraElement.from_term(
-            config, BasisIndex(config.shift_coords[q].neg(), exps))
+    def unit_multiple(p, k):
+        """x at k times the unit vector at index p."""
+        coords = tuple(k * c for c in lattice.unit_coords(p))
+        return monomial(BasisIndex(lattice.element(coords), config.zero_exps))
 
-    def unit_coords(p):
-        vec = [0] * shape.dim
-        vec[shape.slot(p)] = 1
-        coords = lattice.membership(tuple(vec))
-        if coords is None:
-            raise ConfigError("probe unit vector escapes gamma")  # pragma: no cover
-        return coords
+    def exponent(*slots):
+        """t raised once at each given slot."""
+        return monomial(BasisIndex(lattice.zero, config.zero_exps.raised(*slots)))
 
-    triangular = [negative_shift(p) for p in shape.blocks(2, 3)]
-    triangular += [negative_shift_raised(q) for q in shape.blocks(5, 5)]
-    if config.j0_naturals:
-        triangular.append(unit(config))
-
-    diagonal = [negative_shift(p) for p in shape.blocks(1, 1)]
-    diagonal += [negative_shift_raised(q) for q in shape.blocks(4, 4)]
-    for r in shape.blocks(6, 6):
-        exps = zero.raised(shape.slot(r), shape.slot(r + shape.n))
-        diagonal.append(AlgebraElement.from_term(
-            config, BasisIndex(lattice.zero, exps)))
+    triangular = [monomial(probe_index(config, p)) for p in recursion_probes(config)]
+    diagonal = [monomial(probe_index(config, p))
+                for p in shape.blocks(1, 1) + shape.blocks(4, 4)]
+    diagonal += [exponent(shape.slot(r), shape.slot(r + shape.n))
+                 for r in shape.blocks(6, 6)]
     if not config.j0_naturals:
         diagonal.append(unit(config))
 
-    raising = []
-    for p in shape.blocks(1, 5):
-        coords = tuple(2 * c for c in unit_coords(p))
-        raising.append(basis_element(config, coords))
-    for q in shape.blocks(6, 6):
-        exps = [0] * shape.dim
-        exps[shape.slot(q)] = 2
-        raising.append(basis_element(config, (0,) * len(lattice.generators), exps))
+    raising = [unit_multiple(p, 2) for p in shape.blocks(1, 5)]
+    raising += [exponent(shape.slot(q), shape.slot(q)) for q in shape.blocks(6, 6)]
     if lattice.has_zero_slot:
-        raising.append(basis_element(config, tuple(2 * c for c in unit_coords(0))))
+        raising.append(unit_multiple(0, 2))
     else:
-        raising.append(basis_element(
-            config, (0,) * len(lattice.generators), zero.raised(0)))
+        raising.append(exponent(0))
 
-    lowering = []
-    for p in shape.blocks(1, 3):
-        coords = tuple(2 * c for c in unit_coords(p + shape.n))
-        lowering.append(basis_element(config, coords))
-    for q in shape.blocks(4, 6):
-        exps = [0] * shape.dim
-        exps[shape.slot(q + shape.n)] = 2
-        lowering.append(basis_element(config, (0,) * len(lattice.generators), exps))
+    lowering = [unit_multiple(p + shape.n, 2) for p in shape.blocks(1, 3)]
+    lowering += [exponent(shape.slot(q + shape.n), shape.slot(q + shape.n))
+                 for q in shape.blocks(4, 6)]
     if lattice.has_zero_slot:
-        lowering.append(basis_element(config, tuple(-2 * c for c in unit_coords(0))))
+        lowering.append(unit_multiple(0, -2))
 
     return ProbeSets(triangular, diagonal, raising, lowering)
 

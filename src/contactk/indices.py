@@ -160,10 +160,10 @@ class Lattice:
         required += [p + shape.n for p in shape.blocks(1, 3)]
         required += shape.blocks(4, 5)
         for p in required:
-            if self.membership(_unit_vector(shape.dim, shape.slot(p))) is None:
+            if self.unit_coords(p) is None:
                 raise ConfigError(
                     f"gamma must contain the unit vector at index {shape.index_token(p)}")
-        if self.has_zero_slot and self.membership(_unit_vector(shape.dim, 0)) is None:
+        if self.has_zero_slot and self.unit_coords(0) is None:
             raise ConfigError(
                 "gamma has vectors with nonzero entry at index 0 but the unit "
                 "vector at index 0 is not a member")
@@ -186,6 +186,12 @@ class Lattice:
             return None
         return tuple(int(c) for c in coords)
 
+    def unit_coords(self, p: int) -> tuple[int, ...] | None:
+        """Coordinates of the unit vector at index p, or None."""
+        vec = [0] * self.shape.dim
+        vec[self.shape.slot(p)] = 1
+        return self.membership(vec)
+
     def element(self, coords) -> GroupElement:
         coords = tuple(map(int, coords))
         if len(coords) != len(self.generators):
@@ -202,12 +208,6 @@ def _index_of_slot(shape: Shape, s: int) -> int:
     if s == 0:
         return 0
     return (s + 1) // 2 if s % 2 else s // 2 + shape.n
-
-
-def _unit_vector(dim: int, slot: int) -> tuple:
-    vec = [0] * dim
-    vec[slot] = 1
-    return tuple(vec)
 
 
 class GroupElement:

@@ -16,15 +16,15 @@ from .indices import AlgebraConfig, ConfigError
 from .algebra import (
     AlgebraElement, basis_element, bracket_closed, bracket_operator,
     format_basis_index, format_element, grading, multiply, partial,
-    sample_index, weight, window_indices, window_size,
+    recursion_probes, sample_index, weight, window_indices, window_size,
 )
 from .derivations import (
     LatticeHom, LinearOperator, check_derivation, diagonal_derivation,
     hom_space_basis, outer_indices, outer_lower_partial,
 )
 from .cohomology import (
-    LinearFunctional, coboundary, recursion_probes, closed_form_regime,
-    trivialize, verify_trivialization,
+    LinearFunctional, coboundary, closed_form_regime, trivialize,
+    verify_trivialization,
 )
 
 

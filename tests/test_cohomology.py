@@ -16,7 +16,7 @@ from contactk import (
     verify_trivialization, window_indices,
 )
 from contactk.algebra import bracket_terms
-from contactk.cohomology import pair_reaching, targeted_triples
+from contactk.cohomology import pair_reaching, probe_recurrence, targeted_triples
 
 
 def random_functional(config, rng, support_size=6):
@@ -457,6 +457,39 @@ def test_recursive_round_trip_on_mixed(cfg_mixed, probe):
     pairs = _drawn_then_flipped(cfg_mixed, rng, 100)
     report = verify_trivialization(psi, f, pairs)
     assert report.passed and report.checked == len(pairs), report.failures[:1]
+
+
+# per probe token on mixed: the partner c of a one-entry table psi(w, c) =
+# 3/2 at the probe monomial w, and f at indices b with d = 0 and a
+# positive exponent at the recurrence's `up` slot, as the trivializer
+# with one hand-written branch per block computed them
+DEGENERATE_PINS = {
+    "2": ("x[0,0,0,1,1,0,0,0,0,0,0,0,0]t[0,0,0,0,3,0,0,0,0,0,0,0,0]", {
+        "x[0,0,0,1,1,0,0,0,0,0,0,0,0]t[0,0,0,0,2,0,0,0,0,0,0,0,0]": Fraction(1, 2)}),
+    "3": ("x[0,0,0,0,0,1,1,0,0,0,0,0,0]t[0,0,0,0,0,1,3,0,0,0,0,0,0]", {
+        "x[0,0,0,0,0,1,1,0,0,0,0,0,0]t[0,0,0,0,0,1,2,0,0,0,0,0,0]": Fraction(1, 2),
+        "x[0,0,0,0,0,1,1,0,0,0,0,0,0]t[0,0,0,0,0,2,1,0,0,0,0,0,0]": Fraction(1, 2)}),
+    "5": ("x[0,0,0,0,0,0,0,0,0,1,0,0,0]t[0,0,0,0,0,0,0,0,0,3,1,0,0]", {
+        "x[0,0,0,0,0,0,0,0,0,1,0,0,0]t[0,0,0,0,0,0,0,0,0,2,1,0,0]": Fraction(-1, 2)}),
+    "0": ("x[0,1,0,0,0,0,0,0,0,0,0,0,0]t[3,0,0,0,0,0,0,0,0,0,0,0,0]", {
+        "x[0,1,0,0,0,0,0,0,0,0,0,0,0]t[2,0,0,0,0,0,0,0,0,0,0,0,0]": Fraction(1, 4)}),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(DEGENERATE_PINS))
+def test_degenerate_recursion_on_a_non_coboundary(cfg_mixed, probe):
+    # a one-entry table is no cocycle, so no f trivializes it and the f
+    # built depends on the recurrence's choice of `up`: on block 3, raising
+    # at slot(p) instead of slot(p bar) gives other values here
+    p = cfg_mixed.shape.parse_index_token(probe)
+    w, d, _kappa, up = probe_recurrence(cfg_mixed, p)
+    partner, pins = DEGENERATE_PINS[probe]
+    c = parse_basis_index(cfg_mixed, partner)
+    f = trivialize_recursive(TableCocycle(cfg_mixed, {(w, c): Fraction(3, 2)}), p)
+    for literal, value in pins.items():
+        b = parse_basis_index(cfg_mixed, literal)
+        assert d(b.alpha.vector, b.exps) == 0 and b.exps[up] > 0, literal
+        assert f.eval_basis(b) == value, literal
 
 
 def _skip_cases(all_configs, cfg_decomp):

@@ -206,6 +206,17 @@ def test_probe_sets_l6(cfg_l6z, cfg_l6n):
     assert "1*x[0,0,0]t[1,0,0]" in psl2
 
 
+def test_probe_sets_raise_blocks_4_and_5(cfg_l4, cfg_l5):
+    # the probe monomials of blocks 4 and 5 carry t at the mirror slot:
+    # block 4's in the diagonal family, block 5's in the triangular one
+    ps4, ps5 = probe_sets(cfg_l4), probe_sets(cfg_l5)
+    assert [format_element(u) for u in ps4.triangular] == ["1*x[0,0,0]"]
+    assert [format_element(u) for u in ps4.diagonal] == ["1*x[0,1,0]t[0,0,1]"]
+    assert [format_element(u) for u in ps5.triangular] == [
+        "1*x[0,1,0]t[0,0,1]", "1*x[0,0,0]"]
+    assert ps5.diagonal == []
+
+
 def probe_sets_l2_raising():
     from contactk import make_config
     c = make_config((0, 1, 0, 0, 0, 0), "naturals", [(0, 1, 0), (0, 0, 1)])

@@ -13,7 +13,9 @@ lattice holds at zero stays zero.
 Proven here, on every golden and bench config: the shapes the kernel
 emits with a coefficient that is not identically zero are exactly the
 shapes `bracket_support` lists; every sum `sums_reaching` lists reaches
-its index; and the kernel equals the operator route.
+its index; the kernel equals the operator route; the bracket is skew and
+satisfies Jacobi; and each recursion probe's `probe_recurrence` table is
+the kernel's bracket with the probe monomial.
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ import sympy
 
 from contactk.algebra import (
     AlgebraElement, BasisIndex, bracket_operator, bracket_support, bracket_terms,
-    sums_reaching,
+    probe_index, recursion_probes, sums_reaching,
 )
 from contactk.cli import load_config
+from contactk.cohomology import probe_recurrence
 from contactk.indices import ExponentVector, GroupElement
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -105,6 +108,24 @@ def kernel_equals_operator(config, iu, iv) -> bool:
     return normal(bracket_terms(config, iu, iv)) == normal(operator)
 
 
+def jacobi_sum(config, iu, iv, iw) -> dict:
+    """[[u, v], w] + [[v, w], u] + [[w, u], v], normalized."""
+    total = {}
+    for a, b, c in ((iu, iv, iw), (iv, iw, iu), (iw, iu, iv)):
+        for r, k in bracket_terms(config, a, b).items():
+            bracket_terms(config, r, c, k, total)
+    return normal(total)
+
+
+def recurrence_holds(config, w, d, kappa, b) -> bool:
+    """[w, b] == d(a, i) b + sum of k i[s] (b lowered at s) over kappa,
+    where a and i are b's vector and exponents."""
+    expected = {b: d(b.alpha.vector, b.exps)}
+    for s, k in kappa:
+        expected[BasisIndex(b.alpha, b.exps.lowered(s))] = k * b.exps[s]
+    return normal(bracket_terms(config, w, b)) == normal(expected)
+
+
 def test_support_is_exactly_the_emitted_shapes(config):
     iu, iv = symbolic_index(config, "a"), symbolic_index(config, "b")
     shapes = emitted_shapes(config, iu, iv)
@@ -131,6 +152,31 @@ def test_every_listed_sum_reaches_its_index(config):
 def test_kernel_equals_the_operator_route(config):
     iu, iv = symbolic_index(config, "a"), symbolic_index(config, "b")
     assert kernel_equals_operator(config, iu, iv)
+
+
+def test_the_bracket_is_skew(config):
+    iu, iv = symbolic_index(config, "a"), symbolic_index(config, "b")
+    flipped = bracket_terms(config, iv, iu, -1)
+    assert normal(bracket_terms(config, iu, iv)) == normal(flipped)
+
+
+def test_the_bracket_satisfies_jacobi(config):
+    triple = [symbolic_index(config, sym) for sym in "abc"]
+    assert jacobi_sum(config, *triple) == {}
+
+
+def test_each_probe_recurrence_is_the_bracket_with_its_probe(config):
+    # for a generic b: [w, b] = d(a, i) b + sum k i[s] (b lowered at s),
+    # and raising b at `up` leaves d unchanged, so where d is zero f(b)
+    # can be solved for through the identity at b raised at `up`
+    b = symbolic_index(config, "b")
+    a, i = b.alpha.vector, b.exps
+    for p in recursion_probes(config):
+        w, d, kappa, up = probe_recurrence(config, p)
+        assert w == probe_index(config, p)
+        assert recurrence_holds(config, w, d, kappa, b), p
+        assert sympy.expand(d(a, i.raised(up)) - d(a, i)) == 0, p
+        assert dict(kappa)[up], p
 
 
 def test_the_unshifted_shape_is_not_emitted_on_l2():
@@ -164,3 +210,40 @@ def test_each_family_is_needed(family):
         iu, iv = symbolic_index(config, "a"), symbolic_index(config, "b")
         assert not kernel_equals_operator(mutant, iu, iv), (family, name)
     assert having
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_jacobi_needs_each_family_on_l3(family):
+    # negative control: l3 has all four families, and with any one
+    # switched off in a copy's pair_rows the bracket fails Jacobi
+    at = FAMILIES[family]
+    for name in ("golden/l3", "configs/l3"):
+        config = load_config(CONFIGS[name])
+        mutant = copy.copy(config)
+        mutant.pair_rows = tuple(row[:at] + (False,) + row[at + 1:]
+                                 for row in config.pair_rows)
+        triple = [symbolic_index(config, sym) for sym in "abc"]
+        assert jacobi_sum(config, *triple) == {}
+        assert jacobi_sum(mutant, *triple) != {}, name
+
+
+def test_each_recurrence_entry_is_needed():
+    # negative control over every (config, recursion probe) pair: each
+    # kappa entry with its sign flipped breaks the identity, and so does d
+    # negated wherever d is not identically zero: on 13 of the 22 pairs,
+    # the other 9 being probe 0 on a lattice with no slot-0 vector
+    pairs = negated = 0
+    for name, path in CONFIGS.items():
+        config = load_config(path)
+        b = symbolic_index(config, "b")
+        for p in recursion_probes(config):
+            w, d, kappa, _up = probe_recurrence(config, p)
+            pairs += 1
+            for n, (s, k) in enumerate(kappa):
+                flipped = kappa[:n] + ((s, -k),) + kappa[n + 1:]
+                assert not recurrence_holds(config, w, d, flipped, b), (name, p, s)
+            if sympy.expand(d(b.alpha.vector, b.exps)) != 0:
+                negated += 1
+                negated_d = lambda a, i: -d(a, i)  # noqa: E731
+                assert not recurrence_holds(config, w, negated_d, kappa, b), (name, p)
+    assert (pairs, negated) == (22, 13)
