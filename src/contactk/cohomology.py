@@ -48,8 +48,10 @@ class LinearFunctional:
         self.tag = tag
 
     def eval_basis(self, index: BasisIndex) -> Fraction:
-        if index in self.table:
-            return self.table[index]
+        # one lookup: table values are never None
+        value = self.table.get(index)
+        if value is not None:
+            return value
         return _ZERO if self.rule is None else self.rule(index)
 
     def eval_terms(self, terms: dict) -> Fraction:
@@ -63,8 +65,7 @@ class LinearFunctional:
 
 def _sum_key(iu: BasisIndex, iv: BasisIndex) -> tuple:
     """Key of a pair's index sum, as `sums_reaching` lists it."""
-    return (*map(add, iu.alpha.coords, iv.alpha.coords),
-            *map(add, iu.exps, iv.exps))
+    return (*map(add, iu.alpha.coords + iu.exps, iv.alpha.coords + iv.exps),)
 
 
 class CoboundaryCocycle(Cocycle):
@@ -253,8 +254,11 @@ def trivialize_recursive(psi: Cocycle, probe: int) -> LinearFunctional:
         val = psi.on_basis(w, b)
         for s, k in lowers:
             if exps[s]:
-                val -= k * exps[s] * (yield BasisIndex(alpha, exps.lowered(s)))
-        return val / scale
+                lowered = yield BasisIndex(alpha, exps.lowered(s))
+                if lowered:
+                    val -= k * exps[s] * lowered
+        # nearly every value is zero: keep those off Fraction arithmetic
+        return val / scale if val else _ZERO
 
     f = LinearFunctional(config, tag=f"probe {shape.index_token(probe)}")
     f.rule = _bottom_up(f, step)
@@ -366,49 +370,67 @@ def verify_trivialization(psi: Cocycle, f: LinearFunctional, pairs) -> CheckRepo
     """Exact comparison psi(u,v) vs f([u,v]) over the given basis pairs.
 
     For a coboundary psi = g([u,v]) the call keeps whether g(r) != f(r)
-    per result index r, and a pair passes unsummed when no term differs.
-    The first pair with a given index sum (α+β, i+j) is bracketed; at the
-    second, g - f is checked once on `bracket_support` of the sum, and
-    when it vanishes there every later pair with that sum passes without
-    a bracket (both sides are the same sum of equal values).  Any other
-    psi goes through `on_basis`, one bracket per pair.
+    per result index r, and a bracketed pair passes unsummed when no term
+    differs.  The first pair with a given index sum (α+β, i+j) is held
+    back.  At the second, g - f is checked once on `bracket_support` of
+    the sum: when it vanishes there, every pair with that sum passes
+    without a bracket (both sides are the same sum of equal values);
+    otherwise each of them is bracketed, the held one included.  Pairs
+    whose sum occurs only once are bracketed after the sweep, and the
+    failures are put back in pair order.  `pairs` is read once, and the
+    state kept grows with the distinct sums, not with the pairs.  Any
+    other psi goes through `on_basis`, one bracket per pair.
     """
     config = psi.config
-    g = psi.functional if isinstance(psi, CoboundaryCocycle) else None
+    if not isinstance(psi, CoboundaryCocycle):
+        failures = []
+        checked = 0
+        for iu, iv in pairs:
+            checked += 1
+            lhs = psi.on_basis(iu, iv)
+            rhs = f.eval_terms(bracket_terms(config, iu, iv))
+            if lhs != rhs:
+                failures.append((iu, iv, lhs, rhs))
+        return CheckReport(checked, failures)
+
+    g = psi.functional
     diff: dict[BasisIndex, bool] = {}
-    # per index sum, keyed by its coordinates and exponents: None after
-    # its first pair, then whether g - f vanishes on its bracket support
-    clear: dict[tuple, bool | None] = {}
 
     def differs(r: BasisIndex) -> bool:
         if (d := diff.get(r)) is None:
             d = diff[r] = g.eval_basis(r) != f.eval_basis(r)
         return d
 
-    failures = []
+    failed: dict[int, tuple] = {}  # by pair position
+
+    def bracket(n: int, iu: BasisIndex, iv: BasisIndex) -> None:
+        terms = bracket_terms(config, iu, iv)
+        if any(map(differs, terms)):
+            lhs, rhs = g.eval_terms(terms), f.eval_terms(terms)
+            if lhs != rhs:
+                failed[n] = (iu, iv, lhs, rhs)
+
+    # per index sum, keyed by its coordinates and exponents: its only pair
+    # so far, with its position, or whether g - f vanishes on its support
+    held: dict[tuple, tuple] = {}
+    clear: dict[tuple, bool] = {}
     checked = 0
     for iu, iv in pairs:
+        n = checked
         checked += 1
-        if g is not None:
-            key = _sum_key(iu, iv)
-            if key not in clear:
-                clear[key] = None
-            else:
-                verdict = clear[key]
-                if verdict is None:
-                    support = bracket_support(
-                        config, iu.alpha.add(iv.alpha), iu.exps.add(iv.exps))
-                    verdict = clear[key] = not any(map(differs, support))
-                if verdict:
-                    continue
-        bracket = bracket_terms(config, iu, iv)
-        if g is None:
-            lhs = psi.on_basis(iu, iv)
-        else:
-            if not any(map(differs, bracket)):
-                continue  # g and f agree on every term
-            lhs = g.eval_terms(bracket)
-        rhs = f.eval_terms(bracket)
-        if lhs != rhs:
-            failures.append((iu, iv, lhs, rhs))
-    return CheckReport(checked, failures)
+        key = _sum_key(iu, iv)
+        verdict = clear.get(key)
+        if verdict is None:
+            first = held.pop(key, None)
+            if first is None:
+                held[key] = (n, iu, iv)
+                continue
+            support = bracket_support(config, iu.alpha.add(iv.alpha), iu.exps.add(iv.exps))
+            verdict = clear[key] = not any(map(differs, support))
+            if not verdict:
+                bracket(*first)
+        if not verdict:
+            bracket(n, iu, iv)
+    for first in held.values():
+        bracket(*first)
+    return CheckReport(checked, [failed[n] for n in sorted(failed)])

@@ -49,11 +49,12 @@ class Shape:
         return list(range(self.cum[lo - 1] + 1, self.cum[hi] + 1))
 
     def block_of(self, p: int) -> int:
-        """Block number of an unbarred index."""
-        for i in range(1, 7):
-            if p <= self.cum[i]:
-                return i
-        raise ConfigError(f"index {p} out of range")
+        """Block number of a nonzero index; a barred index is in its
+        unbarred partner's block, and index 0 is in none."""
+        if not 1 <= p <= 2 * self.n:
+            raise ConfigError(f"index {p} is in no block")
+        q = self.unbarred(p)
+        return next(i for i in range(1, 7) if q <= self.cum[i])
 
     def mirror(self, p: int) -> int:
         if not 1 <= p <= 2 * self.n:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -343,11 +344,10 @@ def _sum_key(iu, iv):
     return iu.alpha.add(iv.alpha), iu.exps.add(iv.exps)
 
 
-def _first_pair_of_each_sum(pairs):
-    first = {}
-    for pair in pairs:
-        first.setdefault(_sum_key(*pair), pair)
-    return list(first.values())
+def _pairs_of_a_single_sum(pairs):
+    # the pairs whose index sum no other pair has, in pair order
+    count = Counter(_sum_key(*pair) for pair in pairs)
+    return [pair for pair in pairs if count[_sum_key(*pair)] == 1]
 
 
 def _drawn_then_flipped(config, rng, count):
@@ -375,12 +375,13 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-def test_verify_brackets_the_first_pair_of_each_sum(cfg_l2, kernel_calls):
+def test_verify_brackets_only_the_sums_it_cannot_certify(cfg_l2, kernel_calls):
     # table functionals have no rule, so every kernel call comes from the
     # verifier's own loop.  A table psi is bracketed once per pair, in
-    # pair order.  A coboundary is bracketed at the first pair of each
-    # index sum; when g - f vanishes on the sum's support the later pairs
-    # pass unbracketed, and otherwise each pair is bracketed once
+    # pair order.  A coboundary holds back the first pair of each index
+    # sum and checks the sum's support at its second: when g - f vanishes
+    # there no pair of the sum is bracketed, and otherwise each is
+    # bracketed once.  A sum that only one pair has is always bracketed
     calls = kernel_calls
     rng = random.Random(94)
     g = random_functional(cfg_l2, rng)
@@ -398,13 +399,36 @@ def test_verify_brackets_the_first_pair_of_each_sum(cfg_l2, kernel_calls):
     same = LinearFunctional(cfg_l2, table=g.table, tag="same")
     report = verify_trivialization(psi, same, iter(pairs))
     assert report.passed and report.checked == len(pairs)
-    assert calls == _first_pair_of_each_sum(pairs) and len(calls) < len(pairs)
+    single = _pairs_of_a_single_sum(pairs)
+    assert calls == single and 0 < len(calls) < len(pairs)
 
     calls.clear()
     report = verify_trivialization(psi, f, iter(pairs))
-    failing = [(iu, iv) for iu, iv, _, _ in _reference_failures(cfg_l2, g, f, pairs)]
-    assert failing and set(failing) <= set(calls)
+    expected = _reference_failures(cfg_l2, g, f, pairs)
+    assert expected and report.failures == expected
+    assert {(iu, iv) for iu, iv, _, _ in expected} <= set(calls)
+    assert set(single) <= set(calls)
     assert len(set(calls)) == len(calls) and report.checked == len(pairs)
+
+
+def test_verify_reports_failures_in_pair_order(cfg_l2):
+    # a failing pair whose sum no other pair has is bracketed only after
+    # the sweep, yet it comes first when it comes first among the pairs
+    g = random_functional(cfg_l2, random.Random(95))
+    pairs = window_pairs(cfg_l2, 1)
+    single = _pairs_of_a_single_sum(pairs)
+    lone = next(p for p in single if bracket_terms(cfg_l2, *p))
+    twin = next(p for p in pairs if p not in single and _sum_key(*p) != _sum_key(*lone)
+                and bracket_terms(cfg_l2, *p))
+    f = LinearFunctional(cfg_l2, table=g.table, tag="altered")
+    for iu, iv in (lone, twin):
+        r = next(iter(bracket_terms(cfg_l2, iu, iv)))
+        f.table[r] = g.eval_basis(r) + 1
+    ordered = [lone] + [p for p in pairs if _sum_key(*p) == _sum_key(*twin)]
+    report = verify_trivialization(coboundary(g), f, iter(ordered))
+    expected = _reference_failures(cfg_l2, g, f, ordered)
+    assert report.failures == expected and len(expected) > 1
+    assert report.failures[0][:2] == lone and report.checked == len(ordered)
 
 
 def test_verify_failures_match_the_operator_reference(all_configs, bracket_shape,
@@ -413,8 +437,8 @@ def test_verify_failures_match_the_operator_reference(all_configs, bracket_shape
     # shape of the config's table, so that a sum's certificate sees every
     # shape.  Every shape is hit, and killed: some failing pair's bracket
     # holds the index altered for it.  Failures equal the operator-route
-    # reference in value and order; the first pair of each sum is
-    # bracketed, and no pair twice
+    # reference in value and order; every failing pair and every pair
+    # whose sum no other pair has is bracketed, and no pair twice
     for name, config in all_configs.items():
         rng = random.Random(96)
         if name == "mixed":
@@ -442,7 +466,9 @@ def test_verify_failures_match_the_operator_reference(all_configs, bracket_shape
         failing = [brackets[iu, iv] for iu, iv, _, _ in report.failures]
         for shape, r in altered.items():
             assert any(r in bracket for bracket in failing), (name, shape)
-        assert set(_first_pair_of_each_sum(pairs)) <= set(kernel_calls), name
+        failing_pairs = {(iu, iv) for iu, iv, _, _ in report.failures}
+        assert failing_pairs <= set(kernel_calls), name
+        assert set(_pairs_of_a_single_sum(pairs)) <= set(kernel_calls), name
         assert len(set(kernel_calls)) == len(kernel_calls), name
 
 

@@ -34,6 +34,24 @@ def test_shape_mixed_layout():
     assert s.slot(10) == 8
 
 
+@pytest.mark.parametrize("ell", [
+    (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (1, 1, 1, 1, 1, 1), (2, 0, 1, 0, 3, 1),
+])
+def test_block_of_names_each_nonzero_index_its_block(ell):
+    # the unbarred indices of block b, from the block sizes alone; a
+    # barred index is in its partner's block (1bar of (1,0,0,0,0,0) is in
+    # block 1), and 0 is in none
+    s = Shape(ell)
+    expected = {}
+    for b in range(1, 7):
+        for p in s.blocks(b, b):
+            expected[p] = expected[p + s.n] = b
+    assert {p: s.block_of(p) for p in range(1, 2 * s.n + 1)} == expected
+    for p in (0, -1, 2 * s.n + 1):
+        with pytest.raises(ConfigError):
+            s.block_of(p)
+
+
 def test_shape_rejects_bad_vectors():
     with pytest.raises(ConfigError):
         Shape((0, 0, 0, 0, 0, 0))
