@@ -131,21 +131,24 @@ def unit(config: AlgebraConfig) -> AlgebraElement:
 
 def probe_index(config: AlgebraConfig, p: int) -> BasisIndex:
     """The probe monomial of index p: x at the negated shift of p (the
-    unit for p = 0, whose shift is zero), raised at p's mirror slot in
-    blocks 4 and 5."""
+    unit for p = 0, whose shift is zero), raised at each slot of p's pair
+    that holds exponents only."""
     shape = config.shape
     exps = config.zero_exps
-    if p and shape.block_of(p) in (4, 5):
-        exps = exps.raised(shape.slot(p + shape.n))
+    if p:
+        only_exps = shape.exponent_slots - shape.group_slots
+        exps = exps.raised(*only_exps.intersection(shape.pair_slots(p)))
     return BasisIndex(config.shift_coords[p].neg(), exps)
 
 
 def recursion_probes(config: AlgebraConfig) -> list[int]:
     """Probe indices accepted by the recursive trivializer, in preference
-    order: blocks 2, 3, 5, then 0 for the unit route.  Their monomials
-    are the triangular probe family."""
+    order: each unbarred index whose pair has a slot holding both a
+    lattice coordinate and exponents, then 0 for the unit route.  Their
+    monomials are the triangular probe family."""
     shape = config.shape
-    out = shape.blocks(2, 3) + shape.blocks(5, 5)
+    both = shape.group_slots & shape.exponent_slots
+    out = [p for p in shape.blocks(1, 6) if both.intersection(shape.pair_slots(p))]
     if config.j0_naturals:
         out.append(0)
     return out

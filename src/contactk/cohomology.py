@@ -3,9 +3,9 @@
 A cocycle here is a bilinear skew form evaluated on basis pairs.  The
 trivializers build a linear functional f with psi(u,v) = f([u,v]) two
 ways: a memoized recursion driven by a probe element (available whenever
-zero-slot exponents are switched on or some block besides the first is
-nonempty), and a four-case closed form for the remaining pure-group
-regime.  Divisions are exact; the case guards are the case split.
+some slot carries exponents), and a four-case closed form for the
+remaining pure-group regime, where only the first block is nonempty.
+Divisions are exact; the case guards are the case split.
 """
 
 from __future__ import annotations
@@ -189,9 +189,9 @@ def targeted_triples(psi: TableCocycle, rng, count: int) -> list[tuple]:
 # -- regimes and probes -----------------------------------------------
 
 def closed_form_regime(config: AlgebraConfig) -> bool:
-    """True for the pure-group regime: no zero-slot exponents and only
-    the first block nonempty (so the exponent semigroup is trivial)."""
-    return (not config.j0_naturals) and config.shape.n == config.shape.ell[0]
+    """True for the pure-group regime: no slot carries exponents (so the
+    exponent semigroup is trivial), which leaves only the first block."""
+    return not config.exp_slots
 
 
 def probe_recurrence(config: AlgebraConfig, p: int) -> tuple:
@@ -200,24 +200,24 @@ def probe_recurrence(config: AlgebraConfig, p: int) -> tuple:
 
         [w, b] = d(a, i) b + sum over (s, k) in kappa of k i[s] (b lowered at s),
 
-    and d(a, i raised at up) = d(a, i).  With sp = slot(p), sq = slot(p bar):
-
-        probe     d(a, i)       kappa            up
-        0 (unit)  2 a[0]        {0: 2}           0
-        block 2   a[sq] - a[sp] {sq: 1}          sq
-        block 3   a[sq] - a[sp] {sp: -1, sq: 1}  sq
-        block 5   i[sq] - a[sp] {sp: -1}         sp
+    and d(a, i raised at up) = d(a, i).  For the unit (p = 0), d = 2 a[0],
+    kappa = {0: 2} and up = 0.  Otherwise, with sp = slot(p) and sq =
+    slot(p bar): kappa holds -1 at sp and +1 at sq, each where that slot
+    holds both a lattice coordinate and exponents; up is kappa's last
+    slot; and d = a[sq] - a[sp] where sq is a lattice slot, else
+    i[sq] - a[sp].
     """
     w = probe_index(config, p)
     if p == 0:
         return w, lambda a, i: 2 * a[0], ((0, 2),), 0
     shape = config.shape
-    sp, sq = shape.slot(p), shape.slot(p + shape.n)
-    block = shape.block_of(p)
-    if block == 5:
-        return w, lambda a, i: i[sq] - a[sp], ((sp, -1),), sp
-    kappa = ((sq, 1),) if block == 2 else ((sp, -1), (sq, 1))
-    return w, lambda a, i: a[sq] - a[sp], kappa, sq
+    sp, sq = shape.pair_slots(p)
+    both = shape.group_slots & shape.exponent_slots
+    kappa = tuple((s, k) for s, k in ((sp, -1), (sq, 1)) if s in both)
+    up = kappa[-1][0]
+    if sq in shape.group_slots:
+        return w, lambda a, i: a[sq] - a[sp], kappa, up
+    return w, lambda a, i: i[sq] - a[sp], kappa, up
 
 
 def trivialize_recursive(psi: Cocycle, probe: int) -> LinearFunctional:
@@ -313,7 +313,6 @@ def trivialize_closed_form(psi: Cocycle) -> LinearFunctional:
     # zero-slot exponents are off, so `AlgebraConfig` made sure that the
     # lattice covers slot 0 and holds its unit vector
     lattice = config.lattice
-    ell1 = shape.ell[0]
     # the all-minus-one pure-group reference vector
     ref = lattice.zero
     for p in shape.blocks(1, 1):
@@ -338,7 +337,7 @@ def trivialize_closed_form(psi: Cocycle) -> LinearFunctional:
     def rule(b: BasisIndex) -> Fraction:
         vec = b.alpha.vector
         if b.alpha.coords == ref.coords:
-            return psi.on_basis(neg_two0, top) / (4 * (2 + ell1))
+            return psi.on_basis(neg_two0, top) / (4 * (2 + shape.n))
         a0 = vec[0]
         if a0 != 0:
             return psi.on_basis(one, b) / (2 * a0)

@@ -18,7 +18,7 @@ from .linalg import Echelon, add_into, as_number
 from .algebra import (
     AlgebraElement, BasisIndex, CheckReport, bracket_closed, bracket_terms,
     format_basis_index, format_element, lower_partial, probe_index,
-    recursion_probes, unit,
+    recursion_probes,
 )
 
 
@@ -63,8 +63,8 @@ def ad(u: AlgebraElement) -> LinearOperator:
 class LatticeHom:
     """Rational homomorphism out of the lattice, given by generator values.
 
-    Valid homomorphisms vanish on every shift vector of blocks 1..5; the
-    constructor enforces that.
+    Valid homomorphisms vanish on every shift vector; the constructor
+    enforces that.
     """
 
     __slots__ = ("config", "values", "_nums", "_den")
@@ -78,8 +78,8 @@ class LatticeHom:
                            for v in self.values)
         if len(self.values) != len(config.lattice.generators):
             raise ConfigError("hom needs one value per gamma generator")
-        for p in config.shape.blocks(1, 5):
-            if self.value_on_coords(config.shift_coords[p].coords) != 0:
+        for p, shift in config.shift_coords.items():
+            if self.value_on_coords(shift.coords) != 0:
                 raise ConfigError(
                     f"hom does not vanish on the shift vector at index {p}")
 
@@ -106,11 +106,10 @@ def diagonal_derivation(hom: LatticeHom) -> LinearOperator:
 
 
 def mirror_difference_hom(config: AlgebraConfig, p: int) -> LatticeHom:
-    """The hom alpha -> alpha_mirror(p) - alpha_p, for p in blocks 1..3."""
-    shape = config.shape
-    if p not in shape.blocks(1, 3):
+    """The hom alpha -> alpha_mirror(p) - alpha_p, for p in `mirror_pairs`."""
+    if p not in mirror_pairs(config):
         raise ConfigError(f"index {p} is not in blocks 1..3")
-    sp, sq = shape.slot(p), shape.slot(p + shape.n)
+    sp, sq = config.shape.pair_slots(p)
     values = [g[sq] - g[sp] for g in config.lattice.generators]
     return LatticeHom(config, values)
 
@@ -120,13 +119,19 @@ def zero_slot_hom(config: AlgebraConfig) -> LatticeHom:
     return LatticeHom(config, [g[0] for g in config.lattice.generators])
 
 
-def outer_indices(config: AlgebraConfig) -> list[int]:
-    """Indices whose lowering operators are outer derivations."""
+def mirror_pairs(config: AlgebraConfig) -> list[int]:
+    """Unbarred indices whose two slots both hold lattice coordinates."""
     shape = config.shape
-    out = [p + shape.n for p in shape.blocks(2, 3)]
-    out += shape.blocks(3, 3)
-    out += shape.blocks(5, 5)
-    return sorted(out)
+    return [p for p in shape.blocks(1, 6)
+            if shape.group_slots.issuperset(shape.pair_slots(p))]
+
+
+def outer_indices(config: AlgebraConfig) -> list[int]:
+    """Indices whose lowering operators are outer derivations: those whose
+    slot holds both a lattice coordinate and exponents."""
+    shape = config.shape
+    both = shape.group_slots & shape.exponent_slots
+    return [p for p in shape.indices() if shape.slot(p) in both]
 
 
 def outer_lower_partial(config: AlgebraConfig, p: int) -> LinearOperator:
@@ -192,8 +197,10 @@ class ProbeSets(NamedTuple):
 
 
 def probe_sets(config: AlgebraConfig) -> ProbeSets:
-    """The triangular family is the recursion probes' monomials; the
-    diagonal family holds the probe monomials of blocks 1 and 4."""
+    """The triangular family is the recursion probes' monomials and the
+    diagonal family the probe monomials of the other indices; the raising
+    and lowering families square each unbarred and each barred index, x
+    at twice its unit vector at a lattice slot and t squared otherwise."""
     shape = config.shape
     lattice = config.lattice
 
@@ -209,26 +216,22 @@ def probe_sets(config: AlgebraConfig) -> ProbeSets:
         """t raised once at each given slot."""
         return monomial(BasisIndex(lattice.zero, config.zero_exps.raised(*slots)))
 
-    triangular = [monomial(probe_index(config, p)) for p in recursion_probes(config)]
-    diagonal = [monomial(probe_index(config, p))
-                for p in shape.blocks(1, 1) + shape.blocks(4, 4)]
-    diagonal += [exponent(shape.slot(r), shape.slot(r + shape.n))
-                 for r in shape.blocks(6, 6)]
-    if not config.j0_naturals:
-        diagonal.append(unit(config))
+    def square(p):
+        s = shape.slot(p)
+        return unit_multiple(p, 2) if s in shape.group_slots else exponent(s, s)
 
-    raising = [unit_multiple(p, 2) for p in shape.blocks(1, 5)]
-    raising += [exponent(shape.slot(q), shape.slot(q)) for q in shape.blocks(6, 6)]
+    probes = recursion_probes(config)
+    triangular = [monomial(probe_index(config, p)) for p in probes]
+    diagonal = [monomial(probe_index(config, p))
+                for p in [*shape.blocks(1, 6), 0] if p not in probes]
+
+    raising = [square(p) for p in shape.blocks(1, 6)]
+    lowering = [square(p + shape.n) for p in shape.blocks(1, 6)]
     if lattice.has_zero_slot:
         raising.append(unit_multiple(0, 2))
+        lowering.append(unit_multiple(0, -2))
     else:
         raising.append(exponent(0))
-
-    lowering = [unit_multiple(p + shape.n, 2) for p in shape.blocks(1, 3)]
-    lowering += [exponent(shape.slot(q + shape.n), shape.slot(q + shape.n))
-                 for q in shape.blocks(4, 6)]
-    if lattice.has_zero_slot:
-        lowering.append(unit_multiple(0, -2))
 
     return ProbeSets(triangular, diagonal, raising, lowering)
 
@@ -236,10 +239,10 @@ def probe_sets(config: AlgebraConfig) -> ProbeSets:
 # -- homomorphism bases -----------------------------------------------
 
 def hom_space_basis(config: AlgebraConfig) -> list[LatticeHom]:
-    """Basis of all valid homomorphisms (vanishing on blocks 1..5 shifts)."""
+    """Basis of all valid homomorphisms (vanishing on every shift)."""
     shifts = Echelon()
-    for p in config.shape.blocks(1, 5):
-        shifts.add(dict(enumerate(config.shift_coords[p].coords)), p)
+    for p, shift in config.shift_coords.items():
+        shifts.add(dict(enumerate(shift.coords)), p)
     return [LatticeHom(config, v)
             for v in shifts.nullspace(len(config.lattice.generators))]
 
@@ -249,7 +252,7 @@ def _pivot_hom_values(config: AlgebraConfig) -> list[tuple[Fraction, ...]]:
     (after lowering corrections): the mirror differences, plus the
     zero-slot hom when the zero-slot exponents are switched off."""
     pivots = [mirror_difference_hom(config, p).values
-              for p in config.shape.blocks(1, 3)]
+              for p in mirror_pairs(config)]
     if not config.j0_naturals:
         pivots.append(zero_slot_hom(config).values)
     return pivots

@@ -2,9 +2,12 @@
 
 A configuration is built from three inputs: six block sizes ("ell"), a
 zero-slot exponent mode ("j0": zero or naturals), and a free finitely
-generated coordinate lattice ("gamma").  Everything downstream (shift
-vectors, allowed exponent slots, weights) is derived here once and read
-by the algebra and derivation modules.
+generated coordinate lattice ("gamma").  The six blocks differ only in
+`BLOCK_ROLES`, the roles of the two slots of each index pair (p, p bar):
+"g" for a lattice coordinate, "e" for an exponent.  `Shape` turns the
+table into two slot sets, and every per-block rule downstream (lattice
+support, shift vectors, exponent slots, weights, the kernel's families,
+outer indices and probes) is a test against those sets.
 
 Serialized vectors interleave mirror pairs: (slot 0, 1, 1bar, 2, 2bar, ...).
 Indices are plain ints 0..2n with mirror(p) = p +- n; the zero slot has no
@@ -23,10 +26,17 @@ class ConfigError(ValueError):
     """Raised for invalid shapes, lattices, or configurations."""
 
 
-class Shape:
-    """Block sizes and the index bookkeeping derived from them."""
+# Roles of the slots of (p, p bar) for an index p of blocks 1..6: "g"
+# marks a lattice coordinate and "e" an exponent.  This is the family.
+BLOCK_ROLES = (("g", "g"), ("g", "ge"), ("ge", "ge"), ("g", "e"), ("ge", "e"), ("e", "e"))
 
-    __slots__ = ("ell", "cum", "n", "dim")
+
+class Shape:
+    """Block sizes and the index bookkeeping derived from them: among the
+    nonzero slots, `group_slots` hold lattice coordinates and
+    `exponent_slots` exponents (a slot can be in both)."""
+
+    __slots__ = ("ell", "cum", "n", "dim", "group_slots", "exponent_slots")
 
     def __init__(self, ell):
         ell = tuple(int(x) for x in ell)
@@ -41,6 +51,10 @@ class Shape:
         self.cum = tuple(cum)  # cum[i] = size of blocks 1..i
         self.n = cum[6]
         self.dim = 1 + 2 * self.n
+        roles = [(self.slot(p), BLOCK_ROLES[self.block_of(p) - 1][p > self.n])
+                 for p in range(1, self.dim)]
+        self.group_slots = frozenset(s for s, role in roles if "g" in role)
+        self.exponent_slots = frozenset(s for s, role in roles if "e" in role)
 
     # -- index sets ---------------------------------------------------
 
@@ -63,6 +77,11 @@ class Shape:
 
     def unbarred(self, p: int) -> int:
         return p if p <= self.n else p - self.n
+
+    def pair_slots(self, p: int) -> tuple[int, int]:
+        """Slots of (q, q bar) for the unbarred partner q of a nonzero p."""
+        q = self.unbarred(p)
+        return self.slot(q), self.slot(q + self.n)
 
     def indices(self) -> range:
         """All indices 0, 1, ..., 2n."""
@@ -104,13 +123,8 @@ class Shape:
             raise ConfigError(f"index {p} out of range")
         vec = [0] * self.dim
         if p != 0:
-            q = self.unbarred(p)
-            b = self.block_of(q)
-            if b <= 3:
-                vec[self.slot(q)] = -1
-                vec[self.slot(q + self.n)] = -1
-            elif b <= 5:
-                vec[self.slot(q)] = -1
+            for s in self.group_slots.intersection(self.pair_slots(p)):
+                vec[s] = -1
         return tuple(vec)
 
 
@@ -138,9 +152,7 @@ class Lattice:
 
     def _check_support(self):
         shape = self.shape
-        allowed = {0}
-        allowed.update(shape.slot(p) for p in shape.blocks(1, 5))
-        allowed.update(shape.slot(p + shape.n) for p in shape.blocks(1, 3))
+        allowed = {0} | shape.group_slots
         for k, g in enumerate(self.generators):
             for s, x in enumerate(g):
                 if x != 0 and s not in allowed:
@@ -157,11 +169,8 @@ class Lattice:
 
     def _check_required_members(self):
         shape = self.shape
-        required = shape.blocks(1, 3)
-        required += [p + shape.n for p in shape.blocks(1, 3)]
-        required += shape.blocks(4, 5)
-        for p in required:
-            if self.unit_coords(p) is None:
+        for p in shape.indices():
+            if shape.slot(p) in shape.group_slots and self.unit_coords(p) is None:
                 raise ConfigError(
                     f"gamma must contain the unit vector at index {shape.index_token(p)}")
         if self.has_zero_slot and self.unit_coords(0) is None:
@@ -301,31 +310,19 @@ class AlgebraConfig:
         self.lattice = lattice
         self.j0_naturals = j0_naturals
 
-        n = shape.n
-        exp_slots = set()
-        if j0_naturals:
-            exp_slots.add(0)
-        for p in shape.blocks(3, 3) + shape.blocks(5, 6):
-            exp_slots.add(shape.slot(p))
-        for p in shape.blocks(2, 6):
-            exp_slots.add(shape.slot(p + n))
-        self.exp_slots = frozenset(exp_slots)
+        group, exponent = shape.group_slots, shape.exponent_slots
+        self.exp_slots = exponent | {0} if j0_naturals else exponent
 
         self.shift_coords = {}
         for p in shape.indices():
             coords = lattice.membership(shape.shift_vector(p))
             if coords is None:
-                # blocks 1..5 shifts are members by the required-member rule
+                # each shift is a sum of required unit vectors
                 raise ConfigError("shift vector escapes gamma")  # pragma: no cover
             self.shift_coords[p] = lattice.element(coords)
 
-        self.weight_group_slots = tuple(
-            [shape.slot(p) for p in shape.blocks(1, 3)]
-            + [shape.slot(p + n) for p in shape.blocks(1, 3)]
-            + [shape.slot(p) for p in shape.blocks(4, 5)])
-        self.weight_exp_slots = tuple(
-            [shape.slot(p) for p in shape.blocks(6, 6)]
-            + [shape.slot(p + n) for p in shape.blocks(4, 6)])
+        self.weight_group_slots = tuple(sorted(group))
+        self.weight_exp_slots = tuple(sorted(exponent - group))
 
         # per-index data consumed by the closed bracket: for each unbarred
         # index p, its slot, the mirror slot, the shift coordinates, and
@@ -337,13 +334,12 @@ class AlgebraConfig:
         shapes = [(self.shift_coords[0],
                    ((),) * lattice.has_zero_slot + ((0,),) * j0_naturals)]
         for p in shape.blocks(1, 6):
-            b = shape.block_of(p)
-            sp, sq = shape.slot(p), shape.slot(p + n)
+            sp, sq = shape.pair_slots(p)
             families = (
-                b <= 3,            # group-group family
-                2 <= b <= 5,       # group-exponent family
-                b == 3,            # exponent-group family
-                b in (3, 5, 6),    # exponent-exponent family
+                sp in group and sq in group,           # group-group
+                sp in group and sq in exponent,        # group-exponent
+                sp in exponent and sq in group,        # exponent-group
+                sp in exponent and sq in exponent,     # exponent-exponent
             )
             rows.append((sp, sq, self.shift_coords[p], *families))
             shapes.append((self.shift_coords[p], tuple(

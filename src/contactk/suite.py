@@ -50,63 +50,59 @@ def run_suites(config: AlgebraConfig, seed: int, samples: int,
     def draw_pair():
         return sample_index(config, rng), sample_index(config, rng)
 
-    # both bracket routes agree
-    witness = None
-    for _ in range(samples):
+    def law(name: str, count: int, trial) -> None:
+        """Run `trial()` up to `count` times; it returns a witness (never
+        empty) or None, and the first witness fails the law."""
+        witness = next(filter(None, (trial() for _ in range(count))), None)
+        results.append(SuiteResult(name, witness is None, count, witness))
+
+    def monomials(*indices):
+        return [AlgebraElement.from_term(config, i) for i in indices]
+
+    def oracle_equivalence():
+        # both bracket routes agree
         iu, iv = draw_pair()
-        xu = AlgebraElement.from_term(config, iu)
-        xv = AlgebraElement.from_term(config, iv)
+        xu, xv = monomials(iu, iv)
         if bracket_fn(xu, xv) != bracket_operator(xu, xv):
-            witness = _pair_witness(iu, iv)
-            break
-    results.append(SuiteResult("oracle-equivalence", witness is None, samples, witness))
+            return _pair_witness(iu, iv)
 
-    witness = None
-    for _ in range(samples):
+    def antisymmetry():
         iu, iv = draw_pair()
-        xu = AlgebraElement.from_term(config, iu)
-        xv = AlgebraElement.from_term(config, iv)
+        xu, xv = monomials(iu, iv)
         if not (bracket_fn(xu, xv) + bracket_fn(xv, xu)).is_zero():
-            witness = _pair_witness(iu, iv)
-            break
-    results.append(SuiteResult("antisymmetry", witness is None, samples, witness))
+            return _pair_witness(iu, iv)
 
-    triple_count = max(1, samples // 2)
-    witness = None
-    for _ in range(triple_count):
+    def jacobi():
         iu, iv, iw = (sample_index(config, rng) for _ in range(3))
-        xu, xv, xw = (AlgebraElement.from_term(config, i) for i in (iu, iv, iw))
+        xu, xv, xw = monomials(iu, iv, iw)
         total = (bracket_fn(bracket_fn(xu, xv), xw)
                  + bracket_fn(bracket_fn(xv, xw), xu)
                  + bracket_fn(bracket_fn(xw, xu), xv))
         if not total.is_zero():
-            witness = f"{_pair_witness(iu, iv)} , {format_basis_index(iw)}"
-            break
-    results.append(SuiteResult("jacobi", witness is None, triple_count, witness))
+            return f"{_pair_witness(iu, iv)} , {format_basis_index(iw)}"
 
-    # derivative operators obey the product rule
-    witness = None
-    all_indices = list(config.shape.indices())
-    for _ in range(samples):
+    def product_rule():
+        # derivative operators obey the product rule
         iu, iv = draw_pair()
-        xu = AlgebraElement.from_term(config, iu)
-        xv = AlgebraElement.from_term(config, iv)
+        xu, xv = monomials(iu, iv)
         p = rng.choice(all_indices)
         lhs = partial(p, multiply(xu, xv))
         rhs = multiply(partial(p, xu), xv) + multiply(xu, partial(p, xv))
         if lhs != rhs:
-            witness = f"index {config.shape.index_token(p)} on {_pair_witness(iu, iv)}"
-            break
-    results.append(SuiteResult("product-rule", witness is None, samples, witness))
+            return f"index {config.shape.index_token(p)} on {_pair_witness(iu, iv)}"
 
-    witness = None
-    for _ in range(samples):
+    def grading_eigenvalue():
         idx = sample_index(config, rng)
         x = AlgebraElement.from_term(config, idx)
         if grading(x) != weight(config, idx) * x:
-            witness = format_basis_index(idx)
-            break
-    results.append(SuiteResult("grading-eigenvalue", witness is None, samples, witness))
+            return format_basis_index(idx)
+
+    all_indices = list(config.shape.indices())
+    law("oracle-equivalence", samples, oracle_equivalence)
+    law("antisymmetry", samples, antisymmetry)
+    law("jacobi", max(1, samples // 2), jacobi)
+    law("product-rule", samples, product_rule)
+    law("grading-eigenvalue", samples, grading_eigenvalue)
 
     # derivation law for diagonal and outer lowering derivations
     law_samples = max(1, samples // 4)

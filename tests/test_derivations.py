@@ -13,7 +13,8 @@ from contactk import (
     basis_element, bracket_closed, check_derivation, check_mirror_identity,
     diagonal_derivation, format_element, hom_space_basis, hom_star_basis,
     mirror_difference_hom, outer_indices, outer_lower_partial, parse_element,
-    probe_sets, sample_index, unit, window_indices, window_size, zero_slot_hom,
+    probe_sets, recursion_probes, sample_index, unit, window_indices, window_size,
+    zero_slot_hom,
 )
 from contactk.algebra import lower_partial, sample_element, scale_partial
 from contactk.linalg import add_into
@@ -152,6 +153,36 @@ def test_outer_indices_mixed(cfg_mixed):
     s = cfg_mixed.shape
     assert outer_indices(cfg_mixed) == sorted(
         [s.mirror(2), s.mirror(3), 3, 5])
+
+
+def test_mixed_roles_pinned(cfg_mixed):
+    # the index lists and probe families the slot roles decide, in order,
+    # on the config with one index per block (p bar is p + 6)
+    assert outer_indices(cfg_mixed) == [3, 5, 8, 9]
+    assert recursion_probes(cfg_mixed) == [2, 3, 5, 0]
+
+    def x(*at, t=()):
+        """x at the given slots (1 each, or (slot, k)) times t at `t`."""
+        vec, exps = [0] * 13, [0] * 13
+        for s in at:
+            s, k = s if isinstance(s, tuple) else (s, 1)
+            vec[s] = k
+        for s in t:
+            exps[s] += 1
+        body = "x[" + ",".join(map(str, vec)) + "]"
+        return "1*" + body + ("t[" + ",".join(map(str, exps)) + "]" if t else "")
+
+    ps = probe_sets(cfg_mixed)
+    assert [format_element(u) for u in ps.triangular] == [
+        x(3, 4), x(5, 6), x(9, t=(10,)), x()]
+    assert [format_element(u) for u in ps.diagonal] == [
+        x(1, 2), x(7, t=(8,)), x(t=(11, 12))]
+    assert [format_element(u) for u in ps.raising] == [
+        x((1, 2)), x((3, 2)), x((5, 2)), x((7, 2)), x((9, 2)), x(t=(11, 11)),
+        x(t=(0,))]
+    assert [format_element(u) for u in ps.lowering] == [
+        x((2, 2)), x((4, 2)), x((6, 2)), x(t=(8, 8)), x(t=(10, 10)),
+        x(t=(12, 12))]
 
 
 def test_mirror_identity_on_windows(cfg_caseB, cfg_l2, cfg_l3):

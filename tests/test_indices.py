@@ -262,3 +262,45 @@ def test_weight_is_additive(a, b):
     z = c.zero_exps
     ea, eb = c.lattice.element(a), c.lattice.element(b)
     assert c.weight(ea, z) + c.weight(eb, z) == c.weight(ea.add(eb), z)
+
+
+def test_mixed_tables_pinned(cfg_mixed):
+    # every table the six blocks' slot roles decide, on the config with
+    # one index per block: index p sits at slot 2p - 1 and p bar at 2p
+    c = cfg_mixed
+    assert c.exp_slots == frozenset({0, 4, 5, 6, 8, 9, 10, 11, 12})
+    # the weight sums are over slot sets; their order is not observable
+    assert set(c.weight_group_slots) == {1, 2, 3, 4, 5, 6, 7, 9}
+    assert set(c.weight_exp_slots) == {8, 10, 11, 12}
+    assert len(c.weight_group_slots) == 8 and len(c.weight_exp_slots) == 4
+    assert [(sp, sq, shift.coords, *families)
+            for sp, sq, shift, *families in c.pair_rows] == [
+        (1, 2, (-1, -1, 0, 0, 0, 0, 0, 0), True, False, False, False),
+        (3, 4, (0, 0, -1, -1, 0, 0, 0, 0), True, True, False, False),
+        (5, 6, (0, 0, 0, 0, -1, -1, 0, 0), True, True, True, True),
+        (7, 8, (0, 0, 0, 0, 0, 0, -1, 0), False, True, False, False),
+        (9, 10, (0, 0, 0, 0, 0, 0, 0, -1), False, True, False, True),
+        (11, 12, (0, 0, 0, 0, 0, 0, 0, 0), False, False, False, True),
+    ]
+    assert [(shift.coords, shapes) for shift, shapes in c.bracket_shapes] == [
+        ((0, 0, 0, 0, 0, 0, 0, 0), ((0,),)),
+        ((-1, -1, 0, 0, 0, 0, 0, 0), ((),)),
+        ((0, 0, -1, -1, 0, 0, 0, 0), ((), (4,))),
+        ((0, 0, 0, 0, -1, -1, 0, 0), ((), (6,), (5,), (5, 6))),
+        ((0, 0, 0, 0, 0, 0, -1, 0), ((8,),)),
+        ((0, 0, 0, 0, 0, 0, 0, -1), ((10,), (9, 10))),
+        ((0, 0, 0, 0, 0, 0, 0, 0), ((11, 12),)),
+    ]
+    # -1 at the group slots of each index's pair, the same for p and p bar
+    minus = {1: (1, 2), 2: (3, 4), 3: (5, 6), 4: (7,), 5: (9,), 6: ()}
+    for p in c.shape.indices():
+        slots = minus.get(c.shape.unbarred(p), ()) if p else ()
+        assert c.shape.shift_vector(p) == tuple(
+            -1 if s in slots else 0 for s in range(13)), p
+
+
+def test_missing_unit_vectors_are_named_in_index_order():
+    # 1bar (slot 2) and 2 (slot 3) both lack their unit vector; the check
+    # walks the indices in ascending order, so index 2 is named
+    with pytest.raises(ConfigError, match="unit vector at index 2$"):
+        make_config((1, 0, 0, 1, 0, 0), "naturals", [(0, 1, 0, 0, 0)])

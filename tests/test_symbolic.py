@@ -14,8 +14,9 @@ Proven here, on every golden and bench config: the shapes the kernel
 emits with a coefficient that is not identically zero are exactly the
 shapes `bracket_support` lists; every sum `sums_reaching` lists reaches
 its index; the kernel equals the operator route; the bracket is skew and
-satisfies Jacobi; and each recursion probe's `probe_recurrence` table is
-the kernel's bracket with the probe monomial.
+satisfies Jacobi; each recursion probe's `probe_recurrence` table is the
+kernel's bracket with the probe monomial; and every outer lowering and
+every diagonal derivation of a `hom_space_basis` hom obeys Leibniz.
 """
 
 from __future__ import annotations
@@ -28,11 +29,13 @@ import sympy
 
 from contactk.algebra import (
     AlgebraElement, BasisIndex, bracket_operator, bracket_support, bracket_terms,
-    probe_index, recursion_probes, sums_reaching,
+    lower_partial, probe_index, recursion_probes, sums_reaching,
 )
 from contactk.cli import load_config
 from contactk.cohomology import probe_recurrence
+from contactk.derivations import hom_space_basis, outer_indices, outer_lower_partial
 from contactk.indices import ExponentVector, GroupElement
+from contactk.linalg import add_into
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = {f"{path.parent.name}/{path.stem}": path
@@ -124,6 +127,26 @@ def recurrence_holds(config, w, d, kappa, b) -> bool:
     for s, k in kappa:
         expected[BasisIndex(b.alpha, b.exps.lowered(s))] = k * b.exps[s]
     return normal(bracket_terms(config, w, b)) == normal(expected)
+
+
+def leibniz_defect(config, rule, iu, iv) -> dict:
+    """D[u, v] - [Du, v] - [u, Dv], normalized, for the operator D whose
+    image of a basis monomial is `rule(index)`."""
+    defect = {}
+    for r, c in bracket_terms(config, iu, iv).items():
+        add_into(defect, rule(r), c)
+    for r, c in rule(iu).items():
+        bracket_terms(config, r, iv, -c, defect)
+    for r, c in rule(iv).items():
+        bracket_terms(config, iu, r, -c, defect)
+    return normal(defect)
+
+
+def linear_rule(values):
+    """The diagonal rule x^a t^i -> mu(a) x^a t^i of the hom with these
+    generator values, its value written as a linear form in the
+    coordinates so that it takes symbols."""
+    return lambda index: {index: sum(c * v for c, v in zip(index.alpha.coords, values))}
 
 
 def test_support_is_exactly_the_emitted_shapes(config):
@@ -247,3 +270,53 @@ def test_each_recurrence_entry_is_needed():
                 negated_d = lambda a, i: -d(a, i)  # noqa: E731
                 assert not recurrence_holds(config, w, negated_d, kappa, b), (name, p)
     assert (pairs, negated) == (22, 13)
+
+
+def test_every_outer_lowering_obeys_leibniz(config):
+    iu, iv = symbolic_index(config, "a"), symbolic_index(config, "b")
+    for p in outer_indices(config):
+        rule = outer_lower_partial(config, p).rule
+        assert leibniz_defect(config, rule, iu, iv) == {}, p
+
+
+def test_every_hom_space_derivation_obeys_leibniz(config):
+    # each hom's linear form equals `value_on_coords` on the unit points,
+    # hence everywhere, and one more point is checked for good measure
+    iu, iv = symbolic_index(config, "a"), symbolic_index(config, "b")
+    ngens = len(config.lattice.generators)
+    points = [tuple(int(k == j) for k in range(ngens)) for j in range(ngens)]
+    points.append(tuple(range(-2, ngens - 2)))
+    for hom in hom_space_basis(config):
+        rule = linear_rule(hom.values)
+        for point in points:
+            (value,) = rule(symbolic_index(config, "p", point)).values()
+            assert value == hom.value_on_coords(point), (hom, point)
+        assert leibniz_defect(config, rule, iu, iv) == {}, hom
+
+
+def test_a_coordinate_form_obeys_leibniz_only_if_it_vanishes_on_every_shift(config):
+    # negative control for the homs: the k-th coordinate, as a diagonal
+    # rule, is a derivation exactly when no shift has a k-th coordinate
+    iu, iv = symbolic_index(config, "a"), symbolic_index(config, "b")
+    ngens = len(config.lattice.generators)
+    for k in range(ngens):
+        values = [int(j == k) for j in range(ngens)]
+        vanishes = all(shift.coords[k] == 0 for shift in config.shift_coords.values())
+        assert (leibniz_defect(config, linear_rule(values), iu, iv) == {}) == vanishes, k
+
+
+def test_a_lowering_at_a_nonzero_index_that_is_not_outer_fails_leibniz():
+    # negative control over every config: the lowering at each nonzero
+    # index that carries exponents but is not outer is no derivation
+    failing = 0
+    for name, path in CONFIGS.items():
+        config = load_config(path)
+        iu, iv = symbolic_index(config, "a"), symbolic_index(config, "b")
+        outer = outer_indices(config)
+        for p in config.shape.indices():
+            if p and config.shape.slot(p) in config.exp_slots and p not in outer:
+                def rule(index, p=p):
+                    return lower_partial(p, AlgebraElement.from_term(config, index)).terms
+                assert leibniz_defect(config, rule, iu, iv) != {}, (name, p)
+                failing += 1
+    assert failing == 16
