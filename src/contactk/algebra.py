@@ -1,7 +1,9 @@
 """Sparse algebra elements, derivative operators, and the two bracket routes.
 
 The bracket is implemented twice on purpose: `bracket_operator` composes
-the defining differential operators literally and serves as the oracle,
+the defining differential operators literally, each one pass over a term
+dict (`_partial_terms`, `_product_into`, `_grading_terms`, which also back
+`partial`, `multiply` and `grading`), and serves as the oracle,
 while the closed route is one per-pair kernel, `bracket_terms`, which
 expands the same bilinear form from precomputed per-index tables and
 which `bracket_closed` and the window sweeps call.  They share only the
@@ -20,7 +22,7 @@ from itertools import product
 from operator import add, sub
 
 from .indices import (
-    AlgebraConfig, ConfigError, ExponentVector, GroupElement, _index_of_slot,
+    AlgebraConfig, ConfigError, ExponentVector, GroupElement,
 )
 from .linalg import add_into, add_term, as_number, exact_rational
 
@@ -157,63 +159,81 @@ def recursion_probes(config: AlgebraConfig) -> list[int]:
 def multiply(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
     """Commutative product: indices add in both components."""
     _check_same_config(u, v)
-    terms: dict[BasisIndex, Fraction] = {}
-    for iu, cu in u.terms.items():
-        # adding iu is injective, so one row of products has no collisions
-        row = {BasisIndex(iu.alpha.add(iv.alpha), iu.exps.add(iv.exps)): cv
-               for iv, cv in v.terms.items()}
-        add_into(terms, row, cu)
-    return AlgebraElement(u.config, terms)
+    return AlgebraElement(u.config, _product_into({}, u.terms, v.terms))
+
+
+def _product_into(out: dict, a: dict, b: dict, scale=1) -> dict:
+    """In place, zero-free `out += scale * a·b` for two term dicts;
+    returns `out`."""
+    for ia, ca in a.items():
+        coords, vector, exps = ia.alpha.coords, ia.alpha.vector, ia.exps
+        ca *= scale
+        for ib, cb in b.items():
+            beta = ib.alpha
+            add_term(out, BasisIndex(GroupElement((*map(add, coords, beta.coords),),
+                                                  (*map(add, vector, beta.vector),)),
+                                     ExponentVector(map(add, exps, ib.exps))), ca * cb)
+    return out
+
+
+def _slot_of(config: AlgebraConfig, p: int) -> int:
+    """Slot of index p, or ConfigError when p is not an index."""
+    shape = config.shape
+    if not 0 <= p <= 2 * shape.n:
+        raise ConfigError(f"index {p} out of range")
+    return shape.slot(p)
 
 
 def scale_partial(p: int, u: AlgebraElement) -> AlgebraElement:
     """Diagonal part of the p-th derivative: scale by the p-th coordinate."""
-    shape = u.config.shape
-    if not 0 <= p <= 2 * shape.n:
-        raise ConfigError(f"index {p} out of range")
-    s = shape.slot(p)
-    terms = {}
-    for idx, c in u.terms.items():
-        a = idx.alpha.vector[s]
-        if a:
-            terms[idx] = a * c
-    return AlgebraElement(u.config, terms)
+    s = _slot_of(u.config, p)
+    return AlgebraElement(u.config, {idx: a * c for idx, c in u.terms.items()
+                                     if (a := idx.alpha.vector[s])})
 
 
 def lower_partial(p: int, u: AlgebraElement) -> AlgebraElement:
     """Lowering part of the p-th derivative: power rule on the p-th exponent."""
-    shape = u.config.shape
-    if not 0 <= p <= 2 * shape.n:
-        raise ConfigError(f"index {p} out of range")
-    s = shape.slot(p)
-    terms: dict[BasisIndex, Fraction] = {}
-    for idx, c in u.terms.items():
-        e = idx.exps[s]
-        if e:
-            # lowering one slot is injective, so no two terms collide
-            terms[BasisIndex(idx.alpha, idx.exps.lowered(s))] = e * c
-    return AlgebraElement(u.config, terms)
+    s = _slot_of(u.config, p)
+    # lowering one slot is injective, so no two terms collide
+    return AlgebraElement(u.config, {BasisIndex(idx.alpha, idx.exps.lowered(s)): e * c
+                                     for idx, c in u.terms.items() if (e := idx.exps[s])})
+
+
+def _partial_terms(s: int, terms: dict) -> dict:
+    """Zero-free terms of the derivative at slot s, in one pass: each
+    monomial scaled by its s-th vector entry (the diagonal part) plus
+    its s-th exponent times it lowered at s (the power rule)."""
+    out = {}
+    for idx, c in terms.items():
+        if a := idx.alpha.vector[s]:
+            add_term(out, idx, a * c)
+        if e := idx.exps[s]:
+            add_term(out, BasisIndex(idx.alpha, idx.exps.lowered(s)), e * c)
+    return out
 
 
 def partial(p: int, u: AlgebraElement) -> AlgebraElement:
     """Full p-th derivative: diagonal plus lowering part."""
-    return scale_partial(p, u) + lower_partial(p, u)
+    return AlgebraElement(u.config, _partial_terms(_slot_of(u.config, p), u.terms))
+
+
+def _grading_terms(config: AlgebraConfig, terms: dict) -> dict:
+    """Zero-free terms of the grading, the sum of its summands in one
+    pass: the diagonal derivative at each weight group slot scales a
+    monomial by its vector entry there, and t_s times the power rule at
+    each weight exponent slot s by its exponent there."""
+    group, exps_only = config.weight_group_slots, config.weight_exp_slots
+    out = {}
+    for idx, c in terms.items():
+        vec, exps = idx.alpha.vector, idx.exps
+        if k := sum([vec[s] for s in group]) + sum([exps[s] for s in exps_only]):
+            out[idx] = k * c
+    return out
 
 
 def grading(u: AlgebraElement) -> AlgebraElement:
-    """The grading operator, composed literally from its summands."""
-    config = u.config
-    shape = config.shape
-    terms: dict[BasisIndex, Fraction] = {}
-    for s in config.weight_group_slots:
-        add_into(terms, scale_partial(_index_of_slot(shape, s), u).terms)
-    zero = config.lattice.zero
-    for s in config.weight_exp_slots:
-        p = _index_of_slot(shape, s)
-        t_p = AlgebraElement.from_term(
-            config, BasisIndex(zero, config.zero_exps.raised(s)))
-        add_into(terms, multiply(t_p, lower_partial(p, u)).terms)
-    return AlgebraElement(config, terms)
+    """The grading operator, summed from its summands."""
+    return AlgebraElement(u.config, _grading_terms(u.config, u.terms))
 
 
 def weight(config: AlgebraConfig, index: BasisIndex):
@@ -226,22 +246,23 @@ def weight(config: AlgebraConfig, index: BasisIndex):
 
 
 def bracket_operator(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
-    """Bracket via literal operator composition; the oracle route."""
+    """Bracket via literal operator composition; the oracle route.  On
+    term dicts: the sum over unbarred p of shift_p·(∂p u·∂p̄ v − ∂p̄ u·∂p v),
+    plus (2u − Eu)·∂0 v − ∂0 u·(2v − Ev)."""
     _check_same_config(u, v)
     config = u.config
     shape = config.shape
+    a, b = u.terms, v.terms
     terms: dict[BasisIndex, Fraction] = {}
     for p in shape.blocks(1, 6):
-        pb = p + shape.n
-        shift = AlgebraElement.from_term(
-            config, BasisIndex(config.shift_coords[p], config.zero_exps))
-        cross = (multiply(partial(p, u), partial(pb, v))
-                 - multiply(partial(pb, u), partial(p, v)))
-        add_into(terms, multiply(shift, cross).terms)
-    two_minus_u = 2 * u - grading(u)
-    two_minus_v = 2 * v - grading(v)
-    add_into(terms, multiply(two_minus_u, partial(0, v)).terms)
-    add_into(terms, multiply(partial(0, u), two_minus_v).terms, -1)
+        sp, sq = shape.pair_slots(p)
+        cross = _product_into({}, _partial_terms(sp, a), _partial_terms(sq, b))
+        _product_into(cross, _partial_terms(sq, a), _partial_terms(sp, b), -1)
+        _product_into(terms, {BasisIndex(config.shift_coords[p], config.zero_exps): 1}, cross)
+    for x, y, sign in ((a, b, 1), (b, a, -1)):
+        if d0 := _partial_terms(0, y):
+            two_minus = add_into({i: 2 * c for i, c in x.items()}, _grading_terms(config, x), -1)
+            _product_into(terms, two_minus, d0, sign)
     return AlgebraElement(config, terms)
 
 
@@ -471,7 +492,7 @@ def window_indices(config: AlgebraConfig, radius: int) -> list[BasisIndex]:
     and exponent entries in [0, radius], in a fixed deterministic order."""
     _capped_window_size(config, radius)
     ngens = len(config.lattice.generators)
-    slots = sorted(config.exp_slots)
+    slots = config.exp_slots
     out = []
     for coords in product(range(-radius, radius + 1), repeat=ngens):
         alpha = config.lattice.element(coords)
@@ -488,22 +509,24 @@ EXP_BOUND = 4
 
 
 def sample_index(config: AlgebraConfig, rng) -> BasisIndex:
-    """Draw one basis index from the standard sampling box."""
+    """Draw one basis index from the standard sampling box.  Each draw is
+    `rng.randrange(a, b + 1)`, which is what `rng.randint(a, b)` draws."""
+    draw = rng.randrange
     ngens = len(config.lattice.generators)
-    coords = tuple(rng.randint(-COORD_BOUND, COORD_BOUND) for _ in range(ngens))
+    coords = tuple([draw(-COORD_BOUND, COORD_BOUND + 1) for _ in range(ngens)])
     entries = [0] * config.shape.dim
-    for s in sorted(config.exp_slots):
-        entries[s] = rng.randint(0, EXP_BOUND)
+    for s in config.exp_slots:
+        entries[s] = draw(0, EXP_BOUND + 1)
     return BasisIndex(config.lattice.element(coords), ExponentVector(entries))
 
 
 def sample_element(config: AlgebraConfig, rng, max_terms: int = 3) -> AlgebraElement:
     """Draw a small element with nonzero rational coefficients."""
     terms: dict[BasisIndex, Fraction] = {}
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randrange(1, max_terms + 1)):
         coeff = 0
         while not coeff:
-            coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            coeff = Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
         add_term(terms, sample_index(config, rng), coeff)
     return AlgebraElement(config, terms)
 

@@ -145,7 +145,9 @@ class Lattice:
         if not gens:
             raise ConfigError("gamma needs at least one generator")
         self.generators = tuple(gens)
-        self._columns = tuple(zip(*gens))
+        # per slot, the (generator, entry) pairs whose entry is nonzero
+        self._columns = tuple(tuple((k, x) for k, x in enumerate(column) if x)
+                              for column in zip(*gens))
         self._check_support()
         self._prepare_solver()
         self._check_required_members()
@@ -207,7 +209,8 @@ class Lattice:
         if len(coords) != len(self.generators):
             raise ConfigError("coordinate tuple has wrong length")
         return GroupElement(coords, tuple(
-            [sum(map(operator.mul, coords, column)) for column in self._columns]))
+            [sum([coords[k] * x for k, x in column]) if column else 0
+             for column in self._columns]))
 
     @property
     def zero(self) -> GroupElement:
@@ -311,7 +314,8 @@ class AlgebraConfig:
         self.j0_naturals = j0_naturals
 
         group, exponent = shape.group_slots, shape.exponent_slots
-        self.exp_slots = exponent | {0} if j0_naturals else exponent
+        # ascending: windows and the sampler walk them in this order
+        self.exp_slots = tuple(sorted(exponent | {0} if j0_naturals else exponent))
 
         self.shift_coords = {}
         for p in shape.indices():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,17 @@ from contactk import (
     grading, multiply, parse_element, sample_element, sample_index, unit,
     weight, window_indices,
 )
-from contactk.algebra import check_decompose_cap, check_pair_cap, window_size
+from contactk.algebra import (
+    BasisIndex, check_decompose_cap, check_pair_cap, lower_partial, partial, scale_partial,
+    window_size,
+)
+from contactk.cli import load_config
+from contactk.indices import ExponentVector, _index_of_slot
+from contactk.linalg import add_into, add_term
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_AND_BENCH = [path for folder in (ROOT / "tests" / "golden", ROOT / "bench" / "configs")
+                    for path in sorted(folder.glob("*.cfg"))]
 
 
 def test_multiply_adds_group_parts(cfg_caseB):
@@ -157,3 +168,78 @@ def test_sampling_is_seed_deterministic(cfg_mixed):
     a = [sample_index(cfg_mixed, random.Random(3)) for _ in range(30)]
     b = [sample_index(cfg_mixed, random.Random(3)) for _ in range(30)]
     assert a == b
+
+
+def composed_grading(u):
+    """The grading composed literally: the diagonal derivative at each
+    weight group slot, plus t_s times the power rule at each weight
+    exponent slot s."""
+    config = u.config
+    shape = config.shape
+    total = AlgebraElement.zero(config)
+    for s in config.weight_group_slots:
+        total = total + scale_partial(_index_of_slot(shape, s), u)
+    zero = config.lattice.zero
+    for s in config.weight_exp_slots:
+        t_s = AlgebraElement.from_term(config, BasisIndex(zero, config.zero_exps.raised(s)))
+        total = total + multiply(t_s, lower_partial(_index_of_slot(shape, s), u))
+    return total
+
+
+def row_by_row_product(u, v):
+    """The product as one dict of products per term of u, each added in."""
+    terms = {}
+    for iu, cu in u.terms.items():
+        row = {BasisIndex(iu.alpha.add(iv.alpha), iu.exps.add(iv.exps)): cv
+               for iv, cv in v.terms.items()}
+        add_into(terms, row, cu)
+    return AlgebraElement(u.config, terms)
+
+
+@pytest.mark.parametrize("path", GOLDEN_AND_BENCH, ids=lambda p: f"{p.parent.name}/{p.stem}")
+def test_one_pass_operators_equal_their_compositions(path):
+    # on sampled elements of every golden and bench config.  u plus its
+    # lowering at p makes the power rule and the diagonal part land on
+    # the same index, and u·u has colliding products
+    config = load_config(path)
+    rng = random.Random(path.stem)
+    for _ in range(12):
+        u, v = sample_element(config, rng, 3), sample_element(config, rng, 3)
+        for p in config.shape.indices():
+            for w in (u, u + lower_partial(p, u)):
+                assert partial(p, w) == scale_partial(p, w) + lower_partial(p, w), p
+        assert grading(u) == composed_grading(u)
+        assert multiply(u, v) == row_by_row_product(u, v)
+        assert multiply(u, u) == row_by_row_product(u, u)
+
+
+def test_sampling_draws_what_randint_draws(all_configs):
+    # the sampler's draws, written with randint: same indices, with the
+    # vector the generators give, same elements, and the generator left
+    # in the same state
+    def index_by_randint(config, rng):
+        coords = tuple(rng.randint(-3, 3) for _ in config.lattice.generators)
+        entries = [0] * config.shape.dim
+        for s in sorted(config.exp_slots):
+            entries[s] = rng.randint(0, 4)
+        return BasisIndex(config.lattice.element(coords), ExponentVector(entries))
+
+    def element_by_randint(config, rng):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            coeff = 0
+            while not coeff:
+                coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            add_term(terms, index_by_randint(config, rng), coeff)
+        return AlgebraElement(config, terms)
+
+    for name, config in all_configs.items():
+        a, b = random.Random(name), random.Random(name)
+        gens = config.lattice.generators
+        for _ in range(20):
+            idx = sample_index(config, a)
+            assert idx == index_by_randint(config, b)
+            assert idx.alpha.vector == tuple(map(sum, zip(*(
+                [c * x for x in g] for c, g in zip(idx.alpha.coords, gens)))))
+            assert sample_element(config, a) == element_by_randint(config, b)
+        assert a.getstate() == b.getstate()

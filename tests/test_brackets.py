@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from contactk import (
     structure_rows, unit, weight, window_indices,
 )
 from contactk.indices import ExponentVector
+from contactk import algebra
 from contactk.algebra import bracket_support, bracket_terms, sums_reaching
 from contactk.linalg import add_into
 
@@ -197,11 +199,57 @@ def test_bracket_is_bilinear(cfg_l2):
                 == bracket_closed(w, u) + c * bracket_closed(w, v))
 
 
+# what the oracle must never name: the closed route, the tables only it
+# reads, and the cached weight its unshifted term uses
+CLOSED_ROUTE = {"bracket_terms", "bracket_closed", "bracket_support", "sums_reaching",
+                "weight", "pair_rows", "bracket_shapes"}
+
+
+def operator_route_names() -> set:
+    """Every name in code reachable from `bracket_operator`: the names of
+    its code and nested code (comprehensions), and, transitively, of each
+    function, or each function of a `contactk.algebra` class, that one of
+    those names stands for in `contactk.algebra`'s namespace."""
+    names, seen = set(), set()
+    todo = [algebra.bracket_operator.__code__]
+    while todo:
+        code = todo.pop()
+        if code in seen:
+            continue
+        seen.add(code)
+        todo += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+        for name in code.co_names:
+            names.add(name)
+            found = vars(algebra).get(name)
+            if isinstance(found, type) and found.__module__ == algebra.__name__:
+                members = vars(found).values()
+            else:
+                members = [found]
+            for member in members:
+                func = getattr(member, "__func__", getattr(member, "fget", member))
+                if isinstance(func, types.FunctionType):
+                    todo.append(func.__code__)
+    return names
+
+
 def test_operator_route_never_calls_closed_route():
-    # the oracle must stay independent of the route it checks
-    assert "bracket_closed" not in bracket_operator.__code__.co_names
-    assert "bracket_terms" not in bracket_operator.__code__.co_names
-    assert "bracket_support" not in bracket_operator.__code__.co_names
+    # the oracle must stay independent of the route it checks, through
+    # every helper it reaches
+    names = operator_route_names()
+    assert {"_partial_terms", "_product_into", "_grading_terms"} <= names
+    assert not names & CLOSED_ROUTE, names & CLOSED_ROUTE
+
+
+def test_the_independence_walk_sees_into_helpers(monkeypatch):
+    # negative control: a helper that names the kernel, and one two calls
+    # down that reads the kernel's weight, are both caught
+    def leaky(s, terms):
+        return bracket_terms
+    monkeypatch.setattr(algebra, "_partial_terms", leaky)
+    assert "bracket_terms" in operator_route_names()
+    monkeypatch.undo()
+    monkeypatch.setattr(algebra, "add_term", lambda terms, key, c: key.alpha.weight)
+    assert operator_route_names() & CLOSED_ROUTE == {"weight"}
 
 
 def test_kernel_is_skew_on_whole_windows(all_configs):

@@ -21,17 +21,28 @@ from contactk import sample_index
 from contactk.algebra import bracket_support, bracket_terms
 
 
-def calculus_bracket(config, iu, iv) -> dict:
-    """[x^α t^i, x^β t^j] as {(group vector, exponents): coefficient}."""
+def variables(config) -> tuple:
+    """The symbols (y_s) and (t_s), one of each per slot."""
+    dim = config.shape.dim
+    return sympy.symbols(f"y:{dim}"), sympy.symbols(f"t:{dim}")
+
+
+def exp_of(config, vector):
+    """exp(vector·y); the entries may be numbers or sympy expressions."""
+    y, _t = variables(config)
+    return sympy.exp(sum(sympy.sympify(a) * ys for a, ys in zip(vector, y)))
+
+
+def monomial(config, idx):
+    """x^α t^i as exp(α·y) · Π t_s^{i_s}."""
+    _y, t = variables(config)
+    return exp_of(config, idx.alpha.vector) * sympy.Mul(*[ts ** e for ts, e in zip(t, idx.exps)])
+
+
+def calculus_expression(config, u, v):
+    """[u, v] of two expressions in the variables, by calculus."""
     shape = config.shape
-    y = sympy.symbols(f"y:{shape.dim}")
-    t = sympy.symbols(f"t:{shape.dim}")
-
-    def exp_of(vector):
-        return sympy.exp(sum(sympy.Rational(str(a)) * ys for a, ys in zip(vector, y)))
-
-    def monomial(idx):
-        return exp_of(idx.alpha.vector) * sympy.Mul(*[ts ** e for ts, e in zip(t, idx.exps)])
+    y, t = variables(config)
 
     def d(p, expr):
         s = shape.slot(p)
@@ -42,11 +53,18 @@ def calculus_bracket(config, iu, iv) -> dict:
                 - sum(sympy.diff(expr, y[s]) for s in config.weight_group_slots)
                 - sum(t[s] * sympy.diff(expr, t[s]) for s in config.weight_exp_slots))
 
-    u, v = monomial(iu), monomial(iv)
     out = two_minus_grading(u) * d(0, v) - d(0, u) * two_minus_grading(v)
     for p in shape.blocks(1, 6):
         pb = p + shape.n
-        out += exp_of(shape.shift_vector(p)) * (d(p, u) * d(pb, v) - d(pb, u) * d(p, v))
+        out += exp_of(config, shape.shift_vector(p)) * (d(p, u) * d(pb, v) - d(pb, u) * d(p, v))
+    return out
+
+
+def calculus_bracket(config, iu, iv) -> dict:
+    """[x^α t^i, x^β t^j] as {(group vector, exponents): coefficient}."""
+    shape = config.shape
+    y, t = variables(config)
+    out = calculus_expression(config, monomial(config, iu), monomial(config, iv))
 
     terms: dict[tuple, Fraction] = {}
     for term in sympy.Add.make_args(sympy.expand(out)):

@@ -13,7 +13,9 @@ lattice holds at zero stays zero.
 Proven here, on every golden and bench config: the shapes the kernel
 emits with a coefficient that is not identically zero are exactly the
 shapes `bracket_support` lists; every sum `sums_reaching` lists reaches
-its index; the kernel equals the operator route; the bracket is skew and
+its index; the kernel equals the operator route and the calculus route
+of `test_calculus_oracle.py` (the latter with positive exponent symbols,
+its powers of `t` and `exp` merged by `powsimp`); the bracket is skew and
 satisfies Jacobi; each recursion probe's `probe_recurrence` table is the
 kernel's bracket with the probe monomial; and every outer lowering and
 every diagonal derivation of a `hom_space_basis` hom obeys Leibniz.
@@ -36,6 +38,7 @@ from contactk.cohomology import probe_recurrence
 from contactk.derivations import hom_space_basis, outer_indices, outer_lower_partial
 from contactk.indices import ExponentVector, GroupElement
 from contactk.linalg import add_into
+from test_calculus_oracle import calculus_expression, monomial
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = {f"{path.parent.name}/{path.stem}": path
@@ -175,6 +178,47 @@ def test_every_listed_sum_reaches_its_index(config):
 def test_kernel_equals_the_operator_route(config):
     iu, iv = symbolic_index(config, "a"), symbolic_index(config, "b")
     assert kernel_equals_operator(config, iu, iv)
+
+
+def positive_index(config, name) -> BasisIndex:
+    """`symbolic_index` with positive exponent symbols, so that sympy
+    treats each power of t as a power of a positive base."""
+    exps = [sympy.Symbol(f"{name}e{s}", positive=True) if s in config.exp_slots else 0
+            for s in range(config.shape.dim)]
+    return symbolic_index(config, name, exps=exps)
+
+
+def kernel_equals_calculus(config, iu, iv) -> bool:
+    """Whether the kernel's [iu, iv], as a sum of monomials, equals the
+    calculus route's: their difference, divided by the product of the two
+    monomials, is a sum of powers of exp(y_s) and t_s with polynomial
+    coefficients once `powsimp` merges the powers, and must vanish."""
+    u, v = monomial(config, iu), monomial(config, iv)
+    kernel = sympy.Add(*[c * monomial(config, r)
+                         for r, c in bracket_terms(config, iu, iv).items()])
+    ratio = sympy.expand(calculus_expression(config, u, v) - kernel) / (u * v)
+    return sympy.expand(sympy.powsimp(sympy.expand(ratio))) == 0
+
+
+def test_kernel_equals_the_calculus_route(config):
+    iu, iv = positive_index(config, "a"), positive_index(config, "b")
+    assert kernel_equals_calculus(config, iu, iv)
+
+
+def test_a_sign_flipped_family_differs_from_the_calculus_route_on_l3():
+    # negative control: each row's exponent-group family, negated by
+    # turning it into the group-exponent family of the row with its two
+    # slots swapped, makes the kernel differ from the calculus route
+    for name in ("golden/l3", "configs/l3"):
+        config = load_config(CONFIGS[name])
+        mutant = copy.copy(config)
+        mutant.pair_rows = tuple(
+            [row[:5] + (False,) + row[6:] for row in config.pair_rows]
+            + [(sq, sp, shift, False, True, False, False)
+               for sp, sq, shift, *families in config.pair_rows if families[2]])
+        iu, iv = positive_index(config, "a"), positive_index(config, "b")
+        assert kernel_equals_calculus(config, iu, iv)
+        assert not kernel_equals_calculus(mutant, iu, iv), name
 
 
 def test_the_bracket_is_skew(config):

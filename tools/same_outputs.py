@@ -14,9 +14,10 @@ The commands: `table` on the goldens in `PARENT/tests/golden` at their
 golden radii; then on each config in `PARENT/bench/configs`, `check-config`,
 `suite`, `deriv check` and `deriv decompose` on seeded operator specs, and
 `cocycle check`, `trivialize` and `verify` on seeded coboundary and table
-forms.  The inputs are drawn from fixed seeds with PARENT's own contactk
-(windows, sampling and literal formatting), so both trees read the same
-files.  Standard library only.
+forms, and `bracket`, `bracket --oracle` and `mul` on sampled elements
+of one to three terms.  The inputs are drawn from fixed seeds with
+PARENT's own contactk (windows, sampling and literal formatting), so both
+trees read the same files.  Standard library only.
 """
 
 from __future__ import annotations
@@ -112,6 +113,15 @@ def _inputs(parent: Path, work: Path) -> list[list[str]]:
             commands.append(["cocycle", "trivialize", *at, "--table", str(form)])
             commands.append(["cocycle", "verify", *at, "--table", str(form),
                              "--functional", str(work / "l2-g0.fn")])
+
+        # products and brackets of sampled elements, from a generator of
+        # their own so that the inputs above do not move
+        pairs = random.Random(f"{name}-bracket")
+        for _ in range(3):
+            lhs, rhs = (format_element(sample_element(config, pairs)) for _ in range(2))
+            commands.append(["bracket", *at, "--", lhs, rhs])
+            commands.append(["bracket", *at, "--oracle", "--", lhs, rhs])
+            commands.append(["mul", *at, "--", lhs, rhs])
     return commands
 
 
@@ -141,10 +151,10 @@ def _first_difference(a: tuple, b: tuple) -> str:
 
 
 def _kind(command: list[str]) -> tuple[str, str]:
-    """(kind, config) of a command: its words before `--config` and the
-    form flag it reads, and the config file's name."""
+    """(kind, config) of a command: its words before `--config`, the
+    form flag it reads or `--oracle`, and the config file's name."""
     at = command.index("--config")
-    words = command[:at] + [a for a in command if a in ("--table", "--coboundary")]
+    words = command[:at] + [a for a in command if a in ("--table", "--coboundary", "--oracle")]
     return " ".join(words), Path(command[at + 1]).stem
 
 
