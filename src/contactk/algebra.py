@@ -39,7 +39,7 @@ class BasisIndex:
     def __init__(self, alpha: GroupElement, exps: ExponentVector):
         self.alpha = alpha
         self.exps = exps
-        self._hash = None
+        self._hash = hash((alpha.coords, exps))
         self._weight = None
 
     def __eq__(self, other):
@@ -47,8 +47,6 @@ class BasisIndex:
                 and self.exps == other.exps)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.alpha.coords, self.exps))
         return self._hash
 
     def sort_key(self):

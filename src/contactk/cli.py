@@ -72,8 +72,6 @@ def parse_operator_spec(config: AlgebraConfig, text: str) -> LinearOperator:
     parts = []
     for chunk in chunks:
         m = _OP_START.match(chunk)
-        if not m:
-            raise UsageError(f"cannot parse operator term {chunk.strip()!r}")
         scalar = (as_number(parse_rational(m.group(1), "operator scalar"))
                   if m.group(1) else 1)
         kind = m.group(2)
@@ -153,8 +151,7 @@ def _output(path):
 
 # -- subcommands ------------------------------------------------------
 
-def cmd_check_config(args) -> int:
-    config = load_config(args.config)
+def cmd_check_config(config: AlgebraConfig, args) -> int:
     shape = config.shape
     blocks = " ".join(str(x) for x in shape.ell)
     print(f"ok: blocks {blocks}, vector length {shape.dim}, "
@@ -163,8 +160,7 @@ def cmd_check_config(args) -> int:
     return 0
 
 
-def cmd_bracket(args) -> int:
-    config = load_config(args.config)
+def cmd_bracket(config: AlgebraConfig, args) -> int:
     u = parse_element(config, args.lhs)
     v = parse_element(config, args.rhs)
     result = bracket_closed(u, v)
@@ -179,16 +175,14 @@ def cmd_bracket(args) -> int:
     return 0
 
 
-def cmd_mul(args) -> int:
-    config = load_config(args.config)
+def cmd_mul(config: AlgebraConfig, args) -> int:
     u = parse_element(config, args.lhs)
     v = parse_element(config, args.rhs)
     print(format_element(multiply(u, v)))
     return 0
 
 
-def cmd_table(args) -> int:
-    config = load_config(args.config)
+def cmd_table(config: AlgebraConfig, args) -> int:
     rows = structure_rows(config, args.radius)
     with _output(args.out) as out:
         writer = csv.writer(out, lineterminator="\n")
@@ -197,8 +191,7 @@ def cmd_table(args) -> int:
     return 0
 
 
-def cmd_suite(args) -> int:
-    config = load_config(args.config)
+def cmd_suite(config: AlgebraConfig, args) -> int:
     start = time.monotonic()
     results = run_suites(config, args.seed, args.samples)
     report = render_report(config, args.seed, args.samples, results)
@@ -208,8 +201,7 @@ def cmd_suite(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def cmd_deriv_check(args) -> int:
-    config = load_config(args.config)
+def cmd_deriv_check(config: AlgebraConfig, args) -> int:
     op = parse_operator_spec(config, args.op)
     rng = random.Random(args.seed)
     pairs = [(sample_index(config, rng), sample_index(config, rng))
@@ -226,8 +218,7 @@ def cmd_deriv_check(args) -> int:
     return 1
 
 
-def cmd_deriv_decompose(args) -> int:
-    config = load_config(args.config)
+def cmd_deriv_decompose(config: AlgebraConfig, args) -> int:
     op = parse_operator_spec(config, args.op)
     check_decompose_cap(config, args.radius, args.inner_radius)
     window = window_indices(config, args.radius)
@@ -253,8 +244,7 @@ def cmd_deriv_decompose(args) -> int:
     return 0
 
 
-def cmd_cocycle_check(args) -> int:
-    config = load_config(args.config)
+def cmd_cocycle_check(config: AlgebraConfig, args) -> int:
     psi = load_cocycle(config, args)
     rng = random.Random(args.seed)
     triples = [tuple(sample_index(config, rng) for _ in range(3))
@@ -280,8 +270,7 @@ def cmd_cocycle_check(args) -> int:
     return 1
 
 
-def cmd_cocycle_trivialize(args) -> int:
-    config = load_config(args.config)
+def cmd_cocycle_trivialize(config: AlgebraConfig, args) -> int:
     psi = load_cocycle(config, args)
     probe = None if args.probe is None else config.shape.parse_index_token(args.probe)
     functional, window, report = _verify_on_window(
@@ -296,8 +285,7 @@ def cmd_cocycle_trivialize(args) -> int:
     return 0
 
 
-def cmd_cocycle_verify(args) -> int:
-    config = load_config(args.config)
+def cmd_cocycle_verify(config: AlgebraConfig, args) -> int:
     psi = load_cocycle(config, args)
     functional = load_functional(config, args.functional)
     _, _, report = _verify_on_window(psi, args.radius, lambda: functional)
@@ -413,7 +401,7 @@ def main(argv=None) -> int:
         for flag in ("samples", "triples"):
             if getattr(args, flag, 1) < 1:
                 raise UsageError(f"--{flag} must be at least 1")
-        return args.fn(args)
+        return args.fn(load_config(args.config), args)
     except (ConfigError, LiteralError, UsageError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

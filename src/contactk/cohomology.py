@@ -2,10 +2,10 @@
 
 A cocycle here is a bilinear skew form evaluated on basis pairs.  The
 trivializers build a linear functional f with psi(u,v) = f([u,v]) two
-ways: a memoized recursion driven by a probe element (available whenever
-some slot carries exponents), and a four-case closed form for the
-remaining pure-group regime, where only the first block is nonempty.
-Divisions are exact; the case guards are the case split.
+ways: a recursion driven by a probe element (available whenever some
+slot carries exponents), which fills f's table, and a four-case closed
+form for the remaining pure-group regime, where only the first block is
+nonempty.  Divisions are exact; the case guards are the case split.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ class Cocycle:
 
 
 class LinearFunctional:
-    """Finite table plus an optional rule for off-table indices; no memo."""
+    """Finite table plus an optional rule for off-table indices; a
+    recursive trivializer's rule adds what it works out to the table."""
 
     __slots__ = ("config", "table", "rule", "tag")
 
@@ -125,8 +126,6 @@ class TableCocycle(Cocycle):
         self.entries = {k: v for k, v in canonical.items() if v}
 
     def on_basis(self, iu, iv):
-        if iu == iv:
-            return _ZERO
         if iu.sort_key() <= iv.sort_key():
             return self.entries.get((iu, iv), _ZERO)
         return -self.entries.get((iv, iu), _ZERO)
@@ -269,38 +268,29 @@ def _bottom_up(f: LinearFunctional, step):
     """Rule for f from `step(b)`, a generator that yields each index whose
     value it needs, is sent that value, and returns f(b).  A value f does
     not know yet is worked out first, on an explicit stack rather than by
-    recursion, so a chain of lowered exponents evaluates bottom up.  The
-    rule memoizes what it works out, in its own closure: the memo lives
-    as long as f, and no other functional sees it."""
-    memo: dict[BasisIndex, Fraction] = {}
+    recursion, so a chain of lowered exponents evaluates bottom up.  Each
+    value worked out goes into `f.table`, where `eval_basis` finds it and
+    no other functional sees it; an entry set by hand is read the same
+    way."""
+    table = f.table
 
     def rule(b: BasisIndex) -> Fraction:
-        value = memo.get(b)
-        stack = [] if value is not None else [(b, step(b))]
+        value = None
+        stack = [(b, step(b))]
         while stack:
             index, gen = stack[-1]
             try:
                 need = gen.send(value)
             except StopIteration as done:
-                value = memo[index] = done.value
+                value = table[index] = done.value
                 stack.pop()
                 continue
-            value = f.table.get(need, memo.get(need))
+            value = table.get(need)
             if value is None:
                 stack.append((need, step(need)))
         return value
 
     return rule
-
-
-def pivot_index(config: AlgebraConfig, alpha) -> int:
-    """First block-1 index where alpha leaves the reference pattern."""
-    shape = config.shape
-    vec = alpha.vector
-    for p in shape.blocks(1, 1):
-        if (vec[shape.slot(p)], vec[shape.slot(p + shape.n)]) != (-1, -1):
-            return p
-    raise ConfigError("vector equals the reference vector; no pivot index")
 
 
 def trivialize_closed_form(psi: Cocycle) -> LinearFunctional:
@@ -325,14 +315,15 @@ def trivialize_closed_form(psi: Cocycle) -> LinearFunctional:
     one = probe_index(config, 0)
     neg_two0 = group_index(tuple(-2 * c for c in unit0))
     top = group_index(tuple(2 * a + b for a, b in zip(unit0, ref.coords)))
-    # per pivot p: the probe at the negated shift of p, the square at twice
-    # the unit vector at p, and the move by p's mirror unit vector less p's
-    probes, squares, moves = {}, {}, {}
+    # per block-1 index p, a pivot candidate: the slots of p and its
+    # mirror, the probe at the negated shift of p, the square at twice the
+    # unit vector at p, and the move by p's mirror unit vector less p's
+    pivots = []
     for p in shape.blocks(1, 1):
         at_p, at_mirror = lattice.unit_coords(p), lattice.unit_coords(p + shape.n)
-        probes[p] = probe_index(config, p)
-        squares[p] = group_index(tuple(2 * c for c in at_p))
-        moves[p] = lattice.element(map(sub, at_mirror, at_p))
+        pivots.append((shape.slot(p), shape.slot(p + shape.n), probe_index(config, p),
+                       group_index(tuple(2 * c for c in at_p)),
+                       lattice.element(map(sub, at_mirror, at_p))))
 
     def rule(b: BasisIndex) -> Fraction:
         vec = b.alpha.vector
@@ -341,13 +332,16 @@ def trivialize_closed_form(psi: Cocycle) -> LinearFunctional:
         a0 = vec[0]
         if a0 != 0:
             return psi.on_basis(one, b) / (2 * a0)
-        p = pivot_index(config, b.alpha)
-        ap = vec[shape.slot(p)]
-        aq = vec[shape.slot(p + shape.n)]
+        # the pivot is the first pair off the reference's (-1, -1); the
+        # lattice is free, so only the reference vector has none
+        for sp, sq, probe, square, move in pivots:
+            ap, aq = vec[sp], vec[sq]
+            if ap != -1 or aq != -1:
+                break
         if ap != aq:
-            return psi.on_basis(probes[p], b) / (aq - ap)
-        moved = BasisIndex(b.alpha.add(moves[p]), b.exps)
-        return psi.on_basis(squares[p], moved) / (2 * (aq + 1))
+            return psi.on_basis(probe, b) / (aq - ap)
+        moved = BasisIndex(b.alpha.add(move), b.exps)
+        return psi.on_basis(square, moved) / (2 * (aq + 1))
 
     return LinearFunctional(config, rule=rule, tag="closed-form")
 

@@ -549,3 +549,18 @@ def test_sample_counts_below_one_exit_2(capsys, l2_path, tmp_path, argv, flag):
     assert code == 2
     assert out == ""
     assert err == f"error: {flag} must be at least 1\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["suite", "--samples", "0"], "--samples"),
+    (["deriv", "check", "--op", "dt 1bar", "--samples", "0"], "--samples"),
+    (["cocycle", "check", "--table", "t.txt", "--triples", "0"], "--triples"),
+])
+def test_a_count_error_wins_over_a_missing_config(capsys, tmp_path, argv, flag):
+    # the counts are checked before the config file is read; with a valid
+    # count the same command reports the missing file
+    missing = ["--config", str(tmp_path / "missing.cfg")]
+    assert run(capsys, argv + missing) == (2, "", f"error: {flag} must be at least 1\n")
+    code, out, err = run(capsys, argv[:-1] + ["1"] + missing)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno 2] No such file or directory") and "missing.cfg" in err

@@ -236,6 +236,44 @@ def test_closed_form_round_trip(cfg_caseB):
     assert report.passed, report.failures[:1]
 
 
+def pure_group_config(n):
+    """The closed-form regime with n block-1 indices and the standard
+    basis, so that a lattice coordinate is the vector entry at its slot."""
+    dim = 1 + 2 * n
+    return make_config((n, 0, 0, 0, 0, 0), "zero",
+                       [tuple(int(k == s) for k in range(dim)) for s in range(dim)])
+
+
+@pytest.mark.parametrize("seed", [301, 302, 303])
+def test_closed_form_round_trip_past_the_first_pivot(seed):
+    # caseB has one block-1 pair, so only n >= 2 walks the pivot past it.
+    # g holds the reference vector, whose case divides by 4(2 + n), and
+    # six window entries.  At n = 2 every window pair u <= v round-trips;
+    # at n = 3, 1,500 uniform and 1,500 aimed pairs do.  Both algebras are
+    # perfect, so f equals g on the radius-1 window
+    for n in (2, 3):
+        config = pure_group_config(n)
+        rng = random.Random(seed)
+        window = window_indices(config, 1)
+        ref = basis_element(config, (0,) + (-1,) * (2 * n))
+        g = LinearFunctional(config, tag="g", table={
+            i: Fraction(rng.choice([-3, -1, 2, 5]), rng.randrange(1, 4))
+            for i in [*rng.sample(window, 6), *ref.terms]})
+        psi = coboundary(g)
+        f = trivialize_closed_form(psi)
+        if n == 2:
+            pairs = window_pairs(config, 1)
+            assert len(pairs) == 29646
+        else:
+            pairs = [(sample_index(config, rng), sample_index(config, rng))
+                     for _ in range(1500)]
+            pairs += [pair_reaching(config, rng.choice(list(g.table)), rng)
+                      for _ in range(1500)]
+        report = verify_trivialization(psi, f, pairs)
+        assert report.passed, (n, report.failures[:1])
+        assert [f.eval_basis(i) for i in window] == [g.eval_basis(i) for i in window], n
+
+
 def test_trivialize_routes_automatically(cfg_caseB, cfg_l2):
     for config in (cfg_caseB, cfg_l2):
         rng = random.Random(89)
@@ -615,7 +653,8 @@ def test_recursion_memo_belongs_to_one_functional(request, name, probe):
     # two coboundaries on one config, trivialized by the same probe and
     # evaluated in turn: each f equals its own g on the window (these
     # algebras are perfect), so no value computed for one functional is
-    # read by another.  The functionals themselves keep no memo
+    # read by another.  Each value the recursion works out is in its own
+    # f's table, and g's tables are left as they were
     config = request.getfixturevalue(name)
     window = window_indices(config, 2)
     rng = random.Random(101)
@@ -625,4 +664,5 @@ def test_recursion_memo_belongs_to_one_functional(request, name, probe):
     fs = [trivialize_recursive(coboundary(g), probe) for g in gs]
     for f, g in zip(fs, gs):
         assert [f.eval_basis(i) for i in window] == [g.eval_basis(i) for i in window]
-        assert not hasattr(f, "_memo")
+        assert all(f.table[i] == g.eval_basis(i) for i in window)
+        assert len(g.table) == 8

@@ -17,13 +17,18 @@ its index; the kernel equals the operator route and the calculus route
 of `test_calculus_oracle.py` (the latter with positive exponent symbols,
 its powers of `t` and `exp` merged by `powsimp`); the bracket is skew and
 satisfies Jacobi; each recursion probe's `probe_recurrence` table is the
-kernel's bracket with the probe monomial; and every outer lowering and
-every diagonal derivation of a `hom_space_basis` hom obeys Leibniz.
+kernel's bracket with the probe monomial; every outer lowering and every
+diagonal derivation of a `hom_space_basis` hom obeys Leibniz; and each
+mirror identity holds.  On the pure-group configs with n = 1, 2 and 3
+block-1 pairs: the four identities the closed-form trivializer divides
+by, each under its case guard, and the closed form's recovery of a
+generic functional in each case.
 """
 
 from __future__ import annotations
 
 import copy
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -34,11 +39,17 @@ from contactk.algebra import (
     lower_partial, probe_index, recursion_probes, sums_reaching,
 )
 from contactk.cli import load_config
-from contactk.cohomology import probe_recurrence
-from contactk.derivations import hom_space_basis, outer_indices, outer_lower_partial
+from contactk.cohomology import (
+    LinearFunctional, coboundary, probe_recurrence, trivialize_closed_form,
+)
+from contactk.derivations import (
+    hom_space_basis, mirror_difference_hom, mirror_pairs, outer_indices,
+    outer_lower_partial,
+)
 from contactk.indices import ExponentVector, GroupElement
 from contactk.linalg import add_into
 from test_calculus_oracle import calculus_expression, monomial
+from test_cohomology import pure_group_config
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = {f"{path.parent.name}/{path.stem}": path
@@ -150,6 +161,20 @@ def linear_rule(values):
     generator values, its value written as a linear form in the
     coordinates so that it takes symbols."""
     return lambda index: {index: sum(c * v for c, v in zip(index.alpha.coords, values))}
+
+
+def hom_rule(config, hom):
+    """`linear_rule` of the hom's values, checked against the hom's own
+    `value_on_coords` on the unit points, hence equal to it everywhere,
+    and on one more point for good measure."""
+    ngens = len(config.lattice.generators)
+    points = [tuple(int(k == j) for k in range(ngens)) for j in range(ngens)]
+    points.append(tuple(range(-2, ngens - 2)))
+    rule = linear_rule(hom.values)
+    for point in points:
+        (value,) = rule(symbolic_index(config, "p", point)).values()
+        assert value == hom.value_on_coords(point), (hom, point)
+    return rule
 
 
 def test_support_is_exactly_the_emitted_shapes(config):
@@ -324,18 +349,9 @@ def test_every_outer_lowering_obeys_leibniz(config):
 
 
 def test_every_hom_space_derivation_obeys_leibniz(config):
-    # each hom's linear form equals `value_on_coords` on the unit points,
-    # hence everywhere, and one more point is checked for good measure
     iu, iv = symbolic_index(config, "a"), symbolic_index(config, "b")
-    ngens = len(config.lattice.generators)
-    points = [tuple(int(k == j) for k in range(ngens)) for j in range(ngens)]
-    points.append(tuple(range(-2, ngens - 2)))
     for hom in hom_space_basis(config):
-        rule = linear_rule(hom.values)
-        for point in points:
-            (value,) = rule(symbolic_index(config, "p", point)).values()
-            assert value == hom.value_on_coords(point), (hom, point)
-        assert leibniz_defect(config, rule, iu, iv) == {}, hom
+        assert leibniz_defect(config, hom_rule(config, hom), iu, iv) == {}, hom
 
 
 def test_a_coordinate_form_obeys_leibniz_only_if_it_vanishes_on_every_shift(config):
@@ -364,3 +380,87 @@ def test_a_lowering_at_a_nonzero_index_that_is_not_outer_fails_leibniz():
                 assert leibniz_defect(config, rule, iu, iv) != {}, (name, p)
                 failing += 1
     assert failing == 16
+
+
+def test_each_mirror_identity_holds(config):
+    # `check_mirror_identity` for a generic x and every p in mirror_pairs:
+    # mu(a) x = [probe_p, x] + (x lowered at p) - (x lowered at p bar),
+    # mu the mirror-difference hom and a the coordinates of x
+    x = symbolic_index(config, "b")
+    element = AlgebraElement.from_term(config, x)
+    for p in mirror_pairs(config):
+        identity = bracket_terms(config, probe_index(config, p), x)
+        add_into(identity, lower_partial(p, element).terms)
+        add_into(identity, lower_partial(p + config.shape.n, element).terms, -1)
+        rule = hom_rule(config, mirror_difference_hom(config, p))
+        assert normal(identity) == normal(rule(x)), p
+
+
+def pivot_case(config, p, ap, aq) -> BasisIndex:
+    """A generic index in the closed form's case at pivot p: slot 0 at
+    zero, each pair before p at (-1, -1), p's pair at (ap, aq) and fresh
+    symbols after it.  A coordinate of `pure_group_config` is the vector
+    entry at its slot."""
+    shape = config.shape
+    coords = list(sympy.symbols(f"bc:{shape.dim}"))
+    coords[0] = 0
+    for q in range(1, p + 1):
+        coords[shape.slot(q)], coords[shape.slot(q + shape.n)] = (
+            (ap, aq) if q == p else (-1, -1))
+    return symbolic_index(config, "b", coords)
+
+
+def closed_form_cases(config) -> dict:
+    """`{b: (w, moved b, divisor)}` for the closed form's four cases, each
+    under its guard: [w, moved b] = divisor b, with `b + move_p` for the
+    square at pivot p and b itself otherwise.  The reference vector is
+    all -1 on block 1 and `top` is it plus twice the unit at slot 0."""
+    shape = config.shape
+    n = shape.n
+    ap, aq = sympy.symbols("ap aq")
+    b = symbolic_index(config, "b")
+    cases = {b: (probe_index(config, 0), b, 2 * b.alpha.vector[0])}
+    for p in shape.blocks(1, 1):
+        b = pivot_case(config, p, ap, aq)
+        cases[b] = (probe_index(config, p), b, aq - ap)
+        b = pivot_case(config, p, aq, aq)
+        move = [0] * shape.dim
+        move[shape.slot(p)], move[shape.slot(p + n)] = -1, 1
+        square = symbolic_index(config, "s", [2 * int(s == shape.slot(p))
+                                              for s in range(shape.dim)])
+        moved = symbolic_index(config, "b", list(map(add, b.alpha.coords, move)))
+        cases[b] = (square, moved, 2 * (aq + 1))
+    ref = symbolic_index(config, "r", [0] + [-1] * (2 * n))
+    top = symbolic_index(config, "t", [2] + [-1] * (2 * n))
+    cases[ref] = (symbolic_index(config, "z", [-2] + [0] * (2 * n)), top, 4 * (2 + n))
+    return cases
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_closed_form_divides_by_what_the_bracket_gives(n):
+    # [1, b] = 2 a0 b; with a0 = 0 and each pair before the pivot p at
+    # (-1, -1), [probe_p, b] = (aq - ap) b, and with also ap = aq,
+    # [square_p, b + move_p] = 2 (aq + 1) b; [-2 e0, top] = 4 (2 + n) ref
+    config = pure_group_config(n)
+    cases = closed_form_cases(config)
+    assert len(cases) == 2 + 2 * n
+    for b, (w, moved, divisor) in cases.items():
+        assert normal(bracket_terms(config, w, moved)) == normal({b: divisor}), b
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_closed_form_recovers_a_generic_functional(n):
+    # the closed form of psi_g, for g(b) an undefined function of b's
+    # coordinates, returns g(b) in each of its cases.  It fails for each
+    # of these mutants of the closed form: 4(2 + 1) for 4(2 + n), aq - ap
+    # negated, and a pivot walk that stops at the first pair whatever its
+    # entries
+    config = pure_group_config(n)
+    function = sympy.Function("g")
+
+    def g(index):
+        return function(*map(sympy.expand, index.alpha.coords))
+
+    f = trivialize_closed_form(coboundary(LinearFunctional(config, rule=g)))
+    for b in closed_form_cases(config):
+        assert sympy.cancel(f.eval_basis(b) - g(b)) == 0, b

@@ -15,7 +15,10 @@ golden radii; then on each config in `PARENT/bench/configs`, `check-config`,
 `suite`, `deriv check` and `deriv decompose` on seeded operator specs, and
 `cocycle check`, `trivialize` and `verify` on seeded coboundary and table
 forms, and `bracket`, `bracket --oracle` and `mul` on sampled elements
-of one to three terms.  The inputs are drawn from fixed seeds with
+of one to three terms, and `trivialize --probe` at every recursion probe
+(on a closed-form config, at a probe it refuses); last, three exit-2
+commands on a missing config file, two of them with a count below 1,
+which is reported first.  The inputs are drawn from fixed seeds with
 PARENT's own contactk (windows, sampling and literal formatting), so both
 trees read the same files.  Standard library only.
 """
@@ -41,8 +44,9 @@ def _inputs(parent: Path, work: Path) -> list[list[str]]:
     written as `{out}` and filled in per tree."""
     sys.path.insert(0, str(parent / "src"))
     from contactk import (
-        basis_element, format_basis_index, format_element, hom_space_basis, outer_indices,
-        sample_element, sample_index, window_indices, window_size,
+        basis_element, closed_form_regime, format_basis_index, format_element,
+        hom_space_basis, outer_indices, recursion_probes, sample_element, sample_index,
+        window_indices, window_size,
     )
     from contactk.cli import load_config
 
@@ -122,6 +126,21 @@ def _inputs(parent: Path, work: Path) -> list[list[str]]:
             commands.append(["bracket", *at, "--", lhs, rhs])
             commands.append(["bracket", *at, "--oracle", "--", lhs, rhs])
             commands.append(["mul", *at, "--", lhs, rhs])
+
+        # the recursion at each of its probes, or on a closed-form config
+        # a probe it refuses
+        g0 = ["--coboundary", str(work / f"{name}-g0.fn"), "--radius", radii[0]]
+        probes = recursion_probes(config) or ([1] if closed_form_regime(config) else [])
+        for p in probes:
+            commands.append(["cocycle", "trivialize", *at, *g0,
+                             "--probe", config.shape.index_token(p), "--out", "{out}"])
+
+    # exit 2: a count below 1 is reported before a missing config file
+    missing = ["--config", str(work / "missing.cfg")]
+    commands += [["suite", *missing, "--samples", "0"],
+                 ["cocycle", "check", *missing, "--table", str(work / "l2-t0.tab"),
+                  "--triples", "0"],
+                 ["check-config", *missing]]
     return commands
 
 
