@@ -87,8 +87,6 @@ def parse_operator_spec(config: AlgebraConfig, text: str) -> LinearOperator:
         else:
             op = outer_lower_partial(config, config.shape.parse_index_token(rest))
         parts.append((scalar, op))
-    if not parts:
-        raise UsageError("empty operator spec")
     return LinearOperator.combine(config, parts)
 
 
@@ -101,32 +99,31 @@ def _content_lines(path: str):
             yield lineno, line
 
 
-def load_functional(config: AlgebraConfig, path: str) -> LinearFunctional:
-    table = {}
+def _read_values(config: AlgebraConfig, path: str, width: int) -> dict:
+    """{key: value} from lines of `width` basis literals and a value, the
+    key being the tuple of the line's indices; a key given two different
+    values is refused."""
+    values = {}
     for lineno, line in _content_lines(path):
         fields = line.split()
-        if len(fields) != 2:
-            raise UsageError(f"{path}:{lineno}: expected 'basis-literal value'")
-        idx = parse_basis_index(config, fields[0])
-        table[idx] = parse_rational(fields[1], f"the value at {path}:{lineno}")
-    return LinearFunctional(config, table=table, tag=path)
+        if len(fields) != width + 1:
+            raise UsageError(
+                f"{path}:{lineno}: expected '{'basis-literal ' * width}value'")
+        key = tuple(parse_basis_index(config, x) for x in fields[:width])
+        value = parse_rational(fields[width], f"the value at {path}:{lineno}")
+        if values.setdefault(key, value) != value:
+            raise UsageError(f"{path}:{lineno}: conflicting duplicate "
+                             f"{'index' if width == 1 else 'pair'}")
+    return values
+
+
+def load_functional(config: AlgebraConfig, path: str) -> LinearFunctional:
+    return LinearFunctional(
+        config, table={i: v for (i,), v in _read_values(config, path, 1).items()}, tag=path)
 
 
 def load_table_cocycle(config: AlgebraConfig, path: str) -> TableCocycle:
-    entries = {}
-    for lineno, line in _content_lines(path):
-        fields = line.split()
-        if len(fields) != 3:
-            raise UsageError(
-                f"{path}:{lineno}: expected 'basis-literal basis-literal value'")
-        iu = parse_basis_index(config, fields[0])
-        iv = parse_basis_index(config, fields[1])
-        key = (iu, iv)
-        value = parse_rational(fields[2], f"the value at {path}:{lineno}")
-        if key in entries and entries[key] != value:
-            raise UsageError(f"{path}:{lineno}: conflicting duplicate pair")
-        entries[key] = value
-    return TableCocycle(config, entries)
+    return TableCocycle(config, _read_values(config, path, 2))
 
 
 def load_cocycle(config: AlgebraConfig, args):

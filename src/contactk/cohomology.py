@@ -303,27 +303,26 @@ def trivialize_closed_form(psi: Cocycle) -> LinearFunctional:
     # zero-slot exponents are off, so `AlgebraConfig` made sure that the
     # lattice covers slot 0 and holds its unit vector
     lattice = config.lattice
-    # the all-minus-one pure-group reference vector
-    ref = lattice.zero
-    for p in shape.blocks(1, 1):
-        ref = ref.add(config.shift_coords[p])
 
     def group_index(coords) -> BasisIndex:
         return BasisIndex(lattice.element(coords), config.zero_exps)
 
-    unit0 = lattice.unit_coords(0)
-    one = probe_index(config, 0)
-    neg_two0 = group_index(tuple(-2 * c for c in unit0))
-    top = group_index(tuple(2 * a + b for a, b in zip(unit0, ref.coords)))
-    # per block-1 index p, a pivot candidate: the slots of p and its
+    # one walk over block 1: the all-minus-one reference vector (the sum of
+    # the shifts) and per index p a pivot candidate: the slots of p and its
     # mirror, the probe at the negated shift of p, the square at twice the
     # unit vector at p, and the move by p's mirror unit vector less p's
+    ref = lattice.zero
     pivots = []
     for p in shape.blocks(1, 1):
+        ref = ref.add(config.shift_coords[p])
         at_p, at_mirror = lattice.unit_coords(p), lattice.unit_coords(p + shape.n)
         pivots.append((shape.slot(p), shape.slot(p + shape.n), probe_index(config, p),
                        group_index(tuple(2 * c for c in at_p)),
                        lattice.element(map(sub, at_mirror, at_p))))
+    unit0 = lattice.unit_coords(0)
+    one = probe_index(config, 0)
+    neg_two0 = group_index(tuple(-2 * c for c in unit0))
+    top = group_index(tuple(2 * a + b for a, b in zip(unit0, ref.coords)))
 
     def rule(b: BasisIndex) -> Fraction:
         vec = b.alpha.vector

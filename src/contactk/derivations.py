@@ -247,26 +247,30 @@ def hom_space_basis(config: AlgebraConfig) -> list[LatticeHom]:
             for v in shifts.nullspace(len(config.lattice.generators))]
 
 
-def _pivot_hom_values(config: AlgebraConfig) -> list[tuple[Fraction, ...]]:
-    """Value vectors of the homs whose diagonal derivations are inner
-    (after lowering corrections): the mirror differences, plus the
-    zero-slot hom when the zero-slot exponents are switched off."""
-    pivots = [mirror_difference_hom(config, p).values
-              for p in mirror_pairs(config)]
-    if not config.j0_naturals:
-        pivots.append(zero_slot_hom(config).values)
-    return pivots
-
-
 def hom_star_basis(config: AlgebraConfig) -> list[LatticeHom]:
     """Deterministic complement of the inner hom directions: extend the
     pivot rows to a basis of the hom space; the extension vectors are the
-    reported complement."""
+    reported complement.  The pivots are the homs whose diagonal
+    derivations are inner (after lowering corrections): the mirror
+    differences, plus the zero-slot hom when the zero-slot exponents are
+    switched off."""
+    pivots = [mirror_difference_hom(config, p) for p in mirror_pairs(config)]
+    if not config.j0_naturals:
+        pivots.append(zero_slot_hom(config))
     span = Echelon()
-    for k, values in enumerate(_pivot_hom_values(config)):
-        span.add(dict(enumerate(values)), ("pivot", k))
+    for k, hom in enumerate(pivots):
+        span.add(dict(enumerate(hom.values)), ("pivot", k))
     return [hom for k, hom in enumerate(hom_space_basis(config))
             if span.add(dict(enumerate(hom.values)), ("hom", k))]
+
+
+def hom_combination(config: AlgebraConfig, coeffs, homs) -> LatticeHom:
+    """The hom sum of c * h over paired coefficients and homs."""
+    values = [0] * len(config.lattice.generators)
+    for c, h in zip(coeffs, homs):
+        if c:
+            values = [a + c * b for a, b in zip(values, h.values)]
+    return LatticeHom(config, values)
 
 
 # -- decomposition ----------------------------------------------------
@@ -387,13 +391,7 @@ class DerivationDecomposer:
                 raise ResidualError(w, witness)
 
         hom_coords = tuple(solution[no:no + ns])
-        hom = None
-        if self.star:
-            hom_values = [Fraction(0)] * len(self.config.lattice.generators)
-            for c, h in zip(hom_coords, self.star):
-                if c:
-                    hom_values = [a + c * b for a, b in zip(hom_values, h.values)]
-            hom = LatticeHom(self.config, hom_values)
+        hom = hom_combination(self.config, hom_coords, self.star) if self.star else None
         return DerivationDecomposition(
             dict(zip(self.outer, solution)), hom, hom_coords,
             AlgebraElement(self.config, inner))

@@ -317,13 +317,9 @@ class AlgebraConfig:
         # ascending: windows and the sampler walk them in this order
         self.exp_slots = tuple(sorted(exponent | {0} if j0_naturals else exponent))
 
-        self.shift_coords = {}
-        for p in shape.indices():
-            coords = lattice.membership(shape.shift_vector(p))
-            if coords is None:
-                # each shift is a sum of required unit vectors
-                raise ConfigError("shift vector escapes gamma")  # pragma: no cover
-            self.shift_coords[p] = lattice.element(coords)
+        # each shift is a sum of unit vectors that `Lattice` requires
+        self.shift_coords = {p: lattice.element(lattice.membership(shape.shift_vector(p)))
+                             for p in shape.indices()}
 
         self.weight_group_slots = tuple(sorted(group))
         self.weight_exp_slots = tuple(sorted(exponent - group))

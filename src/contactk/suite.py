@@ -19,7 +19,7 @@ from .algebra import (
     recursion_probes, sample_index, weight, window_indices, window_size,
 )
 from .derivations import (
-    LatticeHom, LinearOperator, check_derivation, diagonal_derivation,
+    LinearOperator, check_derivation, diagonal_derivation, hom_combination,
     hom_space_basis, outer_indices, outer_lower_partial,
 )
 from .cohomology import (
@@ -110,12 +110,8 @@ def run_suites(config: AlgebraConfig, seed: int, samples: int,
     homs = hom_space_basis(config)
     operators: list[LinearOperator] = []
     for _ in range(3 if homs else 0):
-        values = [0] * len(config.lattice.generators)
-        for h in homs:
-            c = rng.randint(-3, 3)
-            if c:
-                values = [a + c * b for a, b in zip(values, h.values)]
-        operators.append(diagonal_derivation(LatticeHom(config, values)))
+        coeffs = [rng.randint(-3, 3) for _ in homs]
+        operators.append(diagonal_derivation(hom_combination(config, coeffs, homs)))
     for p in outer_indices(config):
         operators.append(outer_lower_partial(config, p))
     witness = None

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contactk import (
-    AlgebraElement, ConfigError, LiteralError, basis_element, format_element,
-    grading, multiply, parse_element, sample_element, sample_index, unit,
+    AlgebraElement, ConfigError, LiteralError, basis_element, bracket_closed,
+    format_element, grading, multiply, parse_element, sample_element, sample_index, unit,
     weight, window_indices,
 )
 from contactk.algebra import (
@@ -92,6 +92,15 @@ def test_literal_rejects_garbage(cfg_l2):
                  "one*x[0,0,0]", "1*x[0,0,0] 1*x[0,1,0]"]:
         with pytest.raises((LiteralError, Exception)):
             parse_element(cfg_l2, text)
+
+
+def test_operations_refuse_what_the_config_does_not_hold(cfg_caseB, cfg_l2):
+    u = parse_element(cfg_caseB, "1*x[0,1,0]")
+    # caseB has n = 1: its indices are 0, 1 and 2
+    with pytest.raises(ConfigError, match="index 3 out of range"):
+        partial(3, u)
+    with pytest.raises(ConfigError, match="different configurations"):
+        bracket_closed(u, parse_element(cfg_l2, "1*x[0,1,0]"))
 
 
 def test_literal_fractional_group_entries(cfg_caseB):

@@ -411,6 +411,52 @@ def test_functional_file_bad_value(capsys, l2_path, tmp_path):
     assert f"error: bad rational in the value at {func}:1" in err
 
 
+def test_a_zero_diagonal_table_entry_changes_nothing(capsys, caseb_path, tmp_path):
+    outputs = []
+    for diagonal in ("", "x[0,1,0] x[0,1,0] 0\n"):
+        table = tmp_path / "t.tab"
+        table.write_text("x[0,1,0] x[0,0,1] 2\n" + diagonal + "x[1,0,0] x[0,0,1] -1\n")
+        outputs.append(run(capsys, [
+            "cocycle", "check", "--config", caseb_path, "--table", str(table)]))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 1
+
+
+@pytest.mark.parametrize("form", ["--coboundary", "--functional"])
+def test_a_functional_file_gives_each_index_one_value(capsys, l2_path, tmp_path, form):
+    good = tmp_path / "good.fn"
+    good.write_text("x[0,0,0]t[0,0,1] 1\n")
+    func = tmp_path / "g.fn"
+    check = {"--coboundary": ["cocycle", "check", "--config", l2_path, "--coboundary"],
+             "--functional": ["cocycle", "verify", "--config", l2_path,
+                              "--coboundary", str(good), "--functional"]}[form]
+    func.write_text("x[0,0,0]t[0,0,1] 1\nx[0,0,0]t[0,0,1] 5\n")
+    assert run(capsys, [*check, str(func)]) == (
+        2, "", f"error: {func}:2: conflicting duplicate index\n")
+    # the same value twice is one entry
+    func.write_text("x[0,0,0]t[0,0,1] 1\nx[0,0,0]t[0,0,1] 1\n")
+    assert run(capsys, [*check, str(func)])[0] == 0
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    # caseB's zero-slot exponents are off
+    (["bracket", "--config", "{caseB}", "--", "1*x[0,1,0]t[1,0,0]", "1*x[0,0,1]"], "",
+     "exponent entries must vanish at index 0"),
+    (["check-config", "--config", "{file}"], CASEB + "colour: red\n",
+     "line 6: unknown key 'colour'"),
+    (["cocycle", "check", "--config", "{caseB}", "--coboundary", "{file}"], "y 2\n",
+     "cannot parse basis literal 'y'"),
+    (["cocycle", "check", "--config", "{caseB}", "--table", "{file}"],
+     "x[0,1,0] x[0,0,1] 2\nx[0,1,0] x[0,0,1] 3\n", "{file}:2: conflicting duplicate pair"),
+])
+def test_malformed_input_exits_2(capsys, caseb_path, tmp_path, argv, text, message):
+    file = tmp_path / "input.txt"
+    file.write_text(text)
+    fill = {"caseB": caseb_path, "file": str(file)}
+    assert run(capsys, [a.format(**fill) for a in argv]) == (
+        2, "", f"error: {message.format(**fill)}\n")
+
+
 @pytest.mark.parametrize("value", ["1e3", "1E3", "2e-1", "1e999999999", "1_0", "\u0661"])
 def test_exponent_notation_is_refused(capsys, l2_path, tmp_path, value):
     # a few characters of exponent notation could stand for an integer of

@@ -17,6 +17,7 @@ from contactk import (
     zero_slot_hom,
 )
 from contactk.algebra import lower_partial, sample_element, scale_partial
+from contactk.derivations import hom_combination
 from contactk.linalg import add_into
 
 
@@ -280,6 +281,15 @@ def test_hom_star_dimensions(cfg_caseB, cfg_l2, cfg_decomp):
     assert len(hom_star_basis(cfg_caseB)) == 0
     assert len(hom_star_basis(cfg_l2)) == 0
     assert len(hom_star_basis(cfg_decomp)) == 1
+
+
+def test_hom_combination_sums_the_scaled_homs(cfg_mixed):
+    homs = hom_space_basis(cfg_mixed)
+    coeffs = [Fraction(3, 2), 0, -2]
+    hom = hom_combination(cfg_mixed, coeffs, homs)
+    assert hom.values == tuple(sum(c * h.values[k] for c, h in zip(coeffs, homs))
+                               for k in range(len(cfg_mixed.lattice.generators)))
+    assert not any(hom_combination(cfg_mixed, [0] * len(homs), homs).values)
 
 
 def test_derivation_combination(cfg_l3):
