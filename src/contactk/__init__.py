@@ -23,7 +23,7 @@ from .derivations import (
     outer_indices, outer_lower_partial, probe_sets, zero_slot_hom,
 )
 from .cohomology import (
-    CoboundaryCocycle, Cocycle, LinearFunctional, TableCocycle,
+    CoboundaryCocycle, LinearFunctional, TableCocycle,
     check_cocycle, closed_form_regime, coboundary, recursion_probes,
     trivialize, trivialize_closed_form, trivialize_recursive,
     verify_trivialization,
@@ -44,7 +44,7 @@ __all__ = [
     "diagonal_derivation", "hom_space_basis", "hom_star_basis",
     "mirror_difference_hom", "outer_indices", "outer_lower_partial",
     "probe_sets", "zero_slot_hom",
-    "CoboundaryCocycle", "Cocycle", "LinearFunctional", "TableCocycle",
+    "CoboundaryCocycle", "LinearFunctional", "TableCocycle",
     "check_cocycle", "closed_form_regime", "coboundary", "recursion_probes",
     "trivialize", "trivialize_closed_form", "trivialize_recursive",
     "verify_trivialization",

@@ -147,8 +147,7 @@ def recursion_probes(config: AlgebraConfig) -> list[int]:
     lattice coordinate and exponents, then 0 for the unit route.  Their
     monomials are the triangular probe family."""
     shape = config.shape
-    both = shape.group_slots & shape.exponent_slots
-    out = [p for p in shape.blocks(1, 6) if both.intersection(shape.pair_slots(p))]
+    out = [p for p in shape.blocks(1, 6) if shape.both_slots.intersection(shape.pair_slots(p))]
     if config.j0_naturals:
         out.append(0)
     return out
@@ -428,6 +427,11 @@ def format_basis_index(index: BasisIndex) -> str:
     if any(index.exps):
         body += "t[" + ",".join(str(e) for e in index.exps) + "]"
     return body
+
+
+def format_pair(iu: BasisIndex, iv: BasisIndex) -> str:
+    """The witness text of a basis pair: 'u , v'."""
+    return f"{format_basis_index(iu)} , {format_basis_index(iv)}"
 
 
 def format_element(u: AlgebraElement) -> str:

@@ -17,12 +17,12 @@ import re
 import sys
 import time
 
-from .indices import AlgebraConfig, ConfigError, parse_config_text
+from .indices import AlgebraConfig, ConfigError, content_lines, parse_config_text
 from .linalg import as_number
 from .algebra import (
     LiteralError, bracket_closed, bracket_operator, check_decompose_cap,
-    check_pair_cap, format_basis_index, format_element, multiply, parse_basis_index,
-    parse_element, parse_rational, sample_index, structure_rows,
+    check_pair_cap, format_basis_index, format_element, format_pair, multiply,
+    parse_basis_index, parse_element, parse_rational, sample_index, structure_rows,
     window_indices,
 )
 from .derivations import (
@@ -31,8 +31,8 @@ from .derivations import (
     outer_lower_partial,
 )
 from .cohomology import (
-    LinearFunctional, TableCocycle, check_cocycle, coboundary, targeted_triples,
-    trivialize, verify_trivialization,
+    LinearFunctional, TableCocycle, add_skew_entry, check_cocycle, coboundary,
+    targeted_triples, trivialize, verify_trivialization,
 )
 from .suite import render_report, run_suites
 
@@ -92,19 +92,14 @@ def parse_operator_spec(config: AlgebraConfig, text: str) -> LinearOperator:
 
 # -- cocycle / functional files ---------------------------------------
 
-def _content_lines(path: str):
-    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
-
-
 def _read_values(config: AlgebraConfig, path: str, width: int) -> dict:
     """{key: value} from lines of `width` basis literals and a value, the
     key being the tuple of the line's indices; a key given two different
-    values is refused."""
+    values is refused, and a table line (width 2) that `add_skew_entry`
+    refuses is refused at its line."""
     values = {}
-    for lineno, line in _content_lines(path):
+    skew = {}  # a table's entries as `TableCocycle` keeps them
+    for lineno, line in content_lines(_read_text(path)):
         fields = line.split()
         if len(fields) != width + 1:
             raise UsageError(
@@ -114,6 +109,11 @@ def _read_values(config: AlgebraConfig, path: str, width: int) -> dict:
         if values.setdefault(key, value) != value:
             raise UsageError(f"{path}:{lineno}: conflicting duplicate "
                              f"{'index' if width == 1 else 'pair'}")
+        if width == 2:
+            try:
+                add_skew_entry(skew, *key, value)
+            except ConfigError as err:
+                raise UsageError(f"{path}:{lineno}: {err}") from None
     return values
 
 
@@ -136,14 +136,11 @@ def load_cocycle(config: AlgebraConfig, args):
     raise UsageError("provide --table or --coboundary")
 
 
-@contextlib.contextmanager
 def _output(path):
-    """Yield stdout, or the file at `path` (closed on exit) when given."""
+    """A context for stdout, or the file at `path` (closed on exit) when given."""
     if not path:
-        yield sys.stdout
-        return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        yield fh
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 # -- subcommands ------------------------------------------------------
@@ -209,7 +206,7 @@ def cmd_deriv_check(config: AlgebraConfig, args) -> int:
         return 0
     iu, iv, lhs, rhs = report.failures[0]
     print(f"FAIL derivation-law ({report.checked} samples)")
-    print(f"  witness: {format_basis_index(iu)} , {format_basis_index(iv)}")
+    print(f"  witness: {format_pair(iu, iv)}")
     print(f"  action on bracket: {format_element(lhs)}")
     print(f"  bracket of actions: {format_element(rhs)}")
     return 1
@@ -258,12 +255,10 @@ def cmd_cocycle_check(config: AlgebraConfig, args) -> int:
         return 0
     print(f"FAIL cocycle-axioms {counts}")
     if skew.failures:
-        a, b = skew.failures[0]
-        print(f"  skew witness: {format_basis_index(a)} , {format_basis_index(b)}")
+        print(f"  skew witness: {format_pair(*skew.failures[0])}")
     if sums.failures:
         a, b, c, total = sums.failures[0]
-        print(f"  sum witness: {format_basis_index(a)} , {format_basis_index(b)} , "
-              f"{format_basis_index(c)} -> {total}")
+        print(f"  sum witness: {format_pair(a, b)} , {format_basis_index(c)} -> {total}")
     return 1
 
 
@@ -304,8 +299,8 @@ def _verify_on_window(psi, radius: int, build):
     if not report.passed:
         iu, iv, lhs, rhs = report.failures[0]
         print(f"FAIL trivialization ({report.checked} pairs)")
-        print(f"  witness: {format_basis_index(iu)} , {format_basis_index(iv)} "
-              f"-> form {lhs}, functional-on-bracket {rhs}")
+        print(f"  witness: {format_pair(iu, iv)} -> form {lhs}, "
+              f"functional-on-bracket {rhs}")
     return functional, window, report
 
 

@@ -1,6 +1,7 @@
 """Skew 2-forms on the bracket, their axioms, and constructive trivialization.
 
-A cocycle here is a bilinear skew form evaluated on basis pairs.  The
+A cocycle here is a bilinear skew form evaluated on basis pairs by
+`on_basis`, a `Form`: a `CoboundaryCocycle` or a `TableCocycle`.  The
 trivializers build a linear functional f with psi(u,v) = f([u,v]) two
 ways: a recursion driven by a probe element (available whenever some
 slot carries exponents), which fills f's table, and a four-case closed
@@ -22,18 +23,6 @@ from .algebra import (
 # one shared zero for every zero value; it is a Fraction, not int 0, so
 # the trivializer rules' divisions stay exact
 _ZERO = Fraction(0)
-
-
-class Cocycle:
-    """Bilinear skew form, given by its values on basis pairs."""
-
-    __slots__ = ("config",)
-
-    def __init__(self, config: AlgebraConfig):
-        self.config = config
-
-    def on_basis(self, iu: BasisIndex, iv: BasisIndex) -> Fraction:
-        raise NotImplementedError
 
 
 class LinearFunctional:
@@ -69,7 +58,7 @@ def _sum_key(iu: BasisIndex, iv: BasisIndex) -> tuple:
     return (*map(add, iu.alpha.coords + iu.exps, iv.alpha.coords + iv.exps),)
 
 
-class CoboundaryCocycle(Cocycle):
+class CoboundaryCocycle:
     """psi_f(u,v) = f([u,v]); satisfies the cocycle axioms identically.
 
     For a functional without a rule, the sums whose bracket can reach a
@@ -77,10 +66,10 @@ class CoboundaryCocycle(Cocycle):
     the coboundary is built, and a pair with any other sum is zero
     without a bracket; a later change to the table is not seen."""
 
-    __slots__ = ("functional", "_reach")
+    __slots__ = ("config", "functional", "_reach")
 
     def __init__(self, functional: LinearFunctional):
-        super().__init__(functional.config)
+        self.config = functional.config
         self.functional = functional
         self._reach = None if functional.rule is not None else {
             key for r, value in functional.table.items() if value
@@ -96,33 +85,34 @@ def coboundary(f: LinearFunctional) -> CoboundaryCocycle:
     return CoboundaryCocycle(f)
 
 
-class TableCocycle(Cocycle):
-    """Finite skew table; one orientation stored, the flip negated.
+def add_skew_entry(canonical: dict, iu: BasisIndex, iv: BasisIndex, value) -> None:
+    """Record psi(iu, iv) = value in `canonical` under the pair's sorted
+    orientation, negated if flipped; a zero diagonal is skipped, and a
+    nonzero one or a value the recorded one contradicts is refused."""
+    if iu == iv:
+        if value:
+            raise ConfigError("diagonal cocycle entries must be zero")
+        return
+    if iu.sort_key() <= iv.sort_key():
+        key, val = (iu, iv), value
+    else:
+        key, val = (iv, iu), -value
+    if canonical.setdefault(key, val) != val:
+        raise ConfigError("inconsistent values for the pair "
+                          f"({format_basis_index(key[0])}, {format_basis_index(key[1])})")
 
-    Skew-symmetry holds by representation: diagonal pairs are zero and
-    only the sorted orientation of each pair is kept.
-    """
 
-    __slots__ = ("entries",)
+class TableCocycle:
+    """Finite skew table, skew by representation: diagonal pairs are zero
+    and each pair is stored in one orientation (`add_skew_entry`)."""
+
+    __slots__ = ("config", "entries")
 
     def __init__(self, config: AlgebraConfig, entries):
-        super().__init__(config)
+        self.config = config
         canonical: dict[tuple, Fraction] = {}
         for (iu, iv), value in entries.items():
-            value = Fraction(value)
-            if iu == iv:
-                if value:
-                    raise ConfigError("diagonal cocycle entries must be zero")
-                continue
-            if iu.sort_key() <= iv.sort_key():
-                key, val = (iu, iv), value
-            else:
-                key, val = (iv, iu), -value
-            if key in canonical and canonical[key] != val:
-                raise ConfigError(
-                    "inconsistent values for the pair "
-                    f"({format_basis_index(key[0])}, {format_basis_index(key[1])})")
-            canonical[key] = val
+            add_skew_entry(canonical, iu, iv, Fraction(value))
         self.entries = {k: v for k, v in canonical.items() if v}
 
     def on_basis(self, iu, iv):
@@ -131,7 +121,10 @@ class TableCocycle(Cocycle):
         return -self.entries.get((iv, iu), _ZERO)
 
 
-def check_cocycle(psi: Cocycle, triples) -> tuple[CheckReport, CheckReport]:
+Form = CoboundaryCocycle | TableCocycle
+
+
+def check_cocycle(psi: Form, triples) -> tuple[CheckReport, CheckReport]:
     """Exact cocycle axioms: skew-symmetry on the distinct ordered pairs of
     the triples, in first-seen order, and the three-term sum
     psi([u,v],w) + psi([v,w],u) + psi([w,u],v) on each triple, each term
@@ -211,15 +204,14 @@ def probe_recurrence(config: AlgebraConfig, p: int) -> tuple:
         return w, lambda a, i: 2 * a[0], ((0, 2),), 0
     shape = config.shape
     sp, sq = shape.pair_slots(p)
-    both = shape.group_slots & shape.exponent_slots
-    kappa = tuple((s, k) for s, k in ((sp, -1), (sq, 1)) if s in both)
+    kappa = tuple((s, k) for s, k in ((sp, -1), (sq, 1)) if s in shape.both_slots)
     up = kappa[-1][0]
     if sq in shape.group_slots:
         return w, lambda a, i: a[sq] - a[sp], kappa, up
     return w, lambda a, i: i[sq] - a[sp], kappa, up
 
 
-def trivialize_recursive(psi: Cocycle, probe: int) -> LinearFunctional:
+def trivialize_recursive(psi: Form, probe: int) -> LinearFunctional:
     """Build f with psi = psi_f by downward recursion on one exponent.
 
     psi(w, b) = f([w, b]) and the probe's `probe_recurrence` give f(b)
@@ -293,7 +285,7 @@ def _bottom_up(f: LinearFunctional, step):
     return rule
 
 
-def trivialize_closed_form(psi: Cocycle) -> LinearFunctional:
+def trivialize_closed_form(psi: Form) -> LinearFunctional:
     """Four-case closed form for the pure-group single-block regime; it
     reads psi on single basis pairs, through `psi.on_basis`."""
     config = psi.config
@@ -345,7 +337,7 @@ def trivialize_closed_form(psi: Cocycle) -> LinearFunctional:
     return LinearFunctional(config, rule=rule, tag="closed-form")
 
 
-def trivialize(psi: Cocycle, probe: int | None = None) -> LinearFunctional:
+def trivialize(psi: Form, probe: int | None = None) -> LinearFunctional:
     """Recurse on the given probe; without one, route automatically."""
     config = psi.config
     if probe is None:
@@ -358,7 +350,7 @@ def trivialize(psi: Cocycle, probe: int | None = None) -> LinearFunctional:
     return trivialize_recursive(psi, probe)
 
 
-def verify_trivialization(psi: Cocycle, f: LinearFunctional, pairs) -> CheckReport:
+def verify_trivialization(psi: Form, f: LinearFunctional, pairs) -> CheckReport:
     """Exact comparison psi(u,v) vs f([u,v]) over the given basis pairs.
 
     For a coboundary psi = g([u,v]) the call keeps whether g(r) != f(r)

@@ -130,8 +130,7 @@ def outer_indices(config: AlgebraConfig) -> list[int]:
     """Indices whose lowering operators are outer derivations: those whose
     slot holds both a lattice coordinate and exponents."""
     shape = config.shape
-    both = shape.group_slots & shape.exponent_slots
-    return [p for p in shape.indices() if shape.slot(p) in both]
+    return [p for p in shape.indices() if shape.slot(p) in shape.both_slots]
 
 
 def outer_lower_partial(config: AlgebraConfig, p: int) -> LinearOperator:

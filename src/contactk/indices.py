@@ -34,9 +34,9 @@ BLOCK_ROLES = (("g", "g"), ("g", "ge"), ("ge", "ge"), ("g", "e"), ("ge", "e"), (
 class Shape:
     """Block sizes and the index bookkeeping derived from them: among the
     nonzero slots, `group_slots` hold lattice coordinates and
-    `exponent_slots` exponents (a slot can be in both)."""
+    `exponent_slots` exponents; `both_slots` hold both."""
 
-    __slots__ = ("ell", "cum", "n", "dim", "group_slots", "exponent_slots")
+    __slots__ = ("ell", "cum", "n", "dim", "group_slots", "exponent_slots", "both_slots")
 
     def __init__(self, ell):
         ell = tuple(int(x) for x in ell)
@@ -55,6 +55,7 @@ class Shape:
                  for p in range(1, self.dim)]
         self.group_slots = frozenset(s for s, role in roles if "g" in role)
         self.exponent_slots = frozenset(s for s, role in roles if "e" in role)
+        self.both_slots = self.group_slots & self.exponent_slots
 
     # -- index sets ---------------------------------------------------
 
@@ -294,7 +295,7 @@ class ExponentVector(tuple):
 
 
 class AlgebraConfig:
-    """Shape + lattice + zero-slot exponent mode, with derived tables."""
+    """Lattice (with its shape) + zero-slot exponent mode, with derived tables."""
 
     __slots__ = (
         "shape", "lattice", "j0_naturals",
@@ -303,13 +304,11 @@ class AlgebraConfig:
         "pair_rows", "bracket_shapes", "zero_exps",
     )
 
-    def __init__(self, shape: Shape, lattice: Lattice, j0_naturals: bool):
-        if lattice.shape is not shape:
-            raise ConfigError("lattice was built for a different shape")
+    def __init__(self, lattice: Lattice, j0_naturals: bool):
         if not j0_naturals and not lattice.has_zero_slot:
             raise ConfigError(
                 "j0 must be naturals when every gamma generator is zero at index 0")
-        self.shape = shape
+        self.shape = shape = lattice.shape
         self.lattice = lattice
         self.j0_naturals = j0_naturals
 
@@ -360,8 +359,16 @@ def make_config(ell, j0: str, generators) -> AlgebraConfig:
     shape = Shape(ell)
     if j0 not in ("zero", "naturals"):
         raise ConfigError('j0 must be "zero" or "naturals"')
-    lattice = Lattice(shape, generators)
-    return AlgebraConfig(shape, lattice, j0 == "naturals")
+    return AlgebraConfig(Lattice(shape, generators), j0 == "naturals")
+
+
+def content_lines(text: str):
+    """(line number, stripped line) for each line of an input file, split at
+    every `str.splitlines` break, that is not blank once its `#` comment is cut."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
 
 
 def parse_config_text(text: str) -> AlgebraConfig:
@@ -369,10 +376,7 @@ def parse_config_text(text: str) -> AlgebraConfig:
     ell = None
     j0 = None
     gens = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         key, sep, value = line.partition(":")
         if not sep:
             raise ConfigError(f"line {lineno}: expected 'key: value'")

@@ -12,11 +12,11 @@ import itertools
 import random
 from fractions import Fraction
 
-from .indices import AlgebraConfig, ConfigError
+from .indices import AlgebraConfig
 from .algebra import (
-    AlgebraElement, basis_element, bracket_closed, bracket_operator,
-    format_basis_index, format_element, grading, multiply, partial,
-    recursion_probes, sample_index, weight, window_indices, window_size,
+    AlgebraElement, bracket_closed, bracket_operator, format_basis_index,
+    format_pair, grading, multiply, partial, recursion_probes, sample_index,
+    weight, window_indices, window_size,
 )
 from .derivations import (
     LinearOperator, check_derivation, diagonal_derivation, hom_combination,
@@ -36,10 +36,6 @@ class SuiteResult:
         self.passed = passed
         self.samples = samples
         self.witness = witness
-
-
-def _pair_witness(iu, iv) -> str:
-    return f"{format_basis_index(iu)} , {format_basis_index(iv)}"
 
 
 def run_suites(config: AlgebraConfig, seed: int, samples: int,
@@ -64,13 +60,13 @@ def run_suites(config: AlgebraConfig, seed: int, samples: int,
         iu, iv = draw_pair()
         xu, xv = monomials(iu, iv)
         if bracket_fn(xu, xv) != bracket_operator(xu, xv):
-            return _pair_witness(iu, iv)
+            return format_pair(iu, iv)
 
     def antisymmetry():
         iu, iv = draw_pair()
         xu, xv = monomials(iu, iv)
         if not (bracket_fn(xu, xv) + bracket_fn(xv, xu)).is_zero():
-            return _pair_witness(iu, iv)
+            return format_pair(iu, iv)
 
     def jacobi():
         iu, iv, iw = (sample_index(config, rng) for _ in range(3))
@@ -79,7 +75,7 @@ def run_suites(config: AlgebraConfig, seed: int, samples: int,
                  + bracket_fn(bracket_fn(xv, xw), xu)
                  + bracket_fn(bracket_fn(xw, xu), xv))
         if not total.is_zero():
-            return f"{_pair_witness(iu, iv)} , {format_basis_index(iw)}"
+            return f"{format_pair(iu, iv)} , {format_basis_index(iw)}"
 
     def product_rule():
         # derivative operators obey the product rule
@@ -89,7 +85,7 @@ def run_suites(config: AlgebraConfig, seed: int, samples: int,
         lhs = partial(p, multiply(xu, xv))
         rhs = multiply(partial(p, xu), xv) + multiply(xu, partial(p, xv))
         if lhs != rhs:
-            return f"index {config.shape.index_token(p)} on {_pair_witness(iu, iv)}"
+            return f"index {config.shape.index_token(p)} on {format_pair(iu, iv)}"
 
     def grading_eigenvalue():
         idx = sample_index(config, rng)
@@ -121,7 +117,7 @@ def run_suites(config: AlgebraConfig, seed: int, samples: int,
         checked += rep.checked
         if not rep.passed:
             iu, iv, _, _ = rep.failures[0]
-            witness = f"{op.tag} on {_pair_witness(iu, iv)}"
+            witness = f"{op.tag} on {format_pair(iu, iv)}"
             break
     results.append(SuiteResult(
         "derivation-law", witness is None, checked or law_samples, witness))
@@ -140,10 +136,7 @@ def run_suites(config: AlgebraConfig, seed: int, samples: int,
         extra = [draw_pair() for _ in range(law_samples)]
         rep = verify_trivialization(
             psi, f, itertools.chain(itertools.combinations_with_replacement(window, 2), extra))
-        witness = None
-        if not rep.passed:
-            iu, iv, _, _ = rep.failures[0]
-            witness = _pair_witness(iu, iv)
+        witness = None if rep.passed else format_pair(*rep.failures[0][:2])
         results.append(SuiteResult("round-trip", rep.passed, rep.checked, witness))
 
     return results

@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 from contactk import (
-    check_cocycle, coboundary, parse_element, sample_index, trivialize,
-    window_indices,
+    CheckReport, check_cocycle, coboundary, parse_basis_index, parse_element,
+    sample_index, trivialize, window_indices,
 )
 from contactk.algebra import bracket_support, bracket_terms
 from contactk.cohomology import pair_reaching, targeted_triples
@@ -22,6 +22,7 @@ GOLDEN = Path(__file__).parent / "golden"
 CASEB = "ell: 1 0 0 0 0 0\nj0: zero\ngamma: 1 0 0\ngamma: 0 1 0\ngamma: 0 0 1\n"
 L2 = "ell: 0 1 0 0 0 0\nj0: naturals\ngamma: 0 1 0\ngamma: 0 0 1\n"
 L3 = "ell: 0 0 1 0 0 0\nj0: naturals\ngamma: 0 1 0\ngamma: 0 0 1\n"
+DECOMP = "ell: 0 1 0 0 0 0\nj0: naturals\ngamma: 1 0 0\ngamma: 0 1 0\ngamma: 0 0 1\n"
 
 
 @pytest.fixture()
@@ -77,6 +78,16 @@ def test_bracket_oracle_flag(capsys, caseb_path):
         "bracket", "--config", caseb_path, "--oracle",
         "2*x[0,1,0] + 1*x[0,0,1]", "1*x[0,1,1]"])
     assert code == 0
+
+
+def test_bracket_oracle_disagreement_prints_both_routes(capsys, caseb_path, monkeypatch):
+    # both routes agree on every input; a stand-in oracle shows the report
+    config = load_config(caseb_path)
+    monkeypatch.setattr("contactk.cli.bracket_operator",
+                        lambda u, v: parse_element(config, "-1*x[0,1,1]"))
+    assert run(capsys, ["bracket", "--config", caseb_path, "--oracle",
+                        "1*x[0,2,0]", "1*x[0,0,2]"]) == (
+        1, "", "route disagreement:\n  closed:   4*x[0,1,1]\n  operator: -1*x[0,1,1]\n")
 
 
 def test_bracket_bad_literal(capsys, caseb_path):
@@ -201,6 +212,22 @@ def test_deriv_check_compound_op(capsys, caseb_path):
     assert code == 0
 
 
+def test_deriv_check_failure_prints_its_witness(capsys, caseb_path, monkeypatch):
+    # every operator the spec language builds is a derivation; a stand-in
+    # checker that reports one failure shows the failure's lines
+    config = load_config(caseb_path)
+    failure = (parse_basis_index(config, "x[0,1,0]"), parse_basis_index(config, "x[0,0,1]"),
+               parse_element(config, "2*x[0,1,1]"), parse_element(config, "3/2*x[0,0,0]"))
+    monkeypatch.setattr("contactk.cli.check_derivation",
+                        lambda op, pairs: CheckReport(len(pairs), [failure]))
+    assert run(capsys, ["deriv", "check", "--config", caseb_path, "--op", "ad 1*x[0,0,0]",
+                        "--samples", "4"]) == (
+        1, "FAIL derivation-law (4 samples)\n"
+           "  witness: x[0,1,0] , x[0,0,1]\n"
+           "  action on bracket: 2*x[0,1,1]\n"
+           "  bracket of actions: 3/2*x[0,0,0]\n", "")
+
+
 def test_deriv_check_rejects_bad_spec(capsys, caseb_path):
     for spec in ["dt 1", "dmu 1 0", "spin 3", "dmu 1 0 1"]:
         code, _, err = run(capsys, [
@@ -225,6 +252,13 @@ def test_deriv_decompose(capsys, l2_path):
     assert "dt 1bar: 1" in out
     assert "inner: 2*x[0,1,0]" in out
     assert out.strip().endswith("residual: zero")
+
+
+def test_deriv_decompose_prints_a_hom_part(capsys, tmp_path):
+    config = tmp_path / "decomp.cfg"
+    config.write_text(DECOMP)
+    assert run(capsys, ["deriv", "decompose", "--config", str(config), "--op", "dmu 1 0 0"]) == (
+        0, "outer:\n  dt 1bar: 0\nhom: 1 0 0\ninner: 0\nresidual: zero\n", "")
 
 
 def test_deriv_decompose_residual_output(capsys):
@@ -389,6 +423,22 @@ def test_cocycle_table_check_detects_non_cocycle(capsys, caseb_path, tmp_path):
                    "  sum witness: x[-1,2,-2] , x[0,1,0] , x[1,1,3] -> 8\n")
 
 
+def test_cocycle_check_failure_prints_each_witness(capsys, l2_path, tmp_path, monkeypatch):
+    # both forms are skew by construction; a stand-in checker that reports
+    # a skew and a sum failure shows both witness lines
+    config = load_config(l2_path)
+    a, b, c = (parse_basis_index(config, x) for x in ("x[0,1,0]", "x[0,0,1]t[1,0,0]", "x[0,0,0]"))
+    monkeypatch.setattr("contactk.cli.check_cocycle", lambda psi, triples: (
+        CheckReport(5, [(a, b)]), CheckReport(len(triples), [(a, b, c, Fraction(-7, 2))])))
+    func = tmp_path / "g.fn"
+    func.write_text("x[0,1,1] 3\n")
+    assert run(capsys, ["cocycle", "check", "--config", l2_path, "--coboundary", str(func),
+                        "--triples", "2"]) == (
+        1, "FAIL cocycle-axioms (5 pairs, 2 triples)\n"
+           "  skew witness: x[0,1,0] , x[0,0,1]t[1,0,0]\n"
+           "  sum witness: x[0,1,0] , x[0,0,1]t[1,0,0] , x[0,0,0] -> -7/2\n", "")
+
+
 def test_cocycle_table_file_errors(capsys, caseb_path, tmp_path):
     table = tmp_path / "bad.txt"
     table.write_text("x[0,1,0] x[0,0,1]\n")
@@ -412,13 +462,14 @@ def test_functional_file_bad_value(capsys, l2_path, tmp_path):
 
 
 def test_a_zero_diagonal_table_entry_changes_nothing(capsys, caseb_path, tmp_path):
+    # nor does the flip of an entry at its negated value
     outputs = []
-    for diagonal in ("", "x[0,1,0] x[0,1,0] 0\n"):
+    for extra in ("", "x[0,1,0] x[0,1,0] 0\n", "x[0,0,1] x[0,1,0] -2\n"):
         table = tmp_path / "t.tab"
-        table.write_text("x[0,1,0] x[0,0,1] 2\n" + diagonal + "x[1,0,0] x[0,0,1] -1\n")
+        table.write_text("x[0,1,0] x[0,0,1] 2\n" + extra + "x[1,0,0] x[0,0,1] -1\n")
         outputs.append(run(capsys, [
             "cocycle", "check", "--config", caseb_path, "--table", str(table)]))
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
     assert outputs[0][0] == 1
 
 
@@ -448,6 +499,13 @@ def test_a_functional_file_gives_each_index_one_value(capsys, l2_path, tmp_path,
      "cannot parse basis literal 'y'"),
     (["cocycle", "check", "--config", "{caseB}", "--table", "{file}"],
      "x[0,1,0] x[0,0,1] 2\nx[0,1,0] x[0,0,1] 3\n", "{file}:2: conflicting duplicate pair"),
+    # the refusals `TableCocycle` makes, at the table line that causes them
+    (["cocycle", "check", "--config", "{caseB}", "--table", "{file}"],
+     "x[0,1,0] x[0,0,1] 2\n\nx[0,1,0] x[0,1,0] 3\n",
+     "{file}:3: diagonal cocycle entries must be zero"),
+    (["cocycle", "check", "--config", "{caseB}", "--table", "{file}"],
+     "x[0,1,0] x[0,0,1] 2\nx[0,0,1] x[0,1,0] 3\n",
+     "{file}:2: inconsistent values for the pair (x[0,0,1], x[0,1,0])"),
 ])
 def test_malformed_input_exits_2(capsys, caseb_path, tmp_path, argv, text, message):
     file = tmp_path / "input.txt"
@@ -455,6 +513,21 @@ def test_malformed_input_exits_2(capsys, caseb_path, tmp_path, argv, text, messa
     fill = {"caseB": caseb_path, "file": str(file)}
     assert run(capsys, [a.format(**fill) for a in argv]) == (
         2, "", f"error: {message.format(**fill)}\n")
+
+
+@pytest.mark.parametrize("brk", ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_config_and_value_files_break_lines_alike(capsys, tmp_path, brk):
+    # every input file is split at each `str.splitlines` break
+    config = tmp_path / "l2.cfg"
+    config.write_text(L2.replace("\n", brk), encoding="utf-8")
+    func = tmp_path / "g.fn"
+    func.write_text(f"x[0,1,1] 3{brk}x[0,0,0]t[1,0,0] -1/2 # a note", encoding="utf-8")
+    assert run(capsys, ["cocycle", "verify", "--config", str(config), "--coboundary", str(func),
+                        "--functional", str(func), "--radius", "1"]) == (
+        0, "PASS trivialization (666 pairs)\n", "")
+    func.write_text(f"x[0,1,1] 3{brk}x[0,1,1] 5", encoding="utf-8")
+    assert run(capsys, ["cocycle", "check", "--config", str(config), "--coboundary", str(func)]
+               ) == (2, "", f"error: {func}:2: conflicting duplicate index\n")
 
 
 @pytest.mark.parametrize("value", ["1e3", "1E3", "2e-1", "1e999999999", "1_0", "\u0661"])

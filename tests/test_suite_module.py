@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import gc
 
-from contactk import GroupElement, bracket_closed, render_report, run_suites
+from contactk import (
+    CheckReport, GroupElement, bracket_closed, parse_basis_index, render_report, run_suites,
+)
 
 
 def test_all_suites_pass(cfg_caseB):
@@ -69,3 +71,21 @@ def test_sessions_leave_no_state_in_a_config(cfg_mixed):
     for seed in (1, 2, 3):
         run_suites(cfg_mixed, seed, 60)
     assert live_elements() == before
+
+
+def test_failed_derivation_law_and_round_trip_name_their_witnesses(cfg_l2, monkeypatch):
+    # every derivation the suite builds obeys Leibniz and every round trip
+    # closes; stand-in checkers that report one failure show the witnesses
+    pair = (parse_basis_index(cfg_l2, "x[0,1,0]"), parse_basis_index(cfg_l2, "x[0,0,1]t[1,0,0]"))
+
+    def one_failure(*args):
+        return CheckReport(len(list(args[-1])), [(*pair, 1, 2)])
+
+    monkeypatch.setattr("contactk.suite.check_derivation", one_failure)
+    monkeypatch.setattr("contactk.suite.verify_trivialization", one_failure)
+    report = render_report(cfg_l2, 4, 8, run_suites(cfg_l2, 4, 8))
+    assert report.endswith("FAIL derivation-law (2 samples)\n"
+                           "  witness: dmu 1 -1 on x[0,1,0] , x[0,0,1]t[1,0,0]\n"
+                           "FAIL round-trip (668 samples)\n"
+                           "  witness: x[0,1,0] , x[0,0,1]t[1,0,0]\n"
+                           "result: FAIL (5/7)\n")
