@@ -17,7 +17,7 @@ import re
 import sys
 import time
 
-from .indices import AlgebraConfig, ConfigError, content_lines, parse_config_text
+from .indices import AlgebraConfig, ConfigError, ConfigLineError, content_lines, parse_config_text
 from .linalg import as_number
 from .algebra import (
     LiteralError, bracket_closed, bracket_operator, check_decompose_cap,
@@ -50,7 +50,13 @@ def _read_text(path: str) -> str:
 
 
 def load_config(path: str) -> AlgebraConfig:
-    return parse_config_text(_read_text(path))
+    """The config in the file at `path`; its errors name the file (and line)."""
+    try:
+        return parse_config_text(_read_text(path))
+    except ConfigLineError as err:
+        raise ConfigError(f"{path}:{err.lineno}: {err.reason}") from None
+    except ConfigError as err:
+        raise ConfigError(f"{path}: {err}") from None
 
 
 # -- operator specs ---------------------------------------------------
@@ -79,11 +85,8 @@ def parse_operator_spec(config: AlgebraConfig, text: str) -> LinearOperator:
         if kind == "ad":
             op = ad(parse_element(config, rest))
         elif kind == "dmu":
-            values = rest.split()
-            if len(values) != len(config.lattice.generators):
-                raise UsageError("dmu needs one rational per gamma generator")
             op = diagonal_derivation(
-                LatticeHom(config, [parse_rational(v, "dmu value") for v in values]))
+                LatticeHom(config, [parse_rational(v, "dmu value") for v in rest.split()]))
         else:
             op = outer_lower_partial(config, config.shape.parse_index_token(rest))
         parts.append((scalar, op))

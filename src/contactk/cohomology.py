@@ -353,68 +353,35 @@ def trivialize(psi: Form, probe: int | None = None) -> LinearFunctional:
 def verify_trivialization(psi: Form, f: LinearFunctional, pairs) -> CheckReport:
     """Exact comparison psi(u,v) vs f([u,v]) over the given basis pairs.
 
-    For a coboundary psi = g([u,v]) the call keeps whether g(r) != f(r)
-    per result index r, and a bracketed pair passes unsummed when no term
-    differs.  The first pair with a given index sum (α+β, i+j) is held
-    back.  At the second, g - f is checked once on `bracket_support` of
-    the sum: when it vanishes there, every pair with that sum passes
-    without a bracket (both sides are the same sum of equal values);
-    otherwise each of them is bracketed, the held one included.  Pairs
-    whose sum occurs only once are bracketed after the sweep, and the
-    failures are put back in pair order.  `pairs` is read once, and the
-    state kept grows with the distinct sums, not with the pairs.  Any
-    other psi goes through `on_basis`, one bracket per pair.
+    For a coboundary psi = g([u,v]), g - f is checked once per index sum
+    (α+β, i+j), at its first pair, on its `bracket_support`: where it
+    vanishes, every pair of the sum passes unbracketed (both sides are the
+    same sum of equal values).  Every other pair is bracketed once.  `pairs`
+    is read once, and the state grows with the distinct sums, not the pairs.
     """
     config = psi.config
-    if not isinstance(psi, CoboundaryCocycle):
-        failures = []
-        checked = 0
-        for iu, iv in pairs:
-            checked += 1
-            lhs = psi.on_basis(iu, iv)
-            rhs = f.eval_terms(bracket_terms(config, iu, iv))
-            if lhs != rhs:
-                failures.append((iu, iv, lhs, rhs))
-        return CheckReport(checked, failures)
-
-    g = psi.functional
+    g = psi.functional if isinstance(psi, CoboundaryCocycle) else None
     diff: dict[BasisIndex, bool] = {}
+    clear: dict[tuple, bool] = {}  # per index sum: does g - f vanish on its support
 
     def differs(r: BasisIndex) -> bool:
         if (d := diff.get(r)) is None:
             d = diff[r] = g.eval_basis(r) != f.eval_basis(r)
         return d
 
-    failed: dict[int, tuple] = {}  # by pair position
-
-    def bracket(n: int, iu: BasisIndex, iv: BasisIndex) -> None:
-        terms = bracket_terms(config, iu, iv)
-        if any(map(differs, terms)):
-            lhs, rhs = g.eval_terms(terms), f.eval_terms(terms)
-            if lhs != rhs:
-                failed[n] = (iu, iv, lhs, rhs)
-
-    # per index sum, keyed by its coordinates and exponents: its only pair
-    # so far, with its position, or whether g - f vanishes on its support
-    held: dict[tuple, tuple] = {}
-    clear: dict[tuple, bool] = {}
+    failures = []
     checked = 0
-    for iu, iv in pairs:
-        n = checked
-        checked += 1
-        key = _sum_key(iu, iv)
-        verdict = clear.get(key)
-        if verdict is None:
-            first = held.pop(key, None)
-            if first is None:
-                held[key] = (n, iu, iv)
+    for checked, (iu, iv) in enumerate(pairs, 1):
+        if g is not None:
+            key = _sum_key(iu, iv)
+            if (verdict := clear.get(key)) is None:
+                support = bracket_support(config, iu.alpha.add(iv.alpha), iu.exps.add(iv.exps))
+                verdict = clear[key] = not any(map(differs, support))
+            if verdict:
                 continue
-            support = bracket_support(config, iu.alpha.add(iv.alpha), iu.exps.add(iv.exps))
-            verdict = clear[key] = not any(map(differs, support))
-            if not verdict:
-                bracket(*first)
-        if not verdict:
-            bracket(n, iu, iv)
-    for first in held.values():
-        bracket(*first)
-    return CheckReport(checked, [failed[n] for n in sorted(failed)])
+        terms = bracket_terms(config, iu, iv)
+        lhs = psi.on_basis(iu, iv) if g is None else g.eval_terms(terms)
+        rhs = f.eval_terms(terms)
+        if lhs != rhs:
+            failures.append((iu, iv, lhs, rhs))
+    return CheckReport(checked, failures)

@@ -26,6 +26,14 @@ class ConfigError(ValueError):
     """Raised for invalid shapes, lattices, or configurations."""
 
 
+class ConfigLineError(ConfigError):
+    """Raised for one line of config text: `lineno` says which, `reason` why."""
+
+    def __init__(self, lineno: int, reason: str):
+        super().__init__(f"line {lineno}: {reason}")
+        self.lineno, self.reason = lineno, reason
+
+
 # Roles of the slots of (p, p bar) for an index p of blocks 1..6: "g"
 # marks a lattice coordinate and "e" an exponent.  This is the family.
 BLOCK_ROLES = (("g", "g"), ("g", "ge"), ("ge", "ge"), ("g", "e"), ("ge", "e"), ("e", "e"))
@@ -379,32 +387,29 @@ def parse_config_text(text: str) -> AlgebraConfig:
     for lineno, line in content_lines(text):
         key, sep, value = line.partition(":")
         if not sep:
-            raise ConfigError(f"line {lineno}: expected 'key: value'")
+            raise ConfigLineError(lineno, "expected 'key: value'")
         key = key.strip()
         value = value.strip()
         if key == "ell":
-            parts = value.split()
-            if len(parts) != 6:
-                raise ConfigError(f"line {lineno}: ell needs six integers")
             try:
-                ell = [int(plain(x)) for x in parts]
+                ell = [int(plain(x)) for x in value.split()]
             except ValueError:
-                raise ConfigError(f"line {lineno}: ell needs six integers") from None
+                ell = []
+            if len(ell) != 6:
+                raise ConfigLineError(lineno, "ell needs six integers")
         elif key == "j0":
             if value not in ("zero", "naturals"):
-                raise ConfigError(f'line {lineno}: j0 must be "zero" or "naturals"')
+                raise ConfigLineError(lineno, 'j0 must be "zero" or "naturals"')
             j0 = value
         elif key == "gamma":
             try:
                 gens.append([exact_rational(x) for x in value.split()])
             except ValueError:
-                raise ConfigError(f"line {lineno}: bad rational in gamma line") from None
+                raise ConfigLineError(lineno, "bad rational in gamma line") from None
         else:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            raise ConfigLineError(lineno, f"unknown key {key!r}")
     if ell is None:
         raise ConfigError("missing ell line")
     if j0 is None:
         raise ConfigError("missing j0 line")
-    if not gens:
-        raise ConfigError("missing gamma lines")
     return make_config(ell, j0, gens)

@@ -493,8 +493,13 @@ def test_a_functional_file_gives_each_index_one_value(capsys, l2_path, tmp_path,
     # caseB's zero-slot exponents are off
     (["bracket", "--config", "{caseB}", "--", "1*x[0,1,0]t[1,0,0]", "1*x[0,0,1]"], "",
      "exponent entries must vanish at index 0"),
+    # a config error names the file, and the line when it is one line's
     (["check-config", "--config", "{file}"], CASEB + "colour: red\n",
-     "line 6: unknown key 'colour'"),
+     "{file}:6: unknown key 'colour'"),
+    (["check-config", "--config", "{file}"], "ell: 1 0 0 0 0 0\nj0: zero\n",
+     "{file}: gamma needs at least one generator"),
+    (["deriv", "check", "--config", "{caseB}", "--op", "dmu 1 0"], "",
+     "hom needs one value per gamma generator"),
     (["cocycle", "check", "--config", "{caseB}", "--coboundary", "{file}"], "y 2\n",
      "cannot parse basis literal 'y'"),
     (["cocycle", "check", "--config", "{caseB}", "--table", "{file}"],
@@ -554,7 +559,7 @@ def test_gamma_lines_take_the_literal_rational_rule(capsys, tmp_path, value):
     cfg.write_text(f"ell: 0 0 0 0 0 1\nj0: naturals\ngamma: {value} 0 0\n")
     code, out, err = run(capsys, ["check-config", "--config", str(cfg)])
     assert (code, out) == (2, "")
-    assert err == "error: line 3: bad rational in gamma line\n"
+    assert err == f"error: {cfg}:3: bad rational in gamma line\n"
 
 
 @pytest.mark.parametrize("digits", ["\u0661", "1_0"])
@@ -578,7 +583,7 @@ def test_numbers_in_text_are_ascii(capsys, l2_path, tmp_path, where, digits):
         "scalar": (["deriv", "check", "--config", l2_path, f"--op={digits} dt 1bar"],
                    "bad rational in operator scalar" if digits != "1_0"
                    else "cannot parse operator term '1_0 dt 1bar'"),
-        "ell": (["check-config", "--config", str(cfg)], "line 1: ell needs six integers"),
+        "ell": (["check-config", "--config", str(cfg)], f"{cfg}:1: ell needs six integers"),
     }[where]
     code, out, got = run(capsys, argv)
     assert (code, out, got) == (2, "", f"error: {err}\n")

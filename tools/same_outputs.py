@@ -18,10 +18,11 @@ forms, and `bracket`, `bracket --oracle` and `mul` on sampled elements
 of one to three terms, and `trivialize --probe` at every recursion probe
 (on a closed-form config, at a probe it refuses); last, three exit-2
 commands on a missing config file, two of them with a count below 1,
-which is reported first, and four on malformed input: a config with an
-unknown key, a literal with an exponent at a slot its config switches
-off, a table file with a pair at two values, and a functional file with
-a literal that does not parse.  The inputs are drawn from fixed seeds with
+which is reported first, and six on malformed input: a config with an
+unknown key, a config with no `gamma` line, a `dmu` spec with one value
+too few, a literal with an exponent at a slot its config switches off, a
+table file with a pair at two values, and a functional file with a
+literal that does not parse.  The inputs are drawn from fixed seeds with
 PARENT's own contactk (windows, sampling and literal formatting), so both
 trees read the same files.  Standard library only.
 """
@@ -144,18 +145,23 @@ def _inputs(parent: Path, work: Path) -> list[list[str]]:
                  ["cocycle", "check", *missing, "--table", str(work / "l2-t0.tab"),
                   "--triples", "0"],
                  ["check-config", *missing]]
-    # exit 2 on malformed input: an unknown config key, an exponent at a
-    # slot that caseB switches off, a table pair given two values, and a
-    # functional line whose literal does not parse
+    # exit 2 on malformed input: an unknown config key, a config with no
+    # gamma line, a dmu spec one value short of caseB's three generators,
+    # an exponent at a slot that caseB switches off, a table pair given two
+    # values, and a functional line whose literal does not parse
     caseb_cfg = parent / "bench" / "configs" / "caseB.cfg"
     caseb = ["--config", str(caseb_cfg)]
     colour = work / "colour.cfg"
     colour.write_text(caseb_cfg.read_text().rstrip("\n") + "\ncolour: red\n")
+    no_gamma = work / "no-gamma.cfg"
+    no_gamma.write_text("ell: 1 0 0 0 0 0\nj0: zero\n")
     duplicate = work / "dup.tab"
     duplicate.write_text("x[0,1,0] x[0,0,1] 2\nx[0,1,0] x[0,0,1] 3\n")
     malformed = work / "malformed.fn"
     malformed.write_text("y 2\n")
     commands += [["check-config", "--config", str(colour)],
+                 ["check-config", "--config", str(no_gamma)],
+                 ["deriv", "check", *caseb, "--op=dmu 1 0"],
                  ["bracket", *caseb, "--", "1*x[0,1,0]t[1,0,0]", "1*x[0,0,1]"],
                  ["cocycle", "check", *caseb, "--table", str(duplicate)],
                  ["cocycle", "check", *caseb, "--coboundary", str(malformed)]]
