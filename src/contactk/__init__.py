@@ -25,8 +25,7 @@ from .derivations import (
 from .cohomology import (
     CoboundaryCocycle, LinearFunctional, TableCocycle,
     check_cocycle, closed_form_regime, coboundary, recursion_probes,
-    trivialize, trivialize_closed_form, trivialize_recursive,
-    verify_trivialization,
+    trivialize, verify_trivialization,
 )
 from .suite import SuiteResult, config_label, render_report, run_suites
 
@@ -46,7 +45,6 @@ __all__ = [
     "probe_sets", "zero_slot_hom",
     "CoboundaryCocycle", "LinearFunctional", "TableCocycle",
     "check_cocycle", "closed_form_regime", "coboundary", "recursion_probes",
-    "trivialize", "trivialize_closed_form", "trivialize_recursive",
-    "verify_trivialization",
+    "trivialize", "verify_trivialization",
     "SuiteResult", "config_label", "render_report", "run_suites",
 ]

@@ -234,11 +234,13 @@ def grading(u: AlgebraElement) -> AlgebraElement:
 
 
 def weight(config: AlgebraConfig, index: BasisIndex):
-    """Grading eigenvalue of a basis monomial, cached on the index."""
+    """Grading eigenvalue of a basis monomial, additive in its vector and
+    exponents; cached on the index."""
     w = index._weight
     if w is None:
-        w = config.weight(index.alpha, index.exps)
-        index._weight = w
+        vec, exps = index.alpha.vector, index.exps
+        w = index._weight = (sum(vec[s] for s in config.weight_group_slots)
+                             + sum(exps[s] for s in config.weight_exp_slots))
     return w
 
 
@@ -355,13 +357,12 @@ def bracket_closed(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
 
 # -- literals ---------------------------------------------------------
 
+# an element term or a basis literal: an optional coefficient (any non-blank
+# token) before `*`; a term's goes to `parse_rational`, a literal's must be `1`
 _TERM_RE = re.compile(
-    r"^\s*(?P<coeff>-?\d+(?:/\d+)?)\s*\*\s*"
+    r"^\s*(?:(?P<coeff>[^\s*]+)\s*\*\s*)?"
     r"x\[(?P<alpha>[^\]]*)\]\s*"
     r"(?:t\[(?P<exps>[^\]]*)\])?\s*$")
-
-_BASIS_RE = re.compile(
-    r"^\s*(?:1\s*\*\s*)?x\[(?P<alpha>[^\]]*)\]\s*(?:t\[(?P<exps>[^\]]*)\])?\s*$")
 
 
 def parse_rational(text: str, what: str) -> Fraction:
@@ -406,7 +407,7 @@ def parse_element(config: AlgebraConfig, text: str) -> AlgebraElement:
     terms: dict[BasisIndex, Fraction] = {}
     for clause in text.split("+"):
         m = _TERM_RE.match(clause)
-        if not m:
+        if not m or m.group("coeff") is None:
             raise LiteralError(f"cannot parse term {clause.strip()!r}")
         coeff = as_number(parse_rational(m.group("coeff"), f"term {clause.strip()!r}"))
         idx = _parse_index_body(config, m.group("alpha"), m.group("exps"))
@@ -416,8 +417,8 @@ def parse_element(config: AlgebraConfig, text: str) -> AlgebraElement:
 
 def parse_basis_index(config: AlgebraConfig, text: str) -> BasisIndex:
     """Parse a single basis monomial (optional leading "1*")."""
-    m = _BASIS_RE.match(text)
-    if not m:
+    m = _TERM_RE.match(text)
+    if not m or m.group("coeff") not in (None, "1"):
         raise LiteralError(f"cannot parse basis literal {text!r}")
     return _parse_index_body(config, m.group("alpha"), m.group("exps"))
 

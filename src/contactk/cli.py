@@ -61,7 +61,9 @@ def load_config(path: str) -> AlgebraConfig:
 
 # -- operator specs ---------------------------------------------------
 
-_OP_START = re.compile(r"^\s*(?:(-?\d+(?:/\d+)?)\s*\*?\s*)?(ad|dmu|dt)\b(.*)$", re.S)
+# an optional scalar, any non-blank token that `parse_rational` then reads,
+# before an optional `*`
+_OP_START = re.compile(r"^\s*(?:([^\s*]+)\s*\*?\s*)?(ad|dmu|dt)\b(.*)$", re.S)
 
 
 def parse_operator_spec(config: AlgebraConfig, text: str) -> LinearOperator:

@@ -1,12 +1,12 @@
 """Skew 2-forms on the bracket, their axioms, and constructive trivialization.
 
 A cocycle here is a bilinear skew form evaluated on basis pairs by
-`on_basis`, a `Form`: a `CoboundaryCocycle` or a `TableCocycle`.  The
-trivializers build a linear functional f with psi(u,v) = f([u,v]) two
-ways: a recursion driven by a probe element (available whenever some
-slot carries exponents), which fills f's table, and a four-case closed
-form for the remaining pure-group regime, where only the first block is
-nonempty.  Divisions are exact; the case guards are the case split.
+`on_basis`, a `Form`: a `CoboundaryCocycle` or a `TableCocycle`.
+`trivialize` builds a linear functional f with psi(u,v) = f([u,v]) by
+one of two routes: a recursion driven by a probe element (available
+whenever some slot carries exponents), which fills f's table, and a
+four-case closed form for the remaining pure-group regime, where only
+the first block is nonempty.  Divisions are exact; the case guards are the case split.
 """
 
 from __future__ import annotations
@@ -211,7 +211,7 @@ def probe_recurrence(config: AlgebraConfig, p: int) -> tuple:
     return w, lambda a, i: i[sq] - a[sp], kappa, up
 
 
-def trivialize_recursive(psi: Form, probe: int) -> LinearFunctional:
+def _trivialize_recursive(psi: Form, probe: int) -> LinearFunctional:
     """Build f with psi = psi_f by downward recursion on one exponent.
 
     psi(w, b) = f([w, b]) and the probe's `probe_recurrence` give f(b)
@@ -223,12 +223,6 @@ def trivialize_recursive(psi: Form, probe: int) -> LinearFunctional:
     confirmed by the round-trip verifier.
     """
     config = psi.config
-    shape = config.shape
-    if closed_form_regime(config):
-        raise ConfigError("recursive trivializer needs exponents or a later block")
-    if probe not in recursion_probes(config):
-        raise ConfigError(f"invalid probe index {shape.index_token(probe)} "
-                          "for this configuration")
     w, d, kappa, up = probe_recurrence(config, probe)
     k_up = dict(kappa)[up]
     rest = tuple((s, k) for s, k in kappa if s != up)
@@ -251,7 +245,7 @@ def trivialize_recursive(psi: Form, probe: int) -> LinearFunctional:
         # nearly every value is zero: keep those off Fraction arithmetic
         return val / scale if val else _ZERO
 
-    f = LinearFunctional(config, tag=f"probe {shape.index_token(probe)}")
+    f = LinearFunctional(config, tag=f"probe {config.shape.index_token(probe)}")
     f.rule = _bottom_up(f, step)
     return f
 
@@ -285,13 +279,11 @@ def _bottom_up(f: LinearFunctional, step):
     return rule
 
 
-def trivialize_closed_form(psi: Form) -> LinearFunctional:
+def _trivialize_closed_form(psi: Form) -> LinearFunctional:
     """Four-case closed form for the pure-group single-block regime; it
     reads psi on single basis pairs, through `psi.on_basis`."""
     config = psi.config
     shape = config.shape
-    if not closed_form_regime(config):
-        raise ConfigError("closed-form trivializer needs the pure-group regime")
     # zero-slot exponents are off, so `AlgebraConfig` made sure that the
     # lattice covers slot 0 and holds its unit vector
     lattice = config.lattice
@@ -338,16 +330,23 @@ def trivialize_closed_form(psi: Form) -> LinearFunctional:
 
 
 def trivialize(psi: Form, probe: int | None = None) -> LinearFunctional:
-    """Recurse on the given probe; without one, route automatically."""
+    """f with psi = psi_f: the recursion on the given probe; without one,
+    the closed form in its regime, else the recursion on the first probe.
+    Every route check is made here."""
     config = psi.config
+    probes = recursion_probes(config)
     if probe is None:
         if closed_form_regime(config):
-            return trivialize_closed_form(psi)
-        probes = recursion_probes(config)
+            return _trivialize_closed_form(psi)
         if not probes:
             raise ConfigError("no trivializer route for this configuration")
         probe = probes[0]
-    return trivialize_recursive(psi, probe)
+    elif closed_form_regime(config):
+        raise ConfigError("recursive trivializer needs exponents or a later block")
+    elif probe not in probes:
+        raise ConfigError(f"invalid probe index {config.shape.index_token(probe)} "
+                          "for this configuration")
+    return _trivialize_recursive(psi, probe)
 
 
 def verify_trivialization(psi: Form, f: LinearFunctional, pairs) -> CheckReport:

@@ -355,12 +355,6 @@ class AlgebraConfig:
         self.bracket_shapes = tuple(shapes)
         self.zero_exps = ExponentVector((0,) * shape.dim)
 
-    def weight(self, alpha: GroupElement, exps) -> Fraction | int:
-        """Grading eigenvalue of a basis pair; additive in both arguments."""
-        vec = alpha.vector
-        return (sum(vec[s] for s in self.weight_group_slots)
-                + sum(exps[s] for s in self.weight_exp_slots))
-
 
 def make_config(ell, j0: str, generators) -> AlgebraConfig:
     """Assemble and validate a configuration from raw pieces."""

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from contactk import (
     AlgebraElement, ConfigError, LiteralError, basis_element, bracket_closed,
-    format_element, grading, multiply, parse_element, sample_element, sample_index, unit,
-    weight, window_indices,
+    format_element, grading, multiply, parse_basis_index, parse_element, sample_element,
+    sample_index, unit, weight, window_indices,
 )
 from contactk.algebra import (
     BasisIndex, check_decompose_cap, check_pair_cap, lower_partial, partial, scale_partial,
@@ -90,7 +90,7 @@ def test_literal_round_trip_examples(cfg_l2):
 def test_literal_rejects_garbage(cfg_l2):
     for text in ["x[", "1*x[0,0]", "1*x[0,0,0]t[0,0]", "1*x[0,0,0]t[0,0,-1]",
                  "one*x[0,0,0]", "1*x[0,0,0] 1*x[0,1,0]"]:
-        with pytest.raises((LiteralError, Exception)):
+        with pytest.raises(LiteralError):
             parse_element(cfg_l2, text)
 
 
@@ -101,6 +101,27 @@ def test_operations_refuse_what_the_config_does_not_hold(cfg_caseB, cfg_l2):
         partial(3, u)
     with pytest.raises(ConfigError, match="different configurations"):
         bracket_closed(u, parse_element(cfg_l2, "1*x[0,1,0]"))
+
+
+def test_literal_coefficients_are_any_exact_rational(cfg_l2):
+    # a coefficient is read by `exact_rational`, as every rational in text
+    # is: decimals parse, and a token it refuses is named as a bad rational
+    assert (parse_element(cfg_l2, "0.5*x[0,1,0] + -1.25*x[0,0,1]")
+            == parse_element(cfg_l2, "1/2*x[0,1,0] + -5/4*x[0,0,1]"))
+    for text, message in [("1_0*x[0,1,0]", "bad rational in term '1_0*x[0,1,0]'"),
+                          ("1e3*x[0,1,0]", "bad rational in term '1e3*x[0,1,0]'"),
+                          ("x[0,1,0]", "cannot parse term 'x[0,1,0]'")]:
+        with pytest.raises(LiteralError) as caught:
+            parse_element(cfg_l2, text)
+        assert str(caught.value) == message
+
+
+def test_basis_literal_takes_no_coefficient_but_1(cfg_l2):
+    index = parse_basis_index(cfg_l2, "x[0,1,0]t[0,0,1]")
+    assert parse_basis_index(cfg_l2, " 1 * x[0,1,0]t[0,0,1] ") == index
+    for text in ["2*x[0,1,0]", "1.0*x[0,1,0]", "0.5*x[0,1,0]", "*x[0,1,0]"]:
+        with pytest.raises(LiteralError, match="cannot parse basis literal"):
+            parse_basis_index(cfg_l2, text)
 
 
 def test_literal_fractional_group_entries(cfg_caseB):

@@ -568,21 +568,17 @@ def test_numbers_in_text_are_ascii(capsys, l2_path, tmp_path, where, digits):
     # int and Fraction also read non-ASCII digits (U+0661 is the
     # Arabic-Indic one) and `_` separators; every number contactk reads
     # from text is refused with its usual error unless written in ASCII
-    # (entries and file values: `test_exponent_notation_is_refused`).  A
-    # term's coefficient and an operator's scalar must match a pattern
-    # first, which refuses `_` but lets any Unicode digit through
+    # (entries and file values: `test_exponent_notation_is_refused`)
     cfg = tmp_path / "ell.cfg"
     cfg.write_text(f"ell: {digits} 0 0 0 0 0\nj0: zero\n"
                    "gamma: 1 0 0\ngamma: 0 1 0\ngamma: 0 0 1\n")
     argv, err = {
         "term": (["bracket", "--config", l2_path, f"{digits}*x[0,1,1]", "1*x[0,0,1]"],
-                 f"bad rational in term '{digits}*x[0,1,1]'" if digits != "1_0"
-                 else "cannot parse term '1_0*x[0,1,1]'"),
+                 f"bad rational in term '{digits}*x[0,1,1]'"),
         "index token": (["deriv", "check", "--config", l2_path, f"--op=dt {digits}bar"],
                         f"bad index token '{digits}bar'"),
         "scalar": (["deriv", "check", "--config", l2_path, f"--op={digits} dt 1bar"],
-                   "bad rational in operator scalar" if digits != "1_0"
-                   else "cannot parse operator term '1_0 dt 1bar'"),
+                   "bad rational in operator scalar"),
         "ell": (["check-config", "--config", str(cfg)], f"{cfg}:1: ell needs six integers"),
     }[where]
     code, out, got = run(capsys, argv)
@@ -599,6 +595,18 @@ def test_ascii_rationals_keep_their_forms(capsys, l2_path, tmp_path):
     code, out, _ = run(capsys, [
         "cocycle", "check", "--config", l2_path, "--coboundary", str(func)])
     assert code == 0 and out.startswith("PASS cocycle-axioms")
+
+
+def test_coefficients_and_scalars_are_any_exact_rational(capsys, l2_path):
+    # a term's coefficient and an operator's scalar are read like the file
+    # values above: decimals parse
+    code, out, err = run(capsys, ["bracket", "--config", l2_path, "0.5*x[0,1,0]", "1*x[0,0,1]"])
+    assert (code, out, err) == (0, "1/2*x[0,0,0]\n", "")
+    assert parse_operator_spec(load_config(l2_path), "0.5 ad 1*x[0,1,0]").tag == (
+        "1/2*(ad 1*x[0,1,0])")
+    code, out, err = run(capsys, [
+        "deriv", "check", "--config", l2_path, "--op=0.5 ad 1*x[0,1,0]"])
+    assert (code, out, err) == (0, "PASS derivation-law (100 samples)\n", "")
 
 
 def test_cocycle_requires_a_source(capsys, caseb_path):

@@ -13,7 +13,7 @@ from contactk import (
     AlgebraElement, basis_element, bracket_closed, bracket_operator,
     check_cocycle, closed_form_regime,
     coboundary, make_config, parse_basis_index, recursion_probes,
-    sample_index, trivialize, trivialize_closed_form, trivialize_recursive,
+    sample_index, trivialize,
     verify_trivialization, window_indices,
 )
 from contactk.algebra import bracket_support, bracket_terms
@@ -173,7 +173,7 @@ def test_recursive_round_trip_block2(cfg_l2):
     rng = random.Random(85)
     g = random_functional(cfg_l2, rng)
     psi = coboundary(g)
-    f = trivialize_recursive(psi, 1)
+    f = trivialize(psi, 1)
     report = verify_trivialization(psi, f, window_pairs(cfg_l2, 2))
     assert report.passed, report.failures[:1]
 
@@ -193,7 +193,7 @@ def test_recursive_trivializer_handles_deep_exponents(request, name, probe, deep
     ishallow = parse_basis_index(config, shallow)
     g = LinearFunctional(
         config, table={ideep: Fraction(3, 2), ishallow: Fraction(-5)}, tag="g")
-    f = trivialize_recursive(coboundary(g), probe)
+    f = trivialize(coboundary(g), probe)
     assert f.eval_basis(ideep) == Fraction(3, 2)
     assert f.eval_basis(ishallow) == -5
 
@@ -204,8 +204,8 @@ def test_recursive_trivializer_reads_table_entries_in_its_chain(cfg_l2):
     g = random_functional(cfg_l2, random.Random(93))
     top = parse_basis_index(cfg_l2, "x[0,1,0]t[0,0,2]")
     low = parse_basis_index(cfg_l2, "x[0,1,0]t[0,0,1]")
-    plain = trivialize_recursive(coboundary(g), 1)
-    altered = trivialize_recursive(coboundary(g), 1)
+    plain = trivialize(coboundary(g), 1)
+    altered = trivialize(coboundary(g), 1)
     altered.table[low] = plain.eval_basis(low) + 1
     assert altered.eval_basis(top) == plain.eval_basis(top) + 2
 
@@ -214,7 +214,7 @@ def test_recursive_round_trip_block3_and_5(cfg_l3, cfg_l5):
     for config in (cfg_l3, cfg_l5):
         rng = random.Random(86)
         psi = coboundary(random_functional(config, rng))
-        f = trivialize_recursive(psi, 1)
+        f = trivialize(psi, 1)
         report = verify_trivialization(psi, f, window_pairs(config, 2))
         assert report.passed, report.failures[:1]
 
@@ -223,7 +223,7 @@ def test_recursive_round_trip_zero_slot_probe(cfg_l4, cfg_l6n):
     for config in (cfg_l4, cfg_l6n):
         rng = random.Random(87)
         psi = coboundary(random_functional(config, rng))
-        f = trivialize_recursive(psi, 0)
+        f = trivialize(psi, 0)
         report = verify_trivialization(psi, f, window_pairs(config, 2))
         assert report.passed, report.failures[:1]
 
@@ -231,7 +231,7 @@ def test_recursive_round_trip_zero_slot_probe(cfg_l4, cfg_l6n):
 def test_closed_form_round_trip(cfg_caseB):
     rng = random.Random(88)
     psi = coboundary(random_functional(cfg_caseB, rng))
-    f = trivialize_closed_form(psi)
+    f = trivialize(psi)
     report = verify_trivialization(psi, f, window_pairs(cfg_caseB, 2))
     assert report.passed, report.failures[:1]
 
@@ -260,7 +260,7 @@ def test_closed_form_round_trip_past_the_first_pivot(seed):
             i: Fraction(rng.choice([-3, -1, 2, 5]), rng.randrange(1, 4))
             for i in [*rng.sample(window, 6), *ref.terms]})
         psi = coboundary(g)
-        f = trivialize_closed_form(psi)
+        f = trivialize(psi)
         if n == 2:
             pairs = window_pairs(config, 1)
             assert len(pairs) == 29646
@@ -520,7 +520,7 @@ def test_recursive_round_trip_on_mixed(cfg_mixed, probe):
     # per-sum certificate is used
     rng = random.Random(97)
     psi = coboundary(random_functional(cfg_mixed, rng))
-    f = trivialize_recursive(psi, cfg_mixed.shape.parse_index_token(probe))
+    f = trivialize(psi, cfg_mixed.shape.parse_index_token(probe))
     pairs = _drawn_then_flipped(cfg_mixed, rng, 100)
     report = verify_trivialization(psi, f, pairs)
     assert report.passed and report.checked == len(pairs), report.failures[:1]
@@ -552,7 +552,7 @@ def test_degenerate_recursion_on_a_non_coboundary(cfg_mixed, probe):
     w, d, _kappa, up = probe_recurrence(cfg_mixed, p)
     partner, pins = DEGENERATE_PINS[probe]
     c = parse_basis_index(cfg_mixed, partner)
-    f = trivialize_recursive(TableCocycle(cfg_mixed, {(w, c): Fraction(3, 2)}), p)
+    f = trivialize(TableCocycle(cfg_mixed, {(w, c): Fraction(3, 2)}), p)
     for literal, value in pins.items():
         b = parse_basis_index(cfg_mixed, literal)
         assert d(b.alpha.vector, b.exps) == 0 and b.exps[up] > 0, literal
@@ -630,10 +630,7 @@ def test_trivializers_agree_with_and_without_the_skip(all_configs, cfg_decomp):
             for h in (g, ruled):
                 psi = coboundary(h)
                 assert (psi._reach is None) == (h is ruled)
-                if probe is None:
-                    f = trivialize_closed_form(psi)
-                else:
-                    f = trivialize_recursive(psi, probe)
+                f = trivialize(psi, probe)
                 f.rule = _recording(f.rule, touched)
                 report = verify_trivialization(psi, f, pairs)
                 assert report.passed, (name, probe, report.failures[:1])
@@ -664,7 +661,7 @@ def test_recursion_memo_belongs_to_one_functional(request, name, probe):
     gs = [LinearFunctional(config, tag="g", table={
         i: Fraction(rng.choice([-3, -1, 2, 5]), rng.randrange(1, 4))
         for i in rng.sample(window, 8)}) for _ in range(2)]
-    fs = [trivialize_recursive(coboundary(g), probe) for g in gs]
+    fs = [trivialize(coboundary(g), probe) for g in gs]
     for f, g in zip(fs, gs):
         assert [f.eval_basis(i) for i in window] == [g.eval_basis(i) for i in window]
         assert all(f.table[i] == g.eval_basis(i) for i in window)

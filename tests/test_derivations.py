@@ -16,7 +16,7 @@ from contactk import (
     probe_sets, recursion_probes, sample_index, unit, window_indices, window_size,
     zero_slot_hom,
 )
-from contactk.algebra import lower_partial, sample_element, scale_partial
+from contactk.algebra import lower_partial, parse_basis_index, sample_element, scale_partial
 from contactk.derivations import hom_combination
 from contactk.linalg import add_into
 
@@ -35,6 +35,26 @@ def test_mirror_difference_hom_values(cfg_caseB):
     u = basis_element(cfg_caseB, (0, 2, 0))
     (i,) = u.terms
     assert format_element(AlgebraElement(cfg_caseB, d.rule(i))) == "-2*x[0,2,0]"
+
+
+def test_mirror_difference_hom_refuses_an_index_outside_blocks_1_to_3(cfg_l4):
+    # l4's one pair is in block 4, whose barred slot holds exponents only
+    with pytest.raises(ConfigError, match=r"index 1 is not in blocks 1\.\.3"):
+        mirror_difference_hom(cfg_l4, 1)
+
+
+def test_failed_mirror_identity_names_its_index(cfg_l2, monkeypatch):
+    # a stand-in lowering that drops every term breaks the identity at an
+    # index with an exponent at 1 bar; the failure holds that index, no
+    # partner, and both sides
+    idx = parse_basis_index(cfg_l2, "x[0,1,0]t[0,0,2]")
+    assert check_mirror_identity(cfg_l2, 1, [idx]).passed
+    monkeypatch.setattr("contactk.derivations.lower_partial",
+                        lambda p, x: AlgebraElement.zero(x.config))
+    report = check_mirror_identity(cfg_l2, 1, [idx])
+    ((index, partner, lhs, rhs),) = report.failures
+    assert (report.checked, index, partner) == (1, idx, None)
+    assert lhs != rhs
 
 
 def test_diagonal_actions_are_int_when_integral(cfg_caseB, cfg_decomp):

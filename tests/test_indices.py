@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from contactk import ConfigError, GroupElement, Shape, make_config, parse_config_text
+from contactk import (
+    BasisIndex, ConfigError, GroupElement, Shape, make_config, parse_config_text, weight,
+)
 from contactk.indices import ExponentVector
 
 
@@ -94,6 +96,17 @@ def test_lattice_membership(cfg_caseB):
     assert lat.membership((0, -1, -1)) == (0, -1, -1)
     assert lat.membership((Fraction(1, 2), 0, 0)) is None
     assert lat.membership((3, 2, -5)) == (3, 2, -5)
+
+
+def test_mirror_and_membership_refuse_what_the_shape_does_not_hold(cfg_caseB):
+    # caseB has n = 1: indices 1 and 2 mirror each other, and its vectors
+    # have three entries
+    s = cfg_caseB.shape
+    for p in (0, 3):
+        with pytest.raises(ConfigError, match=f"index {p} has no mirror"):
+            s.mirror(p)
+    assert cfg_caseB.lattice.membership((0, 1)) is None
+    assert cfg_caseB.lattice.membership((0, 1, 0, 0)) is None
 
 
 def test_lattice_membership_non_unit_generators():
@@ -203,18 +216,20 @@ def test_exponent_vector_validation(cfg_l2):
         ExponentVector.build(cfg_l2, (0, 1, 0))
     with pytest.raises(ConfigError):
         ExponentVector.build(cfg_l2, (-1, 0, 0))
+    with pytest.raises(ConfigError, match="exponent vector has 2 entries, expected 3"):
+        ExponentVector.build(cfg_l2, (1, 0))
 
 
 def test_weight_examples(cfg_caseB, cfg_l4, cfg_l6z):
     z = cfg_caseB.zero_exps
     el = cfg_caseB.lattice.element
-    assert cfg_caseB.weight(el((0, 1, 1)), z) == 2
-    assert cfg_caseB.weight(el((5, 1, 0)), z) == 1
+    assert weight(cfg_caseB, BasisIndex(el((0, 1, 1)), z)) == 2
+    assert weight(cfg_caseB, BasisIndex(el((5, 1, 0)), z)) == 1
     # group weight on the unbarred slot plus exponent weight on the mirror
     ev = ExponentVector.build(cfg_l4, (0, 0, 4))
-    assert cfg_l4.weight(cfg_l4.lattice.element((1,)), ev) == 5
+    assert weight(cfg_l4, BasisIndex(cfg_l4.lattice.element((1,)), ev)) == 5
     ev6 = ExponentVector.build(cfg_l6z, (0, 1, 1))
-    assert cfg_l6z.weight(cfg_l6z.lattice.zero, ev6) == 2
+    assert weight(cfg_l6z, BasisIndex(cfg_l6z.lattice.zero, ev6)) == 2
 
 
 def test_config_text_round_trip():
@@ -243,6 +258,13 @@ def test_config_text_errors():
         parse_config_text("ell: 1 0\nj0: zero\ngamma: 1 0 0\n")
 
 
+def test_make_config_refuses_an_unknown_j0_mode():
+    # a config file's j0 line is checked at its line; this is the check
+    # that API callers meet
+    with pytest.raises(ConfigError, match='j0 must be "zero" or "naturals"'):
+        make_config((1, 0, 0, 0, 0, 0), "maybe", [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+
+
 @given(st.lists(st.integers(min_value=0, max_value=2),
                 min_size=6, max_size=6))
 def test_mirror_is_an_involution(ell):
@@ -262,7 +284,8 @@ def test_weight_is_additive(a, b):
                     [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     z = c.zero_exps
     ea, eb = c.lattice.element(a), c.lattice.element(b)
-    assert c.weight(ea, z) + c.weight(eb, z) == c.weight(ea.add(eb), z)
+    assert (weight(c, BasisIndex(ea, z)) + weight(c, BasisIndex(eb, z))
+            == weight(c, BasisIndex(ea.add(eb), z)))
 
 
 def test_mixed_tables_pinned(cfg_mixed):

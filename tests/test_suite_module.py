@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import gc
 
+import pytest
+
 from contactk import (
-    CheckReport, GroupElement, bracket_closed, parse_basis_index, render_report, run_suites,
+    CheckReport, GroupElement, bracket_closed, check_derivation, parse_basis_index,
+    render_report, run_suites, weight,
 )
 
 
@@ -89,3 +92,36 @@ def test_failed_derivation_law_and_round_trip_name_their_witnesses(cfg_l2, monke
                            "FAIL round-trip (668 samples)\n"
                            "  witness: x[0,1,0] , x[0,0,1]t[1,0,0]\n"
                            "result: FAIL (5/7)\n")
+
+
+@pytest.mark.parametrize("name", ["cfg_l4", "cfg_l2", "cfg_caseB", "cfg_l6n"])
+def test_derivation_law_reports_the_pairs_it_checked(request, monkeypatch, name):
+    # l4 has no lattice hom and no outer index, so its law checks ad of
+    # the unit; on every config the count is the pairs checked
+    config = request.getfixturevalue(name)
+    checked = []
+
+    def spy(op, pairs):
+        report = check_derivation(op, pairs)
+        checked.append((op.tag, report.checked))
+        return report
+
+    monkeypatch.setattr("contactk.suite.check_derivation", spy)
+    (law,) = [r for r in run_suites(config, 7, 200) if r.name == "derivation-law"]
+    assert law.passed and law.samples == sum(n for _, n in checked) > 0
+    if name == "cfg_l4":
+        assert checked == [("ad 1*x[0,0,0]", 50)]
+
+
+def test_failed_product_rule_and_grading_name_their_witnesses(cfg_l2, monkeypatch):
+    # derivatives obey the product rule and each monomial's grading is its
+    # weight; an identity stand-in for the derivative and a weight one too
+    # high fail at the first draw, and the report shows the witnesses
+    monkeypatch.setattr("contactk.suite.partial", lambda p, u: u)
+    monkeypatch.setattr("contactk.suite.weight", lambda config, idx: weight(config, idx) + 1)
+    report = render_report(cfg_l2, 4, 8, run_suites(cfg_l2, 4, 8))
+    assert ("FAIL product-rule (8 samples)\n"
+            "  witness: index 1 on x[0,0,-2]t[1,0,3] , x[0,0,0]t[0,0,1]\n"
+            "FAIL grading-eigenvalue (8 samples)\n"
+            "  witness: x[0,0,-2]t[3,0,1]\n") in report
+    assert report.endswith("result: FAIL (5/7)\n")

@@ -40,7 +40,7 @@ from contactk.algebra import (
 )
 from contactk.cli import load_config
 from contactk.cohomology import (
-    LinearFunctional, coboundary, probe_recurrence, trivialize_closed_form,
+    LinearFunctional, coboundary, probe_recurrence, trivialize,
 )
 from contactk.derivations import (
     hom_space_basis, mirror_difference_hom, mirror_pairs, outer_indices,
@@ -461,6 +461,6 @@ def test_the_closed_form_recovers_a_generic_functional(n):
     def g(index):
         return function(*map(sympy.expand, index.alpha.coords))
 
-    f = trivialize_closed_form(coboundary(LinearFunctional(config, rule=g)))
+    f = trivialize(coboundary(LinearFunctional(config, rule=g)))
     for b in closed_form_cases(config):
         assert sympy.cancel(f.eval_basis(b) - g(b)) == 0, b

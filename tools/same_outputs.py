@@ -22,7 +22,9 @@ which is reported first, and six on malformed input: a config with an
 unknown key, a config with no `gamma` line, a `dmu` spec with one value
 too few, a literal with an exponent at a slot its config switches off, a
 table file with a pair at two values, and a functional file with a
-literal that does not parse.  The inputs are drawn from fixed seeds with
+literal that does not parse; and four on the number grammar: a decimal
+coefficient and a decimal operator scalar, and each with a `_` separator
+in it.  The inputs are drawn from fixed seeds with
 PARENT's own contactk (windows, sampling and literal formatting), so both
 trees read the same files.  Standard library only.
 """
@@ -165,6 +167,11 @@ def _inputs(parent: Path, work: Path) -> list[list[str]]:
                  ["bracket", *caseb, "--", "1*x[0,1,0]t[1,0,0]", "1*x[0,0,1]"],
                  ["cocycle", "check", *caseb, "--table", str(duplicate)],
                  ["cocycle", "check", *caseb, "--coboundary", str(malformed)]]
+    # a term's coefficient and an operator's scalar, as a decimal and with
+    # a `_` separator
+    for number in ("0.5", "1_0"):
+        commands += [["bracket", *caseb, "--", f"{number}*x[0,1,0]", "1*x[0,0,1]"],
+                     ["deriv", "check", *caseb, f"--op={number} ad 1*x[0,1,0]"]]
     return commands
 
 
