@@ -509,6 +509,7 @@ def window_indices(config: AlgebraConfig, radius: int) -> list[BasisIndex]:
 
 COORD_BOUND = 3
 EXP_BOUND = 4
+TERM_BOUND = 3
 
 
 def sample_index(config: AlgebraConfig, rng) -> BasisIndex:
@@ -523,10 +524,10 @@ def sample_index(config: AlgebraConfig, rng) -> BasisIndex:
     return BasisIndex(config.lattice.element(coords), ExponentVector(entries))
 
 
-def sample_element(config: AlgebraConfig, rng, max_terms: int = 3) -> AlgebraElement:
-    """Draw a small element with nonzero rational coefficients."""
+def sample_element(config: AlgebraConfig, rng) -> AlgebraElement:
+    """Draw an element of 1 to `TERM_BOUND` nonzero rational terms."""
     terms: dict[BasisIndex, Fraction] = {}
-    for _ in range(rng.randrange(1, max_terms + 1)):
+    for _ in range(rng.randrange(1, TERM_BOUND + 1)):
         coeff = 0
         while not coeff:
             coeff = Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))

@@ -362,16 +362,15 @@ class DerivationDecomposer:
     def decompose(self, D: LinearOperator) -> DerivationDecomposition:
         ncols = len(self.labels)
         if self.rank < ncols:
-            pivoted = set(self._echelon.pivots)
             raise AmbiguousError(
-                label for c, label in enumerate(self.labels) if c not in pivoted)
+                label for c, label in enumerate(self.labels) if c not in self._echelon.rows)
 
         # the stored rows are reduced, so each pivot's coefficient is its
         # row's combination applied to the right-hand side (D once per w)
         images = {w: D.rule(w) for w in {w for w, _r in self.metas}}
         rhs = [images[w].get(r, 0) for w, r in self.metas]
         solution = [0] * ncols
-        for pc, _row, comb in self._echelon.rows:
+        for pc, (_row, comb) in self._echelon.rows.items():
             solution[pc] = as_number(sum(x * rhs[m] for m, x in comb.items()))
 
         # verification sweep doubles as the residual check

@@ -74,35 +74,30 @@ class Echelon:
     """Incremental sparse Gauss-Jordan elimination over exact numbers.
 
     Rows are `{column: value}` mappings with comparable columns.  `rows`
-    holds `(pivot, row, combination)` triples: each stored row has a 1 at
-    its pivot, its smallest column, and no entry at any other stored
-    row's pivot, so the stored rows are the unique reduced row echelon
-    form of what was added.  `combination` maps the tags given to `add`
-    to the coefficients with which the stored row sums the input rows.
-    Stored and returned values with denominator 1 are ints.
+    maps each stored row's pivot to `(row, combination)`, in the order
+    the rows were stored: each stored row has a 1 at its pivot, its
+    smallest column, and no entry at any other stored row's pivot, so the
+    stored rows are the unique reduced row echelon form of what was added.
+    `combination` maps the tags given to `add` to the coefficients with
+    which the stored row sums the input rows.  Stored and returned values
+    with denominator 1 are ints.
     """
 
-    __slots__ = ("rows", "_at")
+    __slots__ = ("rows",)
 
     def __init__(self):
-        self.rows: list[tuple[object, dict, dict]] = []
-        # pivot -> (row, combination), the same dicts as in `rows`
-        self._at: dict = {}
-
-    @property
-    def pivots(self) -> list:
-        return [pc for pc, _row, _comb in self.rows]
+        self.rows: dict[object, tuple[dict, dict]] = {}
 
     def _reduce(self, row) -> tuple[dict, list]:
         """(residual, steps): the residual of `reduce`, and the
         `(factor, stored combination)` pairs whose sum is its combination."""
         residual = {c: x for c, x in row.items() if x}
         steps = []
-        at = self._at
+        rows = self.rows
         # a stored row is zero at every other pivot, so subtracting it
         # touches no other pivot entry: only the pivots `row` has matter
-        for pc in [c for c in residual if c in at]:
-            brow, bcomb = at[pc]
+        for pc in [c for c in residual if c in rows]:
+            brow, bcomb = rows[pc]
             f = residual[pc]
             add_into(residual, brow, -f)
             steps.append((f, bcomb))
@@ -136,13 +131,12 @@ class Echelon:
         combination = _integral(add_into({tag: inv}, comb, -inv))
         # the new row has no entry left of pc, so clearing column pc from a
         # stored row never moves that row's pivot
-        for _pc, brow, bcomb in self.rows:
+        for brow, bcomb in self.rows.values():
             f = brow.get(pc)
             if f:
                 _integral(add_into(brow, row, -f))
                 _integral(add_into(bcomb, combination, -f))
-        self.rows.append((pc, row, combination))
-        self._at[pc] = (row, combination)
+        self.rows[pc] = (row, combination)
         return True
 
     def nullspace(self, ncols: int) -> list[list]:
@@ -150,12 +144,12 @@ class Echelon:
         0..ncols-1, one vector per non-pivot column in increasing order."""
         basis = []
         for fc in range(ncols):
-            if fc in self._at:
+            if fc in self.rows:
                 continue
             v = [0] * ncols
             v[fc] = 1
             # stored row reads: v[pc] + sum over free c of row[c] * v[c] = 0
-            for pc, row, _comb in self.rows:
+            for pc, (row, _comb) in self.rows.items():
                 if fc in row:
                     v[pc] = -row[fc]
             basis.append(v)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import random
 import subprocess
 import sys
@@ -29,6 +30,7 @@ from contactk.derivations import outer_lower_partial
 from contactk.linalg import as_number
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = GOLDEN.parent.parent
 
 
 def _term(config, idx, coeff=1):
@@ -399,7 +401,7 @@ def test_criterion_8_negative_controls(cfg_caseB):
     psi = TableCocycle(config, entries)
     triples = [tuple(rng.choice(window) for _ in range(3))
                for _ in range(300)]
-    _skew, sums = check_cocycle(psi, triples)
+    sums = check_cocycle(psi, triples)
     assert not sums.passed and sums.failures
     witness_triple = sums.failures[0][:3]
     assert len(witness_triple) == 3
@@ -435,3 +437,36 @@ def test_criterion_9_suite_determinism():
     assert first.stdout == second.stdout
     assert b"result: PASS" in first.stdout
     print("\nPASS criterion-9: suite reports byte-identical across two runs")
+
+
+def _under_two_hash_seeds(args: list[str]) -> list[tuple]:
+    """(exit code, stdout, stderr less `duration:` lines) of `python args`,
+    with this tree's `src` on the path, under two hash seeds."""
+    runs = []
+    for seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run([sys.executable, *args], capture_output=True, env=env, cwd=ROOT)
+        stderr = b"".join(line for line in done.stderr.splitlines(keepends=True)
+                          if not line.startswith(b"duration:"))
+        runs.append((done.returncode, done.stdout, stderr))
+    return runs
+
+
+def test_criterion_9_outputs_under_two_hash_seeds(tmp_path):
+    # string hashing moves with PYTHONHASHSEED, so set and dict iteration
+    # over strings may too; each command exits alike and prints the same
+    # bytes under two seeds.  Negative control: printing hash("a") differs
+    form = tmp_path / "t.tab"
+    form.write_text("x[0,0,-1]t[0,0,1] x[0,-1,1] 3/2\n")
+    l2 = ["--config", str(GOLDEN / "l2.cfg")]
+    commands = [["suite", "--config", str(ROOT / "bench" / "configs" / "mixed.cfg")],
+                ["table", *l2, "--radius", "1"],
+                ["cocycle", "check", *l2, "--table", str(form)],
+                ["deriv", "decompose", *l2, "--op=dmu 1 -1"]]
+    for command in commands:
+        first, second = _under_two_hash_seeds(["-m", "contactk.cli", *command])
+        assert first[0] != 2 and first[1], (command, first[2])
+        assert first == second, command
+    first, second = _under_two_hash_seeds(["-c", "print(hash('a'))"])
+    assert first != second
+    print(f"\nPASS criterion-9: {len(commands)} commands byte-identical under two hash seeds")

@@ -234,7 +234,7 @@ def test_one_pass_operators_equal_their_compositions(path):
     config = load_config(path)
     rng = random.Random(path.stem)
     for _ in range(12):
-        u, v = sample_element(config, rng, 3), sample_element(config, rng, 3)
+        u, v = sample_element(config, rng), sample_element(config, rng)
         for p in config.shape.indices():
             for w in (u, u + lower_partial(p, u)):
                 assert partial(p, w) == scale_partial(p, w) + lower_partial(p, w), p

@@ -294,7 +294,7 @@ def test_cocycle_round_trip(capsys, l2_path, tmp_path):
         "cocycle", "check", "--config", l2_path,
         "--coboundary", str(func), "--triples", "25"])
     assert code == 0
-    assert out == "PASS cocycle-axioms (75 pairs, 25 triples)\n"
+    assert out == "PASS cocycle-axioms (25 triples)\n"
 
     recovered = tmp_path / "f.txt"
     code, out, _ = run(capsys, [
@@ -365,11 +365,11 @@ def test_check_aims_triples_at_a_table_support(capsys, l2_path, tmp_path, cfg_ca
     psi = load_table_cocycle(config, str(table))
     rng = random.Random(0)
     uniform = [tuple(sample_index(config, rng) for _ in range(3)) for _ in range(2000)]
-    assert check_cocycle(psi, uniform)[1].passed
+    assert check_cocycle(psi, uniform).passed
     code, out, err = run(capsys, [
         "cocycle", "check", "--config", l2_path, "--table", str(table)])
     assert (code, err) == (1, "")
-    assert out == ("FAIL cocycle-axioms (285 pairs, 50 uniform + 50 targeted triples)\n"
+    assert out == ("FAIL cocycle-axioms (50 uniform + 50 targeted triples)\n"
                    "  sum witness: x[0,0,3] , x[0,-1,-2]t[1,0,0] , "
                    "x[0,0,-1]t[0,0,1] -> 3/2\n")
 
@@ -398,7 +398,7 @@ def test_check_aims_triples_at_a_table_support(capsys, l2_path, tmp_path, cfg_ca
     table.write_text("x[0,0,-1]t[0,0,1] x[0,-1,1] 0\n")
     code, out, _ = run(capsys, [
         "cocycle", "check", "--config", l2_path, "--table", str(table)])
-    assert (code, out) == (0, "PASS cocycle-axioms (149 pairs, 50 uniform + 0 targeted triples)\n")
+    assert (code, out) == (0, "PASS cocycle-axioms (50 uniform + 0 targeted triples)\n")
 
 
 def test_cocycle_table_check_detects_non_cocycle(capsys, caseb_path, tmp_path):
@@ -419,23 +419,22 @@ def test_cocycle_table_check_detects_non_cocycle(capsys, caseb_path, tmp_path):
         "cocycle", "check", "--config", caseb_path,
         "--table", str(table), "--triples", "150", "--seed", "0"])
     assert code == 1
-    assert out == ("FAIL cocycle-axioms (887 pairs, 150 uniform + 150 targeted triples)\n"
+    assert out == ("FAIL cocycle-axioms (150 uniform + 150 targeted triples)\n"
                    "  sum witness: x[-1,2,-2] , x[0,1,0] , x[1,1,3] -> 8\n")
 
 
 def test_cocycle_check_failure_prints_each_witness(capsys, l2_path, tmp_path, monkeypatch):
-    # both forms are skew by construction; a stand-in checker that reports
-    # a skew and a sum failure shows both witness lines
+    # a coboundary always passes; a stand-in checker that reports a sum
+    # failure on one shows the sum witness line
     config = load_config(l2_path)
     a, b, c = (parse_basis_index(config, x) for x in ("x[0,1,0]", "x[0,0,1]t[1,0,0]", "x[0,0,0]"))
-    monkeypatch.setattr("contactk.cli.check_cocycle", lambda psi, triples: (
-        CheckReport(5, [(a, b)]), CheckReport(len(triples), [(a, b, c, Fraction(-7, 2))])))
+    monkeypatch.setattr("contactk.cli.check_cocycle", lambda psi, triples: CheckReport(
+        len(triples), [(a, b, c, Fraction(-7, 2))]))
     func = tmp_path / "g.fn"
     func.write_text("x[0,1,1] 3\n")
     assert run(capsys, ["cocycle", "check", "--config", l2_path, "--coboundary", str(func),
                         "--triples", "2"]) == (
-        1, "FAIL cocycle-axioms (5 pairs, 2 triples)\n"
-           "  skew witness: x[0,1,0] , x[0,0,1]t[1,0,0]\n"
+        1, "FAIL cocycle-axioms (2 triples)\n"
            "  sum witness: x[0,1,0] , x[0,0,1]t[1,0,0] , x[0,0,0] -> -7/2\n", "")
 
 

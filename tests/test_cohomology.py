@@ -59,13 +59,9 @@ def _bilinear(psi, u, v):
 
 
 def _reference_check(psi, triples):
-    """(skew failures, sum failures) of check_cocycle, computed through
-    elements: the bilinear form of bracket_closed brackets."""
+    """check_cocycle's failures, computed through elements: the bilinear
+    form of bracket_closed brackets."""
     config = psi.config
-    pairs = dict.fromkeys(
-        pair for iu, iv, iw in triples for pair in ((iu, iv), (iv, iw), (iu, iw)))
-    skew = [(a, b) for a, b in pairs
-            if psi.on_basis(a, a) != 0 or psi.on_basis(a, b) + psi.on_basis(b, a) != 0]
     sums = []
     for iu, iv, iw in triples:
         xu, xv, xw = (AlgebraElement.from_term(config, i) for i in (iu, iv, iw))
@@ -74,7 +70,7 @@ def _reference_check(psi, triples):
                  + _bilinear(psi, bracket_closed(xw, xu), xv))
         if total != 0:
             sums.append((iu, iv, iw, total))
-    return skew, sums
+    return sums
 
 
 def test_check_cocycle_matches_the_bilinear_reference(cfg_caseB, cfg_l2):
@@ -97,21 +93,62 @@ def test_check_cocycle_matches_the_bilinear_reference(cfg_caseB, cfg_l2):
     triples = [tuple(sample_index(cfg_l2, rng) for _ in range(3)) for _ in range(50)]
     cases.append((form, triples + targeted_triples(form, rng, 50)))
     for psi, triples in cases:
-        skew, sums = check_cocycle(psi, triples)
-        ref_skew, ref_sums = _reference_check(psi, triples)
-        assert skew.failures == ref_skew
-        assert sums.failures == ref_sums and sums.failures
-        assert [type(t) for *_, t in sums.failures] == [type(t) for *_, t in ref_sums]
+        report = check_cocycle(psi, triples)
+        ref_sums = _reference_check(psi, triples)
+        assert report.checked == len(triples)
+        assert report.failures == ref_sums and report.failures
+        assert [type(t) for *_, t in report.failures] == [type(t) for *_, t in ref_sums]
+
+
+def skew_on_pairs(psi, triples) -> bool:
+    """psi is zero on the diagonal and changes sign with the order of each
+    pair of the triples: what `check_cocycle` takes as given."""
+    return all(psi.on_basis(a, a) == 0 == psi.on_basis(b, b)
+               and psi.on_basis(a, b) == -psi.on_basis(b, a)
+               for u, v, w in triples for a, b in ((u, v), (v, w), (u, w)))
+
+
+class UnsignedTable(TableCocycle):
+    """A table whose flipped lookup drops its sign: not skew."""
+
+    __slots__ = ()
+
+    def on_basis(self, iu, iv):
+        if iu.sort_key() <= iv.sort_key():
+            return self.entries.get((iu, iv), Fraction(0))
+        return self.entries.get((iv, iu), Fraction(0))
 
 
 def test_coboundaries_pass_the_checker(all_configs):
+    # both forms are skew by construction, which check_cocycle does not
+    # check, so pin it here: on every config a coboundary, through its
+    # `_reach` skip, and a random table are skew on their triples' pairs,
+    # some of which are aimed where the form is nonzero.  Negative
+    # control: the table with the sign of its flipped lookup dropped
     for config in all_configs.values():
         rng = random.Random(81)
-        psi = coboundary(random_functional(config, rng))
+        f = random_functional(config, rng)
+        psi = coboundary(f)
+        assert psi._reach is not None
         triples = [tuple(sample_index(config, rng) for _ in range(3))
                    for _ in range(25)]
-        skew, sums = check_cocycle(psi, triples)
-        assert skew.passed and sums.passed, (skew.failures[:1], sums.failures[:1])
+        triples += [(*pair_reaching(config, r, rng), sample_index(config, rng))
+                    for r in f.table]
+        report = check_cocycle(psi, triples)
+        assert report.passed, report.failures[:1]
+        assert any(psi.on_basis(u, v) for u, v, _w in triples)
+        assert skew_on_pairs(psi, triples)
+
+        entries = {}
+        for _ in range(6):
+            a, b = sample_index(config, rng), sample_index(config, rng)
+            if a != b and (b, a) not in entries:
+                entries[(a, b)] = Fraction(rng.randrange(1, 6), rng.randrange(1, 4))
+        table = TableCocycle(config, entries)
+        triples = [(a, b, sample_index(config, rng)) for a, b in entries]
+        triples += targeted_triples(table, rng, 10)
+        assert skew_on_pairs(table, triples)
+        assert not skew_on_pairs(UnsignedTable(config, entries), triples)
 
 
 def test_table_cocycle_orientation(cfg_caseB):
@@ -144,9 +181,7 @@ def test_random_skew_table_fails_jacobi(cfg_caseB):
         entries[(a, b)] = Fraction(rng.randrange(1, 5))
     psi = TableCocycle(cfg_caseB, entries)
     triples = [tuple(rng.choice(window) for _ in range(3)) for _ in range(200)]
-    skew, sums = check_cocycle(psi, triples)
-    assert sums.failures, "random table accidentally closed"
-    assert not skew.failures
+    assert check_cocycle(psi, triples).failures, "random table accidentally closed"
 
 
 def test_regime_flags(all_configs):

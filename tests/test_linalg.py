@@ -59,14 +59,14 @@ def test_echelon_small_matrix():
     inputs = {k: dict(enumerate(row)) for k, row in enumerate(rows)}
     ech = Echelon()
     assert [ech.add(inputs[k], k) for k in range(3)] == [True, True, False]
-    assert ech.pivots == [0, 2]
-    assert [[row.get(c, 0) for c in range(3)] for _pc, row, _comb in ech.rows] == [
+    assert list(ech.rows) == [0, 2]
+    assert [[row.get(c, 0) for c in range(3)] for row, _comb in ech.rows.values()] == [
         [1, 2, 0], [0, 0, 1]]
-    for _pc, row, comb in ech.rows:
+    for row, comb in ech.rows.values():
         assert _combined(comb, inputs) == row
     assert rows == [[1, 2, 3], [2, 4, 7], [1, 2, 4]]
     assert inputs == {k: dict(enumerate(row)) for k, row in enumerate(rows)}
-    assert Echelon().rows == [] and Echelon().pivots == []
+    assert Echelon().rows == {}
 
 
 def test_echelon_reduce_splits_row_into_residual_and_combination():
@@ -97,7 +97,7 @@ def test_echelon_nullspace_small_matrix():
     full.add(dict(enumerate([Fraction(1, 2), 0])), 0)
     full.add(dict(enumerate([0, 3])), 1)
     assert full.nullspace(2) == []
-    assert full.rows == [(0, {0: 1}, {0: 2}), (1, {1: 1}, {1: Fraction(1, 3)})]
+    assert list(full.rows.items()) == [(0, ({0: 1}, {0: 2})), (1, ({1: 1}, {1: Fraction(1, 3)}))]
     assert Echelon().nullspace(2) == [[1, 0], [0, 1]]
 
 
@@ -132,16 +132,16 @@ def test_echelon_matches_sympy_rref(case):
         ech.add(inputs[k], k)
 
     reference, ref_pivots = sympy.Matrix(rows).rref()
-    stored = sorted(ech.rows, key=lambda t: t[0])
-    assert [pc for pc, _row, _comb in stored] == list(ref_pivots)
-    assert [[row.get(c, 0) for c in range(ncols)] for _pc, row, _comb in stored] == [
+    stored = sorted(ech.rows.items(), key=lambda t: t[0])
+    assert [pc for pc, _ in stored] == list(ref_pivots)
+    assert [[row.get(c, 0) for c in range(ncols)] for _pc, (row, _comb) in stored] == [
         [Fraction(int(x.p), int(x.q)) for x in reference.row(i)]
         for i in range(len(ref_pivots))]
-    for _pc, row, comb in ech.rows:
+    for row, comb in ech.rows.values():
         assert _combined(comb, inputs) == row
         assert all(_is_normalised(x) for x in [*row.values(), *comb.values()])
 
-    pivots = set(ech.pivots)
+    pivots = set(ech.rows)
     target = {c: x for c, x in enumerate(probe) if x}
     residual, comb = ech.reduce(target)
     assert not pivots & set(residual)
@@ -194,8 +194,8 @@ def test_echelon_rejects_dependent_rows_without_changes(case):
             assert not kept
         if not kept:
             assert ech.rows == before and repr(ech.rows) == text
-            assert ech.pivots == [pc for pc, _row, _comb in before]
+            assert list(ech.rows) == list(before)
         assert len(ech.rows) <= ncols
-        for _pc, stored, comb in ech.rows:
+        for stored, comb in ech.rows.values():
             assert _combined(comb, inputs) == stored
             assert all(_is_normalised(x) for x in [*stored.values(), *comb.values()])

@@ -74,7 +74,7 @@ def _inputs(parent: Path, work: Path) -> list[list[str]]:
         # operator specs: ad, each outer dt, each hom, a sum of them, an
         # ad far outside the inner support, and a dt that is not outer
         tokens = [config.shape.index_token(p) for p in outer_indices(config)]
-        element = format_element(sample_element(config, rng, 2))
+        element = format_element(sample_element(config, rng))
         specs = [f"ad {element}", *(f"dt {t}" for t in tokens)]
         specs += ["dmu " + " ".join(map(str, h.values)) for h in hom_space_basis(config)[:2]]
         specs.append(" + ".join([f"2 dt {t}" for t in tokens] + [f"-1/2 ad {element}"]
