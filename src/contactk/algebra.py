@@ -5,7 +5,7 @@ the defining differential operators literally, each one pass over a term
 dict (`_partial_terms`, `_product_into`, `_grading_terms`, which also back
 `partial`, `multiply` and `grading`), and serves as the oracle,
 while the closed route is one per-pair kernel, `bracket_terms`, which
-expands the same bilinear form from precomputed per-index tables and
+runs the same bilinear form compiled per config from its tables and
 which `bracket_closed` and the window sweeps call.  They share only the
 sparse accumulator (`linalg.add_into`, `add_term`), which has its own
 unit tests.  Neither route ever makes an index with a negative exponent
@@ -34,13 +34,12 @@ class LiteralError(ValueError):
 class BasisIndex:
     """One basis monomial: lattice element plus exponent vector."""
 
-    __slots__ = ("alpha", "exps", "_hash", "_weight")
+    __slots__ = ("alpha", "exps", "_hash")
 
     def __init__(self, alpha: GroupElement, exps: ExponentVector):
         self.alpha = alpha
         self.exps = exps
         self._hash = hash((alpha.coords, exps))
-        self._weight = None
 
     def __eq__(self, other):
         return (self.alpha.coords == other.alpha.coords
@@ -235,13 +234,10 @@ def grading(u: AlgebraElement) -> AlgebraElement:
 
 def weight(config: AlgebraConfig, index: BasisIndex):
     """Grading eigenvalue of a basis monomial, additive in its vector and
-    exponents; cached on the index."""
-    w = index._weight
-    if w is None:
-        vec, exps = index.alpha.vector, index.exps
-        w = index._weight = (sum(vec[s] for s in config.weight_group_slots)
-                             + sum(exps[s] for s in config.weight_exp_slots))
-    return w
+    exponents."""
+    vec, exps = index.alpha.vector, index.exps
+    return (sum(vec[s] for s in config.weight_group_slots)
+            + sum(exps[s] for s in config.weight_exp_slots))
 
 
 def bracket_operator(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
@@ -265,50 +261,77 @@ def bracket_operator(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(config, terms)
 
 
+# the kernel's families in its order, group-group, group-exponent, exponent-group and
+# exponent-exponent: the coefficient at a pair's slots p, q, and which of (p, q) it lowers
+KERNEL_FAMILIES = (
+    ("a[{p}] * b[{q}] - a[{q}] * b[{p}]", ()),
+    ("a[{p}] * je[{q}] - ie[{q}] * b[{p}]", (1,)),
+    ("ie[{p}] * b[{q}] - je[{p}] * a[{q}]", (0,)),
+    ("ie[{p}] * je[{q}] - ie[{q}] * je[{p}]", (0, 1)),
+)
+
+
+def _offset_source(name: str, offsets, names: dict) -> str:
+    """Source of the tuple `name` plus `offsets`, entry by entry: an `int`
+    offset is written into the text, any other is bound in `names`."""
+    out = ""
+    for s, x in enumerate(offsets):
+        if type(x) is not int:
+            names[f"K{len(names)}"] = x
+            out += f"{name}[{s}] + K{len(names) - 1}, "
+        else:
+            out += f"{name}[{s}]" + (f" - {-x}" if x < 0 else f" + {x}" if x else "") + ", "
+    return f"({out})"
+
+
+def build_kernel(config: AlgebraConfig):
+    """`kernel(iu, iv, c=1, terms=None)` for `bracket_terms`, compiled from
+    `config.pair_rows`: each row's active families over constant slots, the
+    tuples spelled out, and the weight inlined.  A term that lowers entries of
+    the sum has a coefficient of zero unless they are positive."""
+    dim, ngens = config.shape.dim, len(config.lattice.generators)
+    names = {"GE": GroupElement, "BI": BasisIndex, "EV": ExponentVector, "add_term": add_term}
+    weight = " + ".join([f"{{a}}[{s}]" for s in config.weight_group_slots]
+                        + [f"{{e}}[{s}]" for s in config.weight_exp_slots]) or "0"
+
+    def emit(k, slots):
+        lowered = f"EV({_offset_source('e', [-(s in slots) for s in range(dim)], names)})"
+        return [f"        if {k}:",
+                f"            add_term(terms, BI(g, {lowered if slots else 'e'}), c * {k})"]
+
+    lines = ["def kernel(iu, iv, c=1, terms=None):",
+             "    terms = {} if terms is None else terms",
+             "    al, be, ie, je = iu.alpha, iv.alpha, iu.exps, iv.exps",
+             "    a, b, ac, bc = al.vector, be.vector, al.coords, be.coords",
+             f"    co = ({''.join(f'ac[{s}] + bc[{s}], ' for s in range(ngens))})",
+             f"    ve = ({''.join(f'a[{s}] + b[{s}], ' for s in range(dim))})",
+             f"    e = EV(({''.join(f'ie[{s}] + je[{s}], ' for s in range(dim))}))"]
+    for r, (sp, sq, shift, *families) in enumerate(config.pair_rows):
+        active = [(f"k{r}_{n}", template, [(sp, sq)[i] for i in at])
+                  for n, (on, (template, at)) in enumerate(zip(families, KERNEL_FAMILIES)) if on]
+        if active:
+            lines += [f"    {k} = {template.format(p=sp, q=sq)}" for k, template, _ in active]
+            lines += [f"    if {' or '.join(k for k, _, _ in active)}:",
+                      f"        g = GE({_offset_source('co', shift.coords, names)}, "
+                      f"{_offset_source('ve', shift.vector, names)})"]
+            lines += [line for k, _, slots in active for line in emit(k, slots)]
+    lines += [f"    wu = 2 - ({weight.format(a='a', e='ie')})",
+              f"    wv = 2 - ({weight.format(a='b', e='je')})",
+              "    k = wu * b[0] - a[0] * wv", "    k0 = wu * je[0] - ie[0] * wv",
+              "    if k or k0:", "        g = GE(co, ve)", *emit("k", ()), *emit("k0", (0,)),
+              "    return terms"]
+    exec(compile("\n".join(lines), "<contactk kernel>", "exec"), names)
+    return names["kernel"]
+
+
 def bracket_terms(config: AlgebraConfig, iu: BasisIndex, iv: BasisIndex,
                   c=1, terms=None) -> dict:
     """In place, zero-free `terms += c * [iu, iv]` for two basis monomials by
-    the per-pair expansion; returns `terms` (a new dict when None)."""
-    terms = {} if terms is None else terms
-    alpha, beta = iu.alpha, iv.alpha
-    avec, ie = alpha.vector, iu.exps
-    bvec, je = beta.vector, iv.exps
-    # the sum's tuples; elements are built from them only for emitted terms
-    coords = (*map(add, alpha.coords, beta.coords),)
-    vector = (*map(add, avec, bvec),)
-    exps_sum = ie.add(je)
-
-    # a term that lowers entries of the sum has a coefficient of zero
-    # unless those entries are positive, so no lowered entry goes negative
-    for sp, sq, shift, fam_gg, fam_ge, fam_eg, fam_ee in config.pair_rows:
-        k_gg = fam_gg and avec[sp] * bvec[sq] - avec[sq] * bvec[sp]
-        k_ge = fam_ge and avec[sp] * je[sq] - ie[sq] * bvec[sp]
-        k_eg = fam_eg and ie[sp] * bvec[sq] - je[sp] * avec[sq]
-        k_ee = fam_ee and ie[sp] * je[sq] - ie[sq] * je[sp]
-        if not (k_gg or k_ge or k_eg or k_ee):
-            continue
-        shifted = GroupElement((*map(add, coords, shift.coords),),
-                               (*map(add, vector, shift.vector),))
-        if k_gg:
-            add_term(terms, BasisIndex(shifted, exps_sum), c * k_gg)
-        if k_ge:
-            add_term(terms, BasisIndex(shifted, exps_sum.lowered(sq)), c * k_ge)
-        if k_eg:
-            add_term(terms, BasisIndex(shifted, exps_sum.lowered(sp)), c * k_eg)
-        if k_ee:
-            add_term(terms, BasisIndex(shifted, exps_sum.lowered(sp, sq)), c * k_ee)
-
-    wu = 2 - weight(config, iu)
-    wv = 2 - weight(config, iv)
-    k = wu * bvec[0] - avec[0] * wv
-    k0 = wu * je[0] - ie[0] * wv
-    if k or k0:
-        alpha_sum = GroupElement(coords, vector)
-        if k:
-            add_term(terms, BasisIndex(alpha_sum, exps_sum), c * k)
-        if k0:
-            add_term(terms, BasisIndex(alpha_sum, exps_sum.lowered(0)), c * k0)
-    return terms
+    the config's kernel, built at its first bracket and whenever `pair_rows`
+    is replaced; returns `terms` (a new dict when None)."""
+    if config.kernel[0] is not config.pair_rows:
+        config.kernel = (config.pair_rows, build_kernel(config))
+    return config.kernel[1](iu, iv, c, terms)
 
 
 def bracket_support(config: AlgebraConfig, alpha_sum: GroupElement,

@@ -309,7 +309,7 @@ class AlgebraConfig:
         "shape", "lattice", "j0_naturals",
         "exp_slots", "shift_coords",
         "weight_group_slots", "weight_exp_slots",
-        "pair_rows", "bracket_shapes", "zero_exps",
+        "pair_rows", "bracket_shapes", "zero_exps", "kernel",
     )
 
     def __init__(self, lattice: Lattice, j0_naturals: bool):
@@ -354,6 +354,7 @@ class AlgebraConfig:
         self.pair_rows = tuple(rows)
         self.bracket_shapes = tuple(shapes)
         self.zero_exps = ExponentVector((0,) * shape.dim)
+        self.kernel = (None, None)  # (pair_rows, fn), built by `bracket_terms`
 
 
 def make_config(ell, j0: str, generators) -> AlgebraConfig:

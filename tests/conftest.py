@@ -2,9 +2,10 @@
 
 One configuration per active block, a mixed configuration touching all
 six blocks, and a wider lattice for decomposition tests.  Session scope:
-a config is immutable (its lattice interns nothing, so using a config
-changes nothing in it; `test_sessions_leave_no_state_in_a_config` holds
-this), and construction re-solves lattice pivots.
+a config is immutable once it has its kernel, which its first bracket
+builds from its own tables (its lattice interns nothing, so using a config
+changes nothing else in it; `test_sessions_leave_no_state_in_a_config`
+holds this), and construction re-solves lattice pivots.
 """
 
 from __future__ import annotations

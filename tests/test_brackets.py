@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import copy
+import gc
 import itertools
 import random
 import types
+import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from contactk import (
     AlgebraElement, basis_element, bracket_closed, bracket_operator,
-    format_element, parse_element, sample_element, sample_index,
-    structure_rows, unit, weight, window_indices,
+    format_element, make_config, parse_basis_index, parse_element, sample_element,
+    sample_index, structure_rows, unit, weight, window_indices,
 )
+from contactk.cli import load_config
 from contactk.indices import ExponentVector
 from contactk import algebra
 from contactk.algebra import bracket_support, bracket_terms, sums_reaching
@@ -200,9 +205,10 @@ def test_bracket_is_bilinear(cfg_l2):
 
 
 # what the oracle must never name: the closed route, the tables only it
-# reads, and the cached weight its unshifted term uses
+# reads, its compiled kernel and the slot that holds it, and the weight
 CLOSED_ROUTE = {"bracket_terms", "bracket_closed", "bracket_support", "sums_reaching",
-                "weight", "pair_rows", "bracket_shapes"}
+                "weight", "pair_rows", "bracket_shapes", "kernel", "build_kernel",
+                "KERNEL_FAMILIES"}
 
 
 def operator_route_names() -> set:
@@ -250,6 +256,57 @@ def test_the_independence_walk_sees_into_helpers(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(algebra, "add_term", lambda terms, key, c: key.alpha.weight)
     assert operator_route_names() & CLOSED_ROUTE == {"weight"}
+    monkeypatch.setattr(algebra, "add_term", lambda terms, key, c: key.config.kernel)
+    assert operator_route_names() & CLOSED_ROUTE == {"kernel"}
+
+
+def _l3():
+    return make_config((0, 0, 1, 0, 0, 0), "naturals", [(0, 1, 0), (0, 0, 1)])
+
+
+def test_the_kernel_is_built_at_the_first_bracket_and_kept_on_its_config():
+    # no kernel after loading; one function across brackets; a copy with
+    # pair_rows replaced gets its own, built from those rows: with every
+    # family switched off, only the unshifted terms are left
+    config = _l3()
+    assert config.kernel == (None, None)
+    assert load_config(Path(__file__).parent / "golden" / "l3.cfg").kernel == (None, None)
+    iu = parse_basis_index(config, "x[0,1,0]t[1,1,1]")
+    iv = parse_basis_index(config, "x[0,0,1]t[2,2,0]")
+    full = bracket_terms(config, iu, iv)
+    rows, fn = config.kernel
+    assert rows is config.pair_rows and callable(fn)
+    assert bracket_terms(config, iv, iu) == {r: -c for r, c in full.items()}
+    assert config.kernel[1] is fn
+    mutant = copy.copy(config)
+    mutant.pair_rows = tuple(row[:3] + (False,) * 4 for row in config.pair_rows)
+    alpha_sum = iu.alpha.add(iv.alpha)
+    unshifted = {r: c for r, c in full.items() if r.alpha == alpha_sum}
+    assert unshifted and unshifted != full
+    assert bracket_terms(mutant, iu, iv) == unshifted
+    assert mutant.kernel[0] is mutant.pair_rows and mutant.kernel[1] is not fn
+    assert config.kernel[1] is fn
+
+
+def test_a_kernel_lives_no_longer_than_its_config():
+    config = _l3()
+    bracket_terms(config, parse_basis_index(config, "x[0,1,0]"),
+                  parse_basis_index(config, "x[0,0,1]"))
+    kernel = weakref.ref(config.kernel[1])
+    del config
+    gc.collect()
+    assert kernel() is None
+
+
+def test_fraction_shift_entries_are_bound_by_name():
+    # with a generator (0, 1/2, 0) the shift's vector entry at slot 1 is
+    # Fraction(-1), not an int, so the kernel binds it instead of writing it
+    config = make_config((0, 1, 0, 0, 0, 0), "naturals", [(0, Fraction(1, 2), 0), (0, 0, 1)])
+    assert type(config.pair_rows[0][2].vector[1]) is Fraction
+    rng = random.Random(31)
+    for _ in range(40):
+        u, v = sample_element(config, rng), sample_element(config, rng)
+        assert bracket_closed(u, v) == bracket_operator(u, v)
 
 
 def test_kernel_is_skew_on_whole_windows(all_configs):

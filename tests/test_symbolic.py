@@ -34,6 +34,7 @@ from pathlib import Path
 import pytest
 import sympy
 
+from contactk import algebra
 from contactk.algebra import (
     AlgebraElement, BasisIndex, bracket_operator, bracket_support, bracket_terms,
     lower_partial, probe_index, recursion_probes, sums_reaching,
@@ -317,6 +318,27 @@ def test_jacobi_needs_each_family_on_l3(family):
         triple = [symbolic_index(config, sym) for sym in "abc"]
         assert jacobi_sum(config, *triple) == {}
         assert jacobi_sum(mutant, *triple) != {}, name
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_the_generated_kernel_needs_each_family_template(family, monkeypatch):
+    # negative control on the kernel's generator: with one family's
+    # template negated, the kernel built from it differs from the
+    # operator route on every config that has that family
+    at = FAMILIES[family]
+    templates = list(algebra.KERNEL_FAMILIES)
+    template, lowers = templates[at - 3]
+    templates[at - 3] = (f"-({template})", lowers)
+    monkeypatch.setattr(algebra, "KERNEL_FAMILIES", tuple(templates))
+    having = set()
+    for name, path in CONFIGS.items():
+        config = load_config(path)
+        if not any(row[at] for row in config.pair_rows):
+            continue
+        having.add(path.stem)
+        iu, iv = symbolic_index(config, "a"), symbolic_index(config, "b")
+        assert not kernel_equals_operator(config, iu, iv), (family, name)
+    assert having
 
 
 def test_each_recurrence_entry_is_needed():

@@ -1,6 +1,9 @@
-"""Compare one benchmark workload between two contactk trees, in pairs.
+"""Compare benchmark workloads between two contactk trees, in pairs.
 
-    python3 tools/bench_ab.py PARENT CHANGE --workload W --pairs N [--json PATH]
+    python3 tools/bench_ab.py PARENT CHANGE [--workload W] --pairs N [--json PATH]
+
+Without `--workload`, every workload that the parent's `BENCHMARK.json`
+names runs, in its order.
 
 Runs `bench/run.py` of each tree from that tree's root, N times each, with
 `--trace 0`.  Pair k runs both trees with seed `--seed` + k, and the tree
@@ -12,10 +15,13 @@ measures in later runs.
 It prints each pair's end-to-end metrics (parent/change), then per metric
 the two medians, the parent's interquartile range and the change's win
 count: the pairs in which the change reads lower (every metric of
-`bench/run.py` is better lower).  The exit code is 1 when a run fails, is
-not `correct`, or has a failed op.  With `--json PATH` the pairs and the
-summary go into PATH under the workload's name; the other workloads
-already in PATH are kept.  Standard library only.
+`bench/run.py` is better lower).  A metric whose change median is worse
+than the parent's by more than its `bound` in the parent's
+`BENCHMARK.json` (read with its `better`) is marked `OVER BOUND`.  The
+exit code is 1 when a run fails, is not `correct`, or has a failed op.
+With `--json PATH` the pairs and the summary go into PATH under each
+workload's name; the other workloads already in PATH are kept, and the
+marks are not written.  Standard library only.
 """
 
 from __future__ import annotations
@@ -70,11 +76,26 @@ def summarize(pairs: list[dict]) -> dict:
     return out
 
 
+def over_bound(summary: dict, end_to_end: list[dict]) -> list[str]:
+    """The metrics of `summary` whose change median is worse than the
+    parent median by more than the fraction `bound` of it, where `better`
+    says which way is worse."""
+    out = []
+    for spec in end_to_end:
+        if (s := summary.get(spec["name"])) is not None:
+            worse = s["change_median"] - s["parent_median"]
+            if spec["better"] == "higher":
+                worse = -worse
+            if worse > spec["bound"] * abs(s["parent_median"]):
+                out.append(spec["name"])
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", help="one workload (default: all, in order)")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, default=17001, help="seed of the first pair")
     parser.add_argument("--seconds", type=float, default=20, help="loop time per run")
@@ -82,31 +103,39 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    try:
+        declared = json.loads((args.parent / "BENCHMARK.json").read_text())
+    except (OSError, ValueError) as err:
+        sys.exit(f"error: {args.parent}: cannot read BENCHMARK.json: {err}")
+    workloads = [args.workload] if args.workload else [w["name"] for w in declared["workloads"]]
 
-    pairs = []
-    for k in range(args.pairs):
-        seed = args.seed + k
-        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        pair = {"seed": seed, "first": order[0]}
-        for side in order:
-            pair[side] = run_once(getattr(args, side), args.workload, seed, args.seconds)
-        pairs.append(pair)
-        print(f"pair {k + 1} seed {seed} ({order[0]} first): " + ", ".join(
-            f"{name} {pair['parent'][name]:.4g}/{pair['change'][name]:.4g}"
-            for name in METRICS), flush=True)
+    for workload in workloads:
+        pairs = []
+        for k in range(args.pairs):
+            seed = args.seed + k
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = run_once(getattr(args, side), workload, seed, args.seconds)
+            pairs.append(pair)
+            print(f"{workload} pair {k + 1} seed {seed} ({order[0]} first): " + ", ".join(
+                f"{name} {pair['parent'][name]:.4g}/{pair['change'][name]:.4g}"
+                for name in METRICS), flush=True)
 
-    summary = summarize(pairs)
-    for name, s in summary.items():
-        print(f"{args.workload} {name}: median {s['parent_median']:.4g} -> "
-              f"{s['change_median']:.4g}, parent IQR {s['parent_iqr']:.4g}, "
-              f"change lower in {s['change_wins']} of {len(pairs)} pairs")
+        summary = summarize(pairs)
+        over = over_bound(summary, declared["end_to_end"])
+        for name, s in summary.items():
+            print(f"{workload} {name}: median {s['parent_median']:.4g} -> "
+                  f"{s['change_median']:.4g}, parent IQR {s['parent_iqr']:.4g}, "
+                  f"change lower in {s['change_wins']} of {len(pairs)} pairs"
+                  + ", OVER BOUND" * (name in over), flush=True)
 
-    if args.json:
-        data = json.loads(args.json.read_text()) if args.json.exists() else {}
-        data.setdefault("python", sys.version.split()[0])
-        data.setdefault("workloads", {})[args.workload] = {
-            "seconds": args.seconds, "pairs": pairs, "summary": summary}
-        args.json.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+        if args.json:
+            data = json.loads(args.json.read_text()) if args.json.exists() else {}
+            data.setdefault("python", sys.version.split()[0])
+            data.setdefault("workloads", {})[workload] = {
+                "seconds": args.seconds, "pairs": pairs, "summary": summary}
+            args.json.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     return 0
 
 

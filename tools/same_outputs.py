@@ -1,10 +1,11 @@
 """Check that two contactk trees give byte-identical command outputs.
 
-    python3 tools/same_outputs.py PARENT CHANGE
+    python3 tools/same_outputs.py PARENT CHANGE [--python EXE]
 
 Runs one fixed list of `contactk` commands against `PARENT/src` and
 against `CHANGE/src`, each command in a fresh `python -m contactk.cli`
-process, and compares per command the exit code, stdout, stderr (less
+process (on the change side under EXE when given, so that two
+interpreters can be compared), and compares per command the exit code, stdout, stderr (less
 `suite`'s `duration:` line) and the `--out` file when there is one.  It
 prints how many commands ran, how many differ, the exit codes seen, the
 first difference, and per command kind and config how many commands
@@ -31,6 +32,7 @@ trees read the same files.  Standard library only.
 
 from __future__ import annotations
 
+import argparse
 import os
 import random
 import subprocess
@@ -175,11 +177,11 @@ def _inputs(parent: Path, work: Path) -> list[list[str]]:
     return commands
 
 
-def _run(tree: Path, argv: list[str], out: Path) -> tuple:
+def _run(python: str, tree: Path, argv: list[str], out: Path) -> tuple:
     """(exit code, stdout, stderr less `duration:` lines, --out bytes)."""
     argv = [str(out) if a == "{out}" else a for a in argv]
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    done = subprocess.run([sys.executable, "-m", "contactk.cli", *argv],
+    done = subprocess.run([python, "-m", "contactk.cli", *argv],
                           capture_output=True, env=env, cwd=out.parent)
     stderr = b"".join(line for line in done.stderr.splitlines(keepends=True)
                       if not line.startswith(b"duration:"))
@@ -209,11 +211,13 @@ def _kind(command: list[str]) -> tuple[str, str]:
 
 
 def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    if len(args) != 2:
-        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
-        return 2
-    parent, change = (Path(a).resolve() for a in args)
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--python", default=sys.executable,
+                        help="interpreter of the change side (default: this one)")
+    args = parser.parse_args(argv)
+    parent, change = args.parent.resolve(), args.change.resolve()
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         commands = _inputs(parent, work)
@@ -222,8 +226,8 @@ def main(argv=None) -> int:
         codes: dict[int, int] = {}
         differ = []
         for n, command in enumerate(commands):
-            a = _run(parent, command, work / "parent" / f"out{n}")
-            b = _run(change, command, work / "change" / f"out{n}")
+            a = _run(sys.executable, parent, command, work / "parent" / f"out{n}")
+            b = _run(args.python, change, command, work / "change" / f"out{n}")
             codes[a[0]] = codes.get(a[0], 0) + 1
             if a != b:
                 differ.append((command, _first_difference(a, b)))
