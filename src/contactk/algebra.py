@@ -261,19 +261,24 @@ def bracket_operator(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(config, terms)
 
 
-# the kernel's families in its order, group-group, group-exponent, exponent-group and
-# exponent-exponent: the coefficient at a pair's slots p, q, and which of (p, q) it lowers
-KERNEL_FAMILIES = (
-    ("a[{p}] * b[{q}] - a[{q}] * b[{p}]", ()),
-    ("a[{p}] * je[{q}] - ie[{q}] * b[{p}]", (1,)),
-    ("ie[{p}] * b[{q}] - je[{p}] * a[{q}]", (0,)),
-    ("ie[{p}] * je[{q}] - ie[{q}] * je[{p}]", (0, 1)),
-)
+# each coefficient the kernel writes, at a pair's slots p, q, keyed by which of
+# (p, q) its term lowers: group-group, group-exponent, exponent-group and
+# exponent-exponent; and, keyed by its lowered slots, the unshifted sum's two
+KERNEL_FAMILIES = {
+    (False, False): "a[{p}] * b[{q}] - a[{q}] * b[{p}]",
+    (False, True): "a[{p}] * je[{q}] - ie[{q}] * b[{p}]",
+    (True, False): "ie[{p}] * b[{q}] - je[{p}] * a[{q}]",
+    (True, True): "ie[{p}] * je[{q}] - ie[{q}] * je[{p}]",
+}
+UNSHIFTED = {(): "wu * b[0] - a[0] * wv", (0,): "wu * je[0] - ie[0] * wv"}
 
 
 def _offset_source(name: str, offsets, names: dict) -> str:
-    """Source of the tuple `name` plus `offsets`, entry by entry: an `int`
-    offset is written into the text, any other is bound in `names`."""
+    """Source of the tuple `name` plus `offsets`: the name itself when every
+    offset is the `int` 0, else entry by entry, where an `int` offset is
+    written into the text and any other is bound in `names`."""
+    if all(type(x) is int and x == 0 for x in offsets):
+        return name
     out = ""
     for s, x in enumerate(offsets):
         if type(x) is not int:
@@ -286,40 +291,39 @@ def _offset_source(name: str, offsets, names: dict) -> str:
 
 def build_kernel(config: AlgebraConfig):
     """`kernel(iu, iv, c=1, terms=None)` for `bracket_terms`, compiled from
-    `config.pair_rows`: each row's active families over constant slots, the
-    tuples spelled out, and the weight inlined.  A term that lowers entries of
-    the sum has a coefficient of zero unless they are positive."""
-    dim, ngens = config.shape.dim, len(config.lattice.generators)
+    `config.bracket_shapes`: one coefficient and one term per entry, over
+    constant slots, with the tuples spelled out and the weight inlined; the
+    unshifted entry goes last.  A term that lowers entries of the sum has a
+    coefficient of zero unless they are positive."""
+    shape, dim, ngens = config.shape, config.shape.dim, len(config.lattice.generators)
     names = {"GE": GroupElement, "BI": BasisIndex, "EV": ExponentVector, "add_term": add_term}
     weight = " + ".join([f"{{a}}[{s}]" for s in config.weight_group_slots]
                         + [f"{{e}}[{s}]" for s in config.weight_exp_slots]) or "0"
-
-    def emit(k, slots):
-        lowered = f"EV({_offset_source('e', [-(s in slots) for s in range(dim)], names)})"
-        return [f"        if {k}:",
-                f"            add_term(terms, BI(g, {lowered if slots else 'e'}), c * {k})"]
-
     lines = ["def kernel(iu, iv, c=1, terms=None):",
              "    terms = {} if terms is None else terms",
              "    al, be, ie, je = iu.alpha, iv.alpha, iu.exps, iv.exps",
              "    a, b, ac, bc = al.vector, be.vector, al.coords, be.coords",
              f"    co = ({''.join(f'ac[{s}] + bc[{s}], ' for s in range(ngens))})",
              f"    ve = ({''.join(f'a[{s}] + b[{s}], ' for s in range(dim))})",
-             f"    e = EV(({''.join(f'ie[{s}] + je[{s}], ' for s in range(dim))}))"]
-    for r, (sp, sq, shift, *families) in enumerate(config.pair_rows):
-        active = [(f"k{r}_{n}", template, [(sp, sq)[i] for i in at])
-                  for n, (on, (template, at)) in enumerate(zip(families, KERNEL_FAMILIES)) if on]
-        if active:
-            lines += [f"    {k} = {template.format(p=sp, q=sq)}" for k, template, _ in active]
-            lines += [f"    if {' or '.join(k for k, _, _ in active)}:",
+             f"    e = EV(({''.join(f'ie[{s}] + je[{s}], ' for s in range(dim))}))",
+             f"    wu = 2 - ({weight.format(a='a', e='ie')})",
+             f"    wv = 2 - ({weight.format(a='b', e='je')})"]
+    (zero, unshifted), *rows = config.bracket_shapes
+    groups = [(shift, [(KERNEL_FAMILIES[p in s, q in s].format(p=p, q=q), s) for s in shapes])
+              for (p, q), (shift, shapes) in zip(map(shape.pair_slots, shape.blocks(1, 6)), rows)]
+    groups.append((zero, [(UNSHIFTED[s], s) for s in unshifted]))
+    for r, (shift, coefficients) in enumerate(groups):
+        ks = [f"k{r}_{n}" for n in range(len(coefficients))]
+        if ks:
+            lines += [f"    {k} = {source}" for k, (source, _) in zip(ks, coefficients)]
+            lines += [f"    if {' or '.join(ks)}:",
                       f"        g = GE({_offset_source('co', shift.coords, names)}, "
                       f"{_offset_source('ve', shift.vector, names)})"]
-            lines += [line for k, _, slots in active for line in emit(k, slots)]
-    lines += [f"    wu = 2 - ({weight.format(a='a', e='ie')})",
-              f"    wv = 2 - ({weight.format(a='b', e='je')})",
-              "    k = wu * b[0] - a[0] * wv", "    k0 = wu * je[0] - ie[0] * wv",
-              "    if k or k0:", "        g = GE(co, ve)", *emit("k", ()), *emit("k0", (0,)),
-              "    return terms"]
+        for k, (_, slots) in zip(ks, coefficients):
+            lowered = "".join(f"e[{s}]" + " - 1" * (s in slots) + ", " for s in range(dim))
+            lines += [f"        if {k}:", f"            add_term(terms, BI(g, "
+                      f"{f'EV(({lowered}))' if slots else 'e'}), c * {k})"]
+    lines.append("    return terms")
     exec(compile("\n".join(lines), "<contactk kernel>", "exec"), names)
     return names["kernel"]
 
@@ -327,10 +331,10 @@ def build_kernel(config: AlgebraConfig):
 def bracket_terms(config: AlgebraConfig, iu: BasisIndex, iv: BasisIndex,
                   c=1, terms=None) -> dict:
     """In place, zero-free `terms += c * [iu, iv]` for two basis monomials by
-    the config's kernel, built at its first bracket and whenever `pair_rows`
-    is replaced; returns `terms` (a new dict when None)."""
-    if config.kernel[0] is not config.pair_rows:
-        config.kernel = (config.pair_rows, build_kernel(config))
+    the config's kernel, built at its first bracket and whenever
+    `bracket_shapes` is replaced; returns `terms` (a new dict when None)."""
+    if config.kernel[0] is not config.bracket_shapes:
+        config.kernel = (config.bracket_shapes, build_kernel(config))
     return config.kernel[1](iu, iv, c, terms)
 
 

@@ -309,7 +309,7 @@ class AlgebraConfig:
         "shape", "lattice", "j0_naturals",
         "exp_slots", "shift_coords",
         "weight_group_slots", "weight_exp_slots",
-        "pair_rows", "bracket_shapes", "zero_exps", "kernel",
+        "bracket_shapes", "zero_exps", "kernel",
     )
 
     def __init__(self, lattice: Lattice, j0_naturals: bool):
@@ -331,30 +331,22 @@ class AlgebraConfig:
         self.weight_group_slots = tuple(sorted(group))
         self.weight_exp_slots = tuple(sorted(exponent - group))
 
-        # per-index data consumed by the closed bracket: for each unbarred
-        # index p, its slot, the mirror slot, the shift coordinates, and
-        # which term families p participates in.  Alongside, by shift, the
-        # slots each term the kernel can emit lowers: the unshifted sum (its
-        # coefficient reads lattice slot 0), the sum lowered at slot 0, then
-        # each row's active families in the kernel's order
-        rows = []
+        # by shift, the slots each term of the closed bracket lowers: at
+        # shift 0 the unshifted sum (its coefficient reads lattice slot 0)
+        # and the sum lowered at slot 0; at each unbarred p's shift, the
+        # candidates in the kernel's order that pass the family rule: a
+        # term lowers the pair slots it reads as exponents and reads a
+        # lattice coordinate at the others
         shapes = [(self.shift_coords[0],
                    ((),) * lattice.has_zero_slot + ((0,),) * j0_naturals)]
         for p in shape.blocks(1, 6):
             sp, sq = shape.pair_slots(p)
-            families = (
-                sp in group and sq in group,           # group-group
-                sp in group and sq in exponent,        # group-exponent
-                sp in exponent and sq in group,        # exponent-group
-                sp in exponent and sq in exponent,     # exponent-exponent
-            )
-            rows.append((sp, sq, self.shift_coords[p], *families))
             shapes.append((self.shift_coords[p], tuple(
-                s for on, s in zip(families, ((), (sq,), (sp,), (sp, sq))) if on)))
-        self.pair_rows = tuple(rows)
+                slots for slots in ((), (sq,), (sp,), (sp, sq))
+                if all(s in (exponent if s in slots else group) for s in (sp, sq)))))
         self.bracket_shapes = tuple(shapes)
         self.zero_exps = ExponentVector((0,) * shape.dim)
-        self.kernel = (None, None)  # (pair_rows, fn), built by `bracket_terms`
+        self.kernel = (None, None)  # (bracket_shapes, fn), built by `bracket_terms`
 
 
 def make_config(ell, j0: str, generators) -> AlgebraConfig:

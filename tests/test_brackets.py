@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dis
 import gc
 import itertools
 import random
@@ -207,8 +208,8 @@ def test_bracket_is_bilinear(cfg_l2):
 # what the oracle must never name: the closed route, the tables only it
 # reads, its compiled kernel and the slot that holds it, and the weight
 CLOSED_ROUTE = {"bracket_terms", "bracket_closed", "bracket_support", "sums_reaching",
-                "weight", "pair_rows", "bracket_shapes", "kernel", "build_kernel",
-                "KERNEL_FAMILIES"}
+                "weight", "bracket_shapes", "kernel", "build_kernel", "KERNEL_FAMILIES",
+                "UNSHIFTED"}
 
 
 def operator_route_names() -> set:
@@ -266,26 +267,42 @@ def _l3():
 
 def test_the_kernel_is_built_at_the_first_bracket_and_kept_on_its_config():
     # no kernel after loading; one function across brackets; a copy with
-    # pair_rows replaced gets its own, built from those rows: with every
-    # family switched off, only the unshifted terms are left
+    # bracket_shapes replaced gets its own, built from that table: with
+    # only its unshifted entry kept, only the unshifted terms are left
     config = _l3()
     assert config.kernel == (None, None)
     assert load_config(Path(__file__).parent / "golden" / "l3.cfg").kernel == (None, None)
     iu = parse_basis_index(config, "x[0,1,0]t[1,1,1]")
     iv = parse_basis_index(config, "x[0,0,1]t[2,2,0]")
     full = bracket_terms(config, iu, iv)
-    rows, fn = config.kernel
-    assert rows is config.pair_rows and callable(fn)
+    table, fn = config.kernel
+    assert table is config.bracket_shapes and callable(fn)
     assert bracket_terms(config, iv, iu) == {r: -c for r, c in full.items()}
     assert config.kernel[1] is fn
     mutant = copy.copy(config)
-    mutant.pair_rows = tuple(row[:3] + (False,) * 4 for row in config.pair_rows)
+    mutant.bracket_shapes = config.bracket_shapes[:1]
     alpha_sum = iu.alpha.add(iv.alpha)
     unshifted = {r: c for r, c in full.items() if r.alpha == alpha_sum}
     assert unshifted and unshifted != full
     assert bracket_terms(mutant, iu, iv) == unshifted
-    assert mutant.kernel[0] is mutant.pair_rows and mutant.kernel[1] is not fn
+    assert mutant.kernel[0] is mutant.bracket_shapes and mutant.kernel[1] is not fn
     assert config.kernel[1] is fn
+
+
+# the kernel's `add_term` sites per bench config, one for each entry of
+# its `bracket_shapes`: no term is written that the table does not list
+TERM_SITES = {"caseB": 2, "decomp": 4, "l2": 3, "l3": 5, "l4": 2, "l5": 3, "l6n": 3,
+              "l6z": 2, "mixed": 12}
+
+
+def test_the_kernel_has_one_term_site_per_table_entry():
+    found = {}
+    for path in sorted((Path(__file__).parent.parent / "bench" / "configs").glob("*.cfg")):
+        config = load_config(path)
+        kernel = algebra.build_kernel(config)
+        found[path.stem] = sum(ins.argval == "add_term" for ins in dis.get_instructions(kernel))
+        assert found[path.stem] == sum(len(shapes) for _, shapes in config.bracket_shapes)
+    assert found == TERM_SITES
 
 
 def test_a_kernel_lives_no_longer_than_its_config():
@@ -302,7 +319,7 @@ def test_fraction_shift_entries_are_bound_by_name():
     # with a generator (0, 1/2, 0) the shift's vector entry at slot 1 is
     # Fraction(-1), not an int, so the kernel binds it instead of writing it
     config = make_config((0, 1, 0, 0, 0, 0), "naturals", [(0, Fraction(1, 2), 0), (0, 0, 1)])
-    assert type(config.pair_rows[0][2].vector[1]) is Fraction
+    assert type(config.bracket_shapes[1][0].vector[1]) is Fraction
     rng = random.Random(31)
     for _ in range(40):
         u, v = sample_element(config, rng), sample_element(config, rng)
@@ -405,6 +422,28 @@ def test_both_routes_stay_in_the_bracket_support(all_configs, bracket_shape,
             killed.update(bracket_shape(r, alpha_sum, exps_sum)
                           for r in {*oracle, *closed})
         assert killed == table_shapes(config), name
+
+
+def test_terms_come_in_table_order_with_the_unshifted_entry_last(all_configs, cfg_decomp,
+                                                                 bracket_shape):
+    # every caller that walks a bracket's items sees them in one order:
+    # the rows of bracket_shapes in turn, then its unshifted entry.  On 60
+    # seeded pairs per config, some pair has a row's term before an
+    # unshifted one, so a kernel that wrote the unshifted entry first fails
+    for name, config in {**all_configs, "decomp": cfg_decomp}.items():
+        zero, *rows = config.bracket_shapes
+        order = [(shift.coords, slots) for shift, shapes in (*rows, zero) for slots in shapes]
+        first_unshifted = len(order) - len(zero[1])
+        rng = random.Random(47)
+        both = 0
+        for _ in range(60):
+            iu, iv = sample_index(config, rng), sample_index(config, rng)
+            alpha_sum, exps_sum = iu.alpha.add(iv.alpha), iu.exps.add(iv.exps)
+            at = [order.index(bracket_shape(r, alpha_sum, exps_sum))
+                  for r in bracket_terms(config, iu, iv)]
+            assert at == sorted(at), (name, iu, iv)
+            both += bool(at) and at[0] < first_unshifted <= at[-1]
+        assert both, name
 
 
 def test_bracket_support_lists_no_negative_exponent(all_configs):

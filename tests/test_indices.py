@@ -297,15 +297,8 @@ def test_mixed_tables_pinned(cfg_mixed):
     assert set(c.weight_group_slots) == {1, 2, 3, 4, 5, 6, 7, 9}
     assert set(c.weight_exp_slots) == {8, 10, 11, 12}
     assert len(c.weight_group_slots) == 8 and len(c.weight_exp_slots) == 4
-    assert [(sp, sq, shift.coords, *families)
-            for sp, sq, shift, *families in c.pair_rows] == [
-        (1, 2, (-1, -1, 0, 0, 0, 0, 0, 0), True, False, False, False),
-        (3, 4, (0, 0, -1, -1, 0, 0, 0, 0), True, True, False, False),
-        (5, 6, (0, 0, 0, 0, -1, -1, 0, 0), True, True, True, True),
-        (7, 8, (0, 0, 0, 0, 0, 0, -1, 0), False, True, False, False),
-        (9, 10, (0, 0, 0, 0, 0, 0, 0, -1), False, True, False, True),
-        (11, 12, (0, 0, 0, 0, 0, 0, 0, 0), False, False, False, True),
-    ]
+    assert [c.shape.pair_slots(p) for p in c.shape.blocks(1, 6)] == [
+        (1, 2), (3, 4), (5, 6), (7, 8), (9, 10), (11, 12)]
     assert [(shift.coords, shapes) for shift, shapes in c.bracket_shapes] == [
         ((0, 0, 0, 0, 0, 0, 0, 0), ((0,),)),
         ((-1, -1, 0, 0, 0, 0, 0, 0), ((),)),

@@ -57,9 +57,10 @@ CONFIGS = {f"{path.parent.name}/{path.stem}": path
            for folder in (ROOT / "tests" / "golden", ROOT / "bench" / "configs")
            for path in sorted(folder.glob("*.cfg"))}
 
-# the four kernel families, as their positions in a `pair_rows` row
-FAMILIES = {"group-group": 3, "group-exponent": 4, "exponent-group": 5,
-            "exponent-exponent": 6}
+# the four kernel families, as their `KERNEL_FAMILIES` keys: whether each
+# lowers the first and the second slot of its pair
+FAMILIES = {"group-group": (False, False), "group-exponent": (False, True),
+            "exponent-group": (True, False), "exponent-exponent": (True, True)}
 
 
 @pytest.fixture(scope="module", params=sorted(CONFIGS))
@@ -118,6 +119,27 @@ def support_shapes(config, iu, iv) -> set:
     alpha_sum, exps_sum = iu.alpha.add(iv.alpha), iu.exps.add(iv.exps)
     return {shape_of(_key(r), alpha_sum, exps_sum)
             for r in bracket_support(config, alpha_sum, exps_sum)}
+
+
+def without_family(config, family):
+    """A copy of `config` with `family` switched off: its slot tuple, the
+    pair slots it lowers, dropped from each row of the copy's
+    `bracket_shapes`; and whether any row had it."""
+    shape = config.shape
+    zero, *rows = config.bracket_shapes
+    kept = []
+    for p, (shift, shapes) in zip(shape.blocks(1, 6), rows):
+        off = tuple(s for s, lowers in zip(shape.pair_slots(p), FAMILIES[family]) if lowers)
+        kept.append((shift, tuple(slots for slots in shapes if slots != off)))
+    mutant = copy.copy(config)
+    mutant.bracket_shapes = (zero, *kept)
+    return mutant, kept != rows
+
+
+def witness(terms: dict) -> str:
+    """Leftover terms as text, one `key: coefficient` a line: pytest's own
+    dict diff sorts the keys, which fails on sympy expressions."""
+    return "\n".join(f"{key}: {c}" for key, c in terms.items())
 
 
 def kernel_equals_operator(config, iu, iv) -> bool:
@@ -231,31 +253,30 @@ def test_kernel_equals_the_calculus_route(config):
     assert kernel_equals_calculus(config, iu, iv)
 
 
-def test_a_sign_flipped_family_differs_from_the_calculus_route_on_l3():
-    # negative control: each row's exponent-group family, negated by
-    # turning it into the group-exponent family of the row with its two
-    # slots swapped, makes the kernel differ from the calculus route
+def test_a_sign_flipped_family_differs_from_the_calculus_route_on_l3(monkeypatch):
+    # negative control: with the exponent-group template negated, a kernel
+    # built after the patch differs from the calculus route
+    key = FAMILIES["exponent-group"]
+    flipped = {**algebra.KERNEL_FAMILIES, key: f"-({algebra.KERNEL_FAMILIES[key]})"}
     for name in ("golden/l3", "configs/l3"):
         config = load_config(CONFIGS[name])
-        mutant = copy.copy(config)
-        mutant.pair_rows = tuple(
-            [row[:5] + (False,) + row[6:] for row in config.pair_rows]
-            + [(sq, sp, shift, False, True, False, False)
-               for sp, sq, shift, *families in config.pair_rows if families[2]])
         iu, iv = positive_index(config, "a"), positive_index(config, "b")
         assert kernel_equals_calculus(config, iu, iv)
-        assert not kernel_equals_calculus(mutant, iu, iv), name
+        monkeypatch.setattr(algebra, "KERNEL_FAMILIES", flipped)
+        assert not kernel_equals_calculus(load_config(CONFIGS[name]), iu, iv), name
+        monkeypatch.undo()
 
 
 def test_the_bracket_is_skew(config):
     iu, iv = symbolic_index(config, "a"), symbolic_index(config, "b")
     flipped = bracket_terms(config, iv, iu, -1)
-    assert normal(bracket_terms(config, iu, iv)) == normal(flipped)
+    left = normal(add_into(dict(bracket_terms(config, iu, iv)), flipped, -1))
+    assert left == {}, witness(left)
 
 
 def test_the_bracket_satisfies_jacobi(config):
     triple = [symbolic_index(config, sym) for sym in "abc"]
-    assert jacobi_sum(config, *triple) == {}
+    assert (left := jacobi_sum(config, *triple)) == {}, witness(left)
 
 
 def test_each_probe_recurrence_is_the_bracket_with_its_probe(config):
@@ -288,18 +309,15 @@ def test_the_unshifted_shape_is_not_emitted_on_l2():
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_each_family_is_needed(family):
     # negative control: with one family switched off in a copy's
-    # pair_rows, the kernel differs from the operator route on every
+    # bracket_shapes, the kernel differs from the operator route on every
     # config that has that family
-    at = FAMILIES[family]
     having = set()
     for name, path in CONFIGS.items():
         config = load_config(path)
-        if not any(row[at] for row in config.pair_rows):
+        mutant, had = without_family(config, family)
+        if not had:
             continue
         having.add(path.stem)
-        mutant = copy.copy(config)
-        mutant.pair_rows = tuple(row[:at] + (False,) + row[at + 1:]
-                                 for row in config.pair_rows)
         iu, iv = symbolic_index(config, "a"), symbolic_index(config, "b")
         assert not kernel_equals_operator(mutant, iu, iv), (family, name)
     assert having
@@ -308,13 +326,11 @@ def test_each_family_is_needed(family):
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_jacobi_needs_each_family_on_l3(family):
     # negative control: l3 has all four families, and with any one
-    # switched off in a copy's pair_rows the bracket fails Jacobi
-    at = FAMILIES[family]
+    # switched off in a copy's bracket_shapes the bracket fails Jacobi
     for name in ("golden/l3", "configs/l3"):
         config = load_config(CONFIGS[name])
-        mutant = copy.copy(config)
-        mutant.pair_rows = tuple(row[:at] + (False,) + row[at + 1:]
-                                 for row in config.pair_rows)
+        mutant, had = without_family(config, family)
+        assert had, name
         triple = [symbolic_index(config, sym) for sym in "abc"]
         assert jacobi_sum(config, *triple) == {}
         assert jacobi_sum(mutant, *triple) != {}, name
@@ -325,15 +341,13 @@ def test_the_generated_kernel_needs_each_family_template(family, monkeypatch):
     # negative control on the kernel's generator: with one family's
     # template negated, the kernel built from it differs from the
     # operator route on every config that has that family
-    at = FAMILIES[family]
-    templates = list(algebra.KERNEL_FAMILIES)
-    template, lowers = templates[at - 3]
-    templates[at - 3] = (f"-({template})", lowers)
-    monkeypatch.setattr(algebra, "KERNEL_FAMILIES", tuple(templates))
+    key = FAMILIES[family]
+    monkeypatch.setattr(algebra, "KERNEL_FAMILIES", {
+        **algebra.KERNEL_FAMILIES, key: f"-({algebra.KERNEL_FAMILIES[key]})"})
     having = set()
     for name, path in CONFIGS.items():
         config = load_config(path)
-        if not any(row[at] for row in config.pair_rows):
+        if not without_family(config, family)[1]:
             continue
         having.add(path.stem)
         iu, iv = symbolic_index(config, "a"), symbolic_index(config, "b")
@@ -367,13 +381,14 @@ def test_every_outer_lowering_obeys_leibniz(config):
     iu, iv = symbolic_index(config, "a"), symbolic_index(config, "b")
     for p in outer_indices(config):
         rule = outer_lower_partial(config, p).rule
-        assert leibniz_defect(config, rule, iu, iv) == {}, p
+        assert (left := leibniz_defect(config, rule, iu, iv)) == {}, f"{p}\n{witness(left)}"
 
 
 def test_every_hom_space_derivation_obeys_leibniz(config):
     iu, iv = symbolic_index(config, "a"), symbolic_index(config, "b")
     for hom in hom_space_basis(config):
-        assert leibniz_defect(config, hom_rule(config, hom), iu, iv) == {}, hom
+        left = leibniz_defect(config, hom_rule(config, hom), iu, iv)
+        assert left == {}, f"{hom}\n{witness(left)}"
 
 
 def test_a_coordinate_form_obeys_leibniz_only_if_it_vanishes_on_every_shift(config):
@@ -384,7 +399,8 @@ def test_a_coordinate_form_obeys_leibniz_only_if_it_vanishes_on_every_shift(conf
     for k in range(ngens):
         values = [int(j == k) for j in range(ngens)]
         vanishes = all(shift.coords[k] == 0 for shift in config.shift_coords.values())
-        assert (leibniz_defect(config, linear_rule(values), iu, iv) == {}) == vanishes, k
+        left = leibniz_defect(config, linear_rule(values), iu, iv)
+        assert (left == {}) == vanishes, f"{k}\n{witness(left)}"
 
 
 def test_a_lowering_at_a_nonzero_index_that_is_not_outer_fails_leibniz():
