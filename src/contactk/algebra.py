@@ -261,40 +261,34 @@ def bracket_operator(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(config, terms)
 
 
-# each coefficient the kernel writes, at a pair's slots p, q, keyed by which of
-# (p, q) its term lowers: group-group, group-exponent, exponent-group and
-# exponent-exponent; and, keyed by its lowered slots, the unshifted sum's two
-KERNEL_FAMILIES = {
-    (False, False): "a[{p}] * b[{q}] - a[{q}] * b[{p}]",
-    (False, True): "a[{p}] * je[{q}] - ie[{q}] * b[{p}]",
-    (True, False): "ie[{p}] * b[{q}] - je[{p}] * a[{q}]",
-    (True, True): "ie[{p}] * je[{q}] - ie[{q}] * je[{p}]",
-}
-UNSHIFTED = {(): "wu * b[0] - a[0] * wv", (0,): "wu * je[0] - ie[0] * wv"}
-
-
-def _offset_source(name: str, offsets, names: dict) -> str:
-    """Source of the tuple `name` plus `offsets`: the name itself when every
-    offset is the `int` 0, else entry by entry, where an `int` offset is
-    written into the text and any other is bound in `names`."""
-    if all(type(x) is int and x == 0 for x in offsets):
+def _offset_source(name: str, offsets) -> str:
+    """Source of the tuple `name` plus the integer `offsets`: the name
+    itself when every offset is 0, else entry by entry."""
+    if not any(offsets):
         return name
     out = ""
     for s, x in enumerate(offsets):
-        if type(x) is not int:
-            names[f"K{len(names)}"] = x
-            out += f"{name}[{s}] + K{len(names) - 1}, "
-        else:
-            out += f"{name}[{s}]" + (f" - {-x}" if x < 0 else f" + {x}" if x else "") + ", "
+        out += f"{name}[{s}]" + (f" - {-x}" if x < 0 else f" + {x}" if x else "") + ", "
     return f"({out})"
+
+
+def _coefficient(p, q, slots) -> str:
+    """Source of a term's coefficient u[p] * v[q] - u[q] * v[p] at the slots
+    p, q of its pair: u reads `ie` at the slots the term lowers and `a` at
+    the others, and v reads `je` and `b`.  The unshifted entries' pair is
+    ("w", 0), whose `w` reads the weights `wu` and `wv`."""
+    u = {s: f"ie[{s}]" if s in slots else f"a[{s}]" for s in (p, q)} | {"w": "wu"}
+    v = {s: f"je[{s}]" if s in slots else f"b[{s}]" for s in (p, q)} | {"w": "wv"}
+    return f"{u[p]} * {v[q]} - {u[q]} * {v[p]}"
 
 
 def build_kernel(config: AlgebraConfig):
     """`kernel(iu, iv, c=1, terms=None)` for `bracket_terms`, compiled from
     `config.bracket_shapes`: one coefficient and one term per entry, over
-    constant slots, with the tuples spelled out and the weight inlined; the
-    unshifted entry goes last.  A term that lowers entries of the sum has a
-    coefficient of zero unless they are positive."""
+    constant slots, with the tuples spelled out, the weight inlined and
+    every constant an integer literal; the unshifted entry goes last.  A
+    term that lowers entries of the sum has a coefficient of zero unless
+    they are positive."""
     shape, dim, ngens = config.shape, config.shape.dim, len(config.lattice.generators)
     names = {"GE": GroupElement, "BI": BasisIndex, "EV": ExponentVector, "add_term": add_term}
     weight = " + ".join([f"{{a}}[{s}]" for s in config.weight_group_slots]
@@ -308,21 +302,20 @@ def build_kernel(config: AlgebraConfig):
              f"    e = EV(({''.join(f'ie[{s}] + je[{s}], ' for s in range(dim))}))",
              f"    wu = 2 - ({weight.format(a='a', e='ie')})",
              f"    wv = 2 - ({weight.format(a='b', e='je')})"]
-    (zero, unshifted), *rows = config.bracket_shapes
-    groups = [(shift, [(KERNEL_FAMILIES[p in s, q in s].format(p=p, q=q), s) for s in shapes])
-              for (p, q), (shift, shapes) in zip(map(shape.pair_slots, shape.blocks(1, 6)), rows)]
-    groups.append((zero, [(UNSHIFTED[s], s) for s in unshifted]))
-    for r, (shift, coefficients) in enumerate(groups):
-        ks = [f"k{r}_{n}" for n in range(len(coefficients))]
-        if ks:
-            lines += [f"    {k} = {source}" for k, (source, _) in zip(ks, coefficients)]
-            lines += [f"    if {' or '.join(ks)}:",
-                      f"        g = GE({_offset_source('co', shift.coords, names)}, "
-                      f"{_offset_source('ve', shift.vector, names)})"]
-        for k, (_, slots) in zip(ks, coefficients):
-            lowered = "".join(f"e[{s}]" + " - 1" * (s in slots) + ", " for s in range(dim))
-            lines += [f"        if {k}:", f"            add_term(terms, BI(g, "
-                      f"{f'EV(({lowered}))' if slots else 'e'}), c * {k})"]
+    pairs = [*map(shape.pair_slots, shape.blocks(1, 6)), ("w", 0)]
+    rows = config.bracket_shapes[1:] + config.bracket_shapes[:1]
+    for r, ((p, q), (shift, shapes)) in enumerate(zip(pairs, rows)):
+        if not shapes:
+            continue
+        ks = [f"k{r}_{n}" for n in range(len(shapes))]
+        lines += [f"    {k} = {_coefficient(p, q, slots)}" for k, slots in zip(ks, shapes)]
+        lines += [f"    if {' or '.join(ks)}:",
+                  f"        g = GE({_offset_source('co', shift.coords)}, "
+                  f"{_offset_source('ve', shift.vector)})"]
+        for k, slots in zip(ks, shapes):
+            lowered = _offset_source("e", [-(s in slots) for s in range(dim)])
+            lines += [f"        if {k}:", "            add_term(terms, BI(g, "
+                      f"{f'EV({lowered})' if slots else lowered}), c * {k})"]
     lines.append("    return terms")
     exec(compile("\n".join(lines), "<contactk kernel>", "exec"), names)
     return names["kernel"]

@@ -203,8 +203,8 @@ def cmd_suite(config: AlgebraConfig, args) -> int:
 def cmd_deriv_check(config: AlgebraConfig, args) -> int:
     op = parse_operator_spec(config, args.op)
     rng = random.Random(args.seed)
-    pairs = [(sample_index(config, rng), sample_index(config, rng))
-             for _ in range(args.samples)]
+    pairs = ((sample_index(config, rng), sample_index(config, rng))
+             for _ in range(args.samples))
     report = check_derivation(op, pairs)
     if report.passed:
         print(f"PASS derivation-law ({report.checked} samples)")
@@ -246,13 +246,14 @@ def cmd_deriv_decompose(config: AlgebraConfig, args) -> int:
 def cmd_cocycle_check(config: AlgebraConfig, args) -> int:
     psi = load_cocycle(config, args)
     rng = random.Random(args.seed)
-    triples = [tuple(sample_index(config, rng) for _ in range(3))
-               for _ in range(args.triples)]
-    kinds = f"{len(triples)} triples"
+    triples = (tuple(sample_index(config, rng) for _ in range(3))
+               for _ in range(args.triples))
+    kinds = f"{args.triples} triples"
     if isinstance(psi, TableCocycle):
-        aimed = targeted_triples(psi, rng, args.triples)
-        kinds = f"{len(triples)} uniform + {len(aimed)} targeted triples"
-        triples += aimed
+        # the targeted triples draw from `rng` only after the uniform ones
+        aimed = args.triples if psi.entries else 0
+        kinds = f"{args.triples} uniform + {aimed} targeted triples"
+        triples = itertools.chain(triples, targeted_triples(psi, rng, args.triples))
     report = check_cocycle(psi, triples)
     if report.passed:
         print(f"PASS cocycle-axioms ({kinds})")

@@ -157,19 +157,15 @@ def pair_reaching(config: AlgebraConfig, index: BasisIndex, rng) -> tuple:
                        ExponentVector(map(sub, exps, u_exps))))
 
 
-def targeted_triples(psi: TableCocycle, rng, count: int) -> list[tuple]:
-    """`count` seeded triples (u, v, w) aimed at a table's support: w is
-    one index of a drawn entry, and (u, v) a `pair_reaching` the other
-    index, its partner, so [u, v] can have a term where psi(., w) is
-    nonzero."""
+def targeted_triples(psi: TableCocycle, rng, count: int):
+    """`count` seeded triples (u, v, w) aimed at a table's support, none
+    for an empty table, each drawn as it is taken: w is one index of a
+    drawn entry, and (u, v) a `pair_reaching` the other index, its
+    partner, so [u, v] can have a term where psi(., w) is nonzero."""
     entries = list(psi.entries)
-    if not entries:
-        return []
-    out = []
-    for _ in range(count):
+    for _ in range(count if entries else 0):
         w, partner = rng.sample(rng.choice(entries), 2)
-        out.append((*pair_reaching(psi.config, partner, rng), w))
-    return out
+        yield (*pair_reaching(psi.config, partner, rng), w)
 
 
 # -- regimes and probes -----------------------------------------------

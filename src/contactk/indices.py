@@ -324,9 +324,10 @@ class AlgebraConfig:
         # ascending: windows and the sampler walk them in this order
         self.exp_slots = tuple(sorted(exponent | {0} if j0_naturals else exponent))
 
-        # each shift is a sum of unit vectors that `Lattice` requires
-        self.shift_coords = {p: lattice.element(lattice.membership(shape.shift_vector(p)))
-                             for p in shape.indices()}
+        # each shift is a sum of unit vectors that `Lattice` requires, and
+        # keeps the exact `int` vector of `Shape.shift_vector`
+        self.shift_coords = {p: GroupElement(lattice.membership(v), v)
+                             for p, v in enumerate(map(shape.shift_vector, shape.indices()))}
 
         self.weight_group_slots = tuple(sorted(group))
         self.weight_exp_slots = tuple(sorted(exponent - group))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contactk import (
-    AlgebraElement, ConfigError, LiteralError, basis_element, bracket_closed,
+    AlgebraElement, ConfigError, LatticeHom, LiteralError, basis_element, bracket_closed,
     format_element, grading, multiply, parse_basis_index, parse_element, sample_element,
     sample_index, unit, weight, window_indices,
 )
@@ -62,6 +62,18 @@ def test_element_arithmetic(cfg_caseB):
     assert format_element(total) == "1*x[0,0,1] + 3*x[0,1,0]"
     assert format_element(total - total) == "0"
     assert format_element(Fraction(-1, 2) * v) == "-1/2*x[0,0,1] + -1*x[0,1,0]"
+    assert format_element(-v) == "-1*x[0,0,1] + -2*x[0,1,0]"
+    assert -(-v) == v
+
+
+def test_reprs_show_their_values(cfg_caseB):
+    u = parse_element(cfg_caseB, "2*x[0,1,0] + 1/2*x[0,0,1]")
+    index = parse_basis_index(cfg_caseB, "x[0,-1,0]")
+    assert repr(u) == "<1/2*x[0,0,1] + 2*x[0,1,0]>"
+    assert repr(index) == "BasisIndex((0, -1, 0), (0, 0, 0))"
+    assert repr(index.alpha) == "GroupElement(0, -1, 0)"
+    assert repr(LatticeHom(cfg_caseB, [0, 1, -1])) == (
+        "LatticeHom(Fraction(0, 1), Fraction(1, 1), Fraction(-1, 1))")
 
 
 def test_grading_eigenvalues(cfg_caseB, cfg_l6z):

@@ -208,8 +208,7 @@ def test_bracket_is_bilinear(cfg_l2):
 # what the oracle must never name: the closed route, the tables only it
 # reads, its compiled kernel and the slot that holds it, and the weight
 CLOSED_ROUTE = {"bracket_terms", "bracket_closed", "bracket_support", "sums_reaching",
-                "weight", "bracket_shapes", "kernel", "build_kernel", "KERNEL_FAMILIES",
-                "UNSHIFTED"}
+                "weight", "bracket_shapes", "kernel", "build_kernel", "_coefficient"}
 
 
 def operator_route_names() -> set:
@@ -315,14 +314,25 @@ def test_a_kernel_lives_no_longer_than_its_config():
     assert kernel() is None
 
 
-def test_fraction_shift_entries_are_bound_by_name():
-    # with a generator (0, 1/2, 0) the shift's vector entry at slot 1 is
-    # Fraction(-1), not an int, so the kernel binds it instead of writing it
-    config = make_config((0, 1, 0, 0, 0, 0), "naturals", [(0, Fraction(1, 2), 0), (0, 0, 1)])
-    assert type(config.bracket_shapes[1][0].vector[1]) is Fraction
+def test_shift_vectors_are_the_shapes_int_vectors():
+    # every shift keeps the exact `int` vector of `Shape.shift_vector`, also
+    # with a generator (0, 1/2, 0), whose lattice vectors hold Fractions at
+    # slot 1, so a kernel writes each constant into its text and binds none
+    half = make_config((0, 1, 0, 0, 0, 0), "naturals", [(0, Fraction(1, 2), 0), (0, 0, 1)])
+    root = Path(__file__).resolve().parent.parent
+    paths = sorted((root / "tests" / "golden").glob("*.cfg")) + sorted(
+        (root / "bench" / "configs").glob("*.cfg"))
+    assert len(paths) == 16
+    for config in [half, *map(load_config, paths)]:
+        for p, shift in config.shift_coords.items():
+            assert shift.vector == config.shape.shift_vector(p)
+            assert {type(x) for x in shift.vector} == {int}, p
+        assert set(algebra.build_kernel(config).__globals__) == {
+            "GE", "BI", "EV", "add_term", "kernel", "__builtins__"}
+    assert type(half.lattice.element((1, 1)).vector[1]) is Fraction
     rng = random.Random(31)
     for _ in range(40):
-        u, v = sample_element(config, rng), sample_element(config, rng)
+        u, v = sample_element(half, rng), sample_element(half, rng)
         assert bracket_closed(u, v) == bracket_operator(u, v)
 
 

@@ -91,7 +91,7 @@ def test_check_cocycle_matches_the_bilinear_reference(cfg_caseB, cfg_l2):
     form = TableCocycle(cfg_l2, {pair: Fraction(3, 2)})
     rng = random.Random(0)
     triples = [tuple(sample_index(cfg_l2, rng) for _ in range(3)) for _ in range(50)]
-    cases.append((form, triples + targeted_triples(form, rng, 50)))
+    cases.append((form, [*triples, *targeted_triples(form, rng, 50)]))
     for psi, triples in cases:
         report = check_cocycle(psi, triples)
         ref_sums = _reference_check(psi, triples)

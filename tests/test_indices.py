@@ -89,6 +89,9 @@ def test_shift_vectors_per_block():
     # last block carries no shift
     assert s.shift_vector(6) == tuple([0] * 13)
     assert s.shift_vector(0) == tuple([0] * 13)
+    for p in (-1, 13):
+        with pytest.raises(ConfigError, match=f"index {p} out of range"):
+            s.shift_vector(p)
 
 
 def test_lattice_membership(cfg_caseB):

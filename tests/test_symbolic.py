@@ -57,10 +57,22 @@ CONFIGS = {f"{path.parent.name}/{path.stem}": path
            for folder in (ROOT / "tests" / "golden", ROOT / "bench" / "configs")
            for path in sorted(folder.glob("*.cfg"))}
 
-# the four kernel families, as their `KERNEL_FAMILIES` keys: whether each
-# lowers the first and the second slot of its pair
+# the four kernel families of a shifted pair's terms: whether each lowers
+# the first and the second slot of its pair
 FAMILIES = {"group-group": (False, False), "group-exponent": (False, True),
             "exponent-group": (True, False), "exponent-exponent": (True, True)}
+
+
+def negating(family):
+    """`algebra._coefficient` with the coefficients of one family of a
+    shifted pair negated; the unshifted pair ("w", 0) is left alone."""
+    coefficient = algebra._coefficient
+
+    def negated(p, q, slots):
+        source = coefficient(p, q, slots)
+        flip = p != "w" and (p in slots, q in slots) == FAMILIES[family]
+        return f"-({source})" if flip else source
+    return negated
 
 
 @pytest.fixture(scope="module", params=sorted(CONFIGS))
@@ -254,15 +266,14 @@ def test_kernel_equals_the_calculus_route(config):
 
 
 def test_a_sign_flipped_family_differs_from_the_calculus_route_on_l3(monkeypatch):
-    # negative control: with the exponent-group template negated, a kernel
-    # built after the patch differs from the calculus route
-    key = FAMILIES["exponent-group"]
-    flipped = {**algebra.KERNEL_FAMILIES, key: f"-({algebra.KERNEL_FAMILIES[key]})"}
+    # negative control: with the exponent-group coefficients negated, a
+    # kernel built after the patch differs from the calculus route
+    flipped = negating("exponent-group")
     for name in ("golden/l3", "configs/l3"):
         config = load_config(CONFIGS[name])
         iu, iv = positive_index(config, "a"), positive_index(config, "b")
         assert kernel_equals_calculus(config, iu, iv)
-        monkeypatch.setattr(algebra, "KERNEL_FAMILIES", flipped)
+        monkeypatch.setattr(algebra, "_coefficient", flipped)
         assert not kernel_equals_calculus(load_config(CONFIGS[name]), iu, iv), name
         monkeypatch.undo()
 
@@ -339,11 +350,9 @@ def test_jacobi_needs_each_family_on_l3(family):
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_the_generated_kernel_needs_each_family_template(family, monkeypatch):
     # negative control on the kernel's generator: with one family's
-    # template negated, the kernel built from it differs from the
+    # coefficients negated, the kernel built from them differs from the
     # operator route on every config that has that family
-    key = FAMILIES[family]
-    monkeypatch.setattr(algebra, "KERNEL_FAMILIES", {
-        **algebra.KERNEL_FAMILIES, key: f"-({algebra.KERNEL_FAMILIES[key]})"})
+    monkeypatch.setattr(algebra, "_coefficient", negating(family))
     having = set()
     for name, path in CONFIGS.items():
         config = load_config(path)
