@@ -104,7 +104,8 @@ def _check_same_config(u: AlgebraElement, v: AlgebraElement):
 
 
 class CheckReport:
-    """Outcome of an exact check: how many cases ran and which ones failed."""
+    """Outcome of an exact check, which stops at its first failure: the
+    count of cases run, that one included, and a list of that failure."""
 
     __slots__ = ("checked", "failures")
 
@@ -479,13 +480,14 @@ def window_size(config: AlgebraConfig, radius: int) -> int:
 
 
 def check_pair_cap(config: AlgebraConfig, radius: int, ordered: bool):
-    """ConfigError when a sweep over the window's ordered pairs, or over its
-    pairs (u, v) with u not after v, would bracket more than `PAIR_CAP`."""
+    """Count of the window's ordered pairs, or of its pairs (u, v) with u not
+    after v; ConfigError when a sweep would bracket more than `PAIR_CAP`."""
     size = window_size(config, radius)
     count = size * size if ordered else size * (size + 1) // 2
     if count > PAIR_CAP:
         raise ConfigError(f"window of radius {radius} gives {count} bracket "
                           f"pairs; the cap is {PAIR_CAP}")
+    return count
 
 
 def _capped_window_size(config: AlgebraConfig, radius: int) -> int:

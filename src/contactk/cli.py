@@ -207,10 +207,10 @@ def cmd_deriv_check(config: AlgebraConfig, args) -> int:
              for _ in range(args.samples))
     report = check_derivation(op, pairs)
     if report.passed:
-        print(f"PASS derivation-law ({report.checked} samples)")
+        print(f"PASS derivation-law ({args.samples} samples)")
         return 0
     iu, iv, lhs, rhs = report.failures[0]
-    print(f"FAIL derivation-law ({report.checked} samples)")
+    print(f"FAIL derivation-law ({args.samples} samples)")
     print(f"  witness: {format_pair(iu, iv)}")
     print(f"  action on bracket: {format_element(lhs)}")
     print(f"  bracket of actions: {format_element(rhs)}")
@@ -267,7 +267,7 @@ def cmd_cocycle_check(config: AlgebraConfig, args) -> int:
 def cmd_cocycle_trivialize(config: AlgebraConfig, args) -> int:
     psi = load_cocycle(config, args)
     probe = None if args.probe is None else config.shape.parse_index_token(args.probe)
-    functional, window, report = _verify_on_window(
+    functional, window, _, report = _verify_on_window(
         psi, args.radius, lambda: trivialize(psi, probe))
     if not report.passed:
         return 1
@@ -282,28 +282,28 @@ def cmd_cocycle_trivialize(config: AlgebraConfig, args) -> int:
 def cmd_cocycle_verify(config: AlgebraConfig, args) -> int:
     psi = load_cocycle(config, args)
     functional = load_functional(config, args.functional)
-    _, _, report = _verify_on_window(psi, args.radius, lambda: functional)
+    _, _, count, report = _verify_on_window(psi, args.radius, lambda: functional)
     if not report.passed:
         return 1
-    print(f"PASS trivialization ({report.checked} pairs)")
+    print(f"PASS trivialization ({count} pairs)")
     return 0
 
 
 def _verify_on_window(psi, radius: int, build):
     """Check the pair cap, build the functional and verify it on the radius
     window's pairs u <= v; print a failure's witness lines.  Returns
-    (functional, window, report)."""
-    check_pair_cap(psi.config, radius, ordered=False)
+    (functional, window, the count of those pairs, report)."""
+    count = check_pair_cap(psi.config, radius, ordered=False)
     functional = build()
     window = window_indices(psi.config, radius)
     report = verify_trivialization(
         psi, functional, itertools.combinations_with_replacement(window, 2))
     if not report.passed:
         iu, iv, lhs, rhs = report.failures[0]
-        print(f"FAIL trivialization ({report.checked} pairs)")
+        print(f"FAIL trivialization ({count} pairs)")
         print(f"  witness: {format_pair(iu, iv)} -> form {lhs}, "
               f"functional-on-bracket {rhs}")
-    return functional, window, report
+    return functional, window, count, report
 
 
 # -- wiring -----------------------------------------------------------

@@ -128,9 +128,8 @@ def check_cocycle(psi: Form, triples) -> CheckReport:
     """Exact cocycle identity on each triple: the three-term sum
     psi([u,v],w) + psi([v,w],u) + psi([w,u],v), each term summed over the
     kernel's bracket through `psi.on_basis`.  Skew-symmetry is not checked:
-    both forms hold it by construction.  Failures are (iu, iv, iw, total)."""
+    both forms hold it by construction.  A failure is (iu, iv, iw, total)."""
     config = psi.config
-    failures = []
     checked = 0
     for checked, (iu, iv, iw) in enumerate(triples, 1):
         total = _ZERO
@@ -138,8 +137,8 @@ def check_cocycle(psi: Form, triples) -> CheckReport:
             for r, k in bracket_terms(config, a, b).items():
                 total += k * psi.on_basis(r, c)
         if total != 0:
-            failures.append((iu, iv, iw, total))
-    return CheckReport(checked, failures)
+            return CheckReport(checked, [(iu, iv, iw, total)])
+    return CheckReport(checked, [])
 
 
 def pair_reaching(config: AlgebraConfig, index: BasisIndex, rng) -> tuple:
@@ -358,7 +357,6 @@ def verify_trivialization(psi: Form, f: LinearFunctional, pairs) -> CheckReport:
             d = diff[r] = g.eval_basis(r) != f.eval_basis(r)
         return d
 
-    failures = []
     checked = 0
     for checked, (iu, iv) in enumerate(pairs, 1):
         if g is not None:
@@ -372,5 +370,5 @@ def verify_trivialization(psi: Form, f: LinearFunctional, pairs) -> CheckReport:
         lhs = psi.on_basis(iu, iv) if g is None else g.eval_terms(terms)
         rhs = f.eval_terms(terms)
         if lhs != rhs:
-            failures.append((iu, iv, lhs, rhs))
-    return CheckReport(checked, failures)
+            return CheckReport(checked, [(iu, iv, lhs, rhs)])
+    return CheckReport(checked, [])

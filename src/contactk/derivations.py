@@ -148,12 +148,10 @@ def outer_lower_partial(config: AlgebraConfig, p: int) -> LinearOperator:
 
 def check_derivation(D: LinearOperator, pairs) -> CheckReport:
     """Exact Leibniz check of D on basis pairs: D[u,v] = [Du,v] + [u,Dv],
-    summed from kernel terms and D.rule; failures hold both as elements."""
+    summed from kernel terms and D.rule; a failure holds both as elements."""
     config = D.config
-    failures = []
     checked = 0
-    for iu, iv in pairs:
-        checked += 1
+    for checked, (iu, iv) in enumerate(pairs, 1):
         lhs: dict[BasisIndex, Fraction] = {}
         for r, c in bracket_terms(config, iu, iv).items():
             add_into(lhs, D.rule(r), c)
@@ -163,9 +161,9 @@ def check_derivation(D: LinearOperator, pairs) -> CheckReport:
         for r, c in D.rule(iv).items():
             bracket_terms(config, iu, r, c, rhs)
         if lhs != rhs:
-            failures.append(
-                (iu, iv, AlgebraElement(config, lhs), AlgebraElement(config, rhs)))
-    return CheckReport(checked, failures)
+            return CheckReport(
+                checked, [(iu, iv, AlgebraElement(config, lhs), AlgebraElement(config, rhs))])
+    return CheckReport(checked, [])
 
 
 def check_mirror_identity(config: AlgebraConfig, p: int, indices) -> CheckReport:
@@ -174,16 +172,14 @@ def check_mirror_identity(config: AlgebraConfig, p: int, indices) -> CheckReport
     hom = mirror_difference_hom(config, p)
     probe = AlgebraElement.from_term(config, probe_index(config, p))
     pb = p + config.shape.n
-    failures = []
     checked = 0
-    for idx in indices:
-        checked += 1
+    for checked, idx in enumerate(indices, 1):
         x = AlgebraElement.from_term(config, idx)
         lhs = hom(idx.alpha) * x
         rhs = bracket_closed(probe, x) + lower_partial(p, x) - lower_partial(pb, x)
         if lhs != rhs:
-            failures.append((idx, None, lhs, rhs))
-    return CheckReport(checked, failures)
+            return CheckReport(checked, [(idx, None, lhs, rhs)])
+    return CheckReport(checked, [])
 
 
 class ProbeSets(NamedTuple):

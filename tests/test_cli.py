@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 import tracemalloc
 from fractions import Fraction
@@ -10,8 +11,8 @@ from pathlib import Path
 import pytest
 
 from contactk import (
-    CheckReport, check_cocycle, coboundary, parse_basis_index, parse_element,
-    sample_index, trivialize, window_indices,
+    CheckReport, check_cocycle, coboundary, format_basis_index, parse_basis_index,
+    parse_element, sample_index, trivialize, window_indices,
 )
 from contactk.algebra import bracket_support, bracket_terms
 from contactk.cohomology import pair_reaching, targeted_triples
@@ -442,25 +443,54 @@ def test_cocycle_check_failure_prints_each_witness(capsys, l2_path, tmp_path, mo
 def test_sampled_checks_draw_as_they_check(capsys, l2_path, tmp_path):
     # `deriv check` and `cocycle check` take each sampled pair or triple as
     # it is drawn, so their memory does not grow with the count; holding
-    # 5,000 draws in a list peaked at 3.8 to 5.4 MB
+    # 5,000 draws in a list peaked at 3.8 to 5.4 MB.  A check stops at its
+    # first failure, so a failing one does not grow with its failures
+    # either: keeping them all peaked at 3.7 MB for the failing table
     func = tmp_path / "g.fn"
     func.write_text("x[0,1,1] 3\nx[0,0,1]t[0,0,1] 1/2\n")
-    for argv, out in (
-            (["deriv", "check", "--op", "dt 1bar", "--samples"],
-             "PASS derivation-law (5000 samples)\n"),
-            (["cocycle", "check", "--coboundary", str(func), "--triples"],
-             "PASS cocycle-axioms (5000 triples)\n")):
-        argv[2:2] = ["--config", l2_path]
-        main(argv + ["1"])
-        capsys.readouterr()
+    table = tmp_path / "t.tab"
+    table.write_text("x[0,1,0] x[0,0,1]t[0,0,1] 2\n")
+
+    def traced(argv):
+        gc.collect()  # garbage left by earlier runs would move the peak
         tracemalloc.start()
         try:
-            main(argv + ["5000"])
+            code = main(argv)
         finally:
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
-        assert capsys.readouterr().out == out
+        return code, capsys.readouterr().out, peak
+
+    for argv, code, out in (
+            (["deriv", "check", "--op", "dt 1bar", "--samples"], 0,
+             "PASS derivation-law (5000 samples)\n"),
+            (["cocycle", "check", "--coboundary", str(func), "--triples"], 0,
+             "PASS cocycle-axioms (5000 triples)\n"),
+            (["cocycle", "check", "--table", str(table), "--triples"], 1,
+             "FAIL cocycle-axioms (5000 uniform + 5000 targeted triples)\n")):
+        argv[2:2] = ["--config", l2_path]
+        main(argv + ["1"])
+        capsys.readouterr()
+        got, text, peak = traced(argv + ["5000"])
+        assert (got, text.splitlines(True)[0]) == (code, out)
         assert peak < 1_000_000, (argv, peak)
+
+    # a functional on the whole window against the zero functional fails
+    # at nearly every pair; keeping every failing pair peaked higher than
+    # the passing run, at 3.13 against 1.74 MB
+    rng = random.Random(3)
+    g = tmp_path / "g.fn"
+    g.write_text("".join(f"{format_basis_index(i)} {rng.randint(1, 5)}\n"
+                         for i in window_indices(load_config(l2_path), 2)))
+    zero = tmp_path / "zero.fn"
+    zero.write_text("")
+    verify = ["cocycle", "verify", "--config", l2_path, "--coboundary", str(g),
+              "--radius", "2", "--functional"]
+    code, text, passing = traced(verify + [str(g)])
+    assert (code, text) == (0, "PASS trivialization (25425 pairs)\n")
+    code, text, failing = traced(verify + [str(zero)])
+    assert (code, text.splitlines(True)[0]) == (1, "FAIL trivialization (25425 pairs)\n")
+    assert failing <= passing, (failing, passing)
 
 
 def test_cocycle_table_file_errors(capsys, caseb_path, tmp_path):
