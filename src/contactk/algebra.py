@@ -181,13 +181,6 @@ def _slot_of(config: AlgebraConfig, p: int) -> int:
     return shape.slot(p)
 
 
-def scale_partial(p: int, u: AlgebraElement) -> AlgebraElement:
-    """Diagonal part of the p-th derivative: scale by the p-th coordinate."""
-    s = _slot_of(u.config, p)
-    return AlgebraElement(u.config, {idx: a * c for idx, c in u.terms.items()
-                                     if (a := idx.alpha.vector[s])})
-
-
 def lower_partial(p: int, u: AlgebraElement) -> AlgebraElement:
     """Lowering part of the p-th derivative: power rule on the p-th exponent."""
     s = _slot_of(u.config, p)
@@ -535,14 +528,29 @@ TERM_BOUND = 3
 
 
 def sample_index(config: AlgebraConfig, rng) -> BasisIndex:
-    """Draw one basis index from the standard sampling box.  Each draw is
-    `rng.randrange(a, b + 1)`, which is what `rng.randint(a, b)` draws."""
-    draw = rng.randrange
-    ngens = len(config.lattice.generators)
-    coords = tuple([draw(-COORD_BOUND, COORD_BOUND + 1) for _ in range(ngens)])
+    """Draw one basis index from the standard sampling box.
+
+    Each entry is drawn as `rng.randint(a, b)` draws it on CPython
+    3.10-3.13, leaving the generator in the same state: `a` plus
+    `rng.getrandbits(k)`, redrawn while not below the width b - a + 1,
+    whose bit length is k.  Inline, that is one Python call per attempt
+    instead of two.  `test_sampling_draws_what_randint_draws` in
+    `tests/test_algebra.py` pins it."""
+    bits = rng.getrandbits
+    coord_width, exp_width = 2 * COORD_BOUND + 1, EXP_BOUND + 1
+    coord_bits, exp_bits = coord_width.bit_length(), exp_width.bit_length()
+    coords = []
+    for _ in config.lattice.generators:
+        r = bits(coord_bits)
+        while r >= coord_width:
+            r = bits(coord_bits)
+        coords.append(r - COORD_BOUND)
     entries = [0] * config.shape.dim
     for s in config.exp_slots:
-        entries[s] = draw(0, EXP_BOUND + 1)
+        r = bits(exp_bits)
+        while r >= exp_width:
+            r = bits(exp_bits)
+        entries[s] = r
     return BasisIndex(config.lattice.element(coords), ExponentVector(entries))
 
 

@@ -1,4 +1,5 @@
-"""Shared configuration fixtures, and the bracket shape of an index.
+"""Shared configuration fixtures, the bracket shape of an index, and
+`scale_partial`, the diagonal part of a derivative.
 
 One configuration per active block, a mixed configuration touching all
 six blocks, and a wider lattice for decomposition tests.  Session scope:
@@ -14,7 +15,7 @@ from operator import sub
 
 import pytest
 
-from contactk import make_config
+from contactk import AlgebraElement, make_config
 
 
 @pytest.fixture(scope="session")
@@ -101,6 +102,15 @@ def table_shapes(config) -> set:
     lowered slots)."""
     return {(shift.coords, slots)
             for shift, shapes in config.bracket_shapes for slots in shapes}
+
+
+def scale_partial(p, u):
+    """Diagonal part of the p-th derivative: scale each term by the p-th
+    entry of its vector.  Tests use it as a black-box operator, which
+    alone is not a derivation, and as one part of `partial`."""
+    s = u.config.shape.slot(p)
+    return AlgebraElement(u.config, {idx: a * c for idx, c in u.terms.items()
+                                     if (a := idx.alpha.vector[s])})
 
 
 @pytest.fixture(scope="session")

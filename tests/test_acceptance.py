@@ -25,9 +25,10 @@ from contactk import (
     outer_indices, run_suites, sample_index, structure_rows, trivialize,
     unit, window_indices, zero_slot_hom,
 )
-from contactk.algebra import bracket_terms, scale_partial
+from contactk.algebra import bracket_terms
 from contactk.derivations import outer_lower_partial
 from contactk.linalg import as_number
+from conftest import scale_partial
 
 GOLDEN = Path(__file__).parent / "golden"
 ROOT = GOLDEN.parent.parent

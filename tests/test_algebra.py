@@ -15,12 +15,14 @@ from contactk import (
     sample_index, unit, weight, window_indices,
 )
 from contactk.algebra import (
-    BasisIndex, check_decompose_cap, check_pair_cap, lower_partial, partial, scale_partial,
+    BasisIndex, check_decompose_cap, check_pair_cap, lower_partial, partial,
     window_size,
 )
 from contactk.cli import load_config
 from contactk.indices import ExponentVector, _index_of_slot
 from contactk.linalg import add_into, add_term
+from conftest import scale_partial
+from test_random_configs import valid_configs
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_AND_BENCH = [path for folder in (ROOT / "tests" / "golden", ROOT / "bench" / "configs")
@@ -255,33 +257,45 @@ def test_one_pass_operators_equal_their_compositions(path):
         assert multiply(u, u) == row_by_row_product(u, u)
 
 
-def test_sampling_draws_what_randint_draws(all_configs):
-    # the sampler's draws, written with randint: same indices, with the
-    # vector the generators give, same elements, and the generator left
-    # in the same state
-    def index_by_randint(config, rng):
+def assert_draws_what_randint_draws(config, seed):
+    """The sampler's draws, written with randint: same indices, with the
+    vector the generators give, same elements, and the generator left in
+    the same state."""
+    def index_by_randint(rng):
         coords = tuple(rng.randint(-3, 3) for _ in config.lattice.generators)
         entries = [0] * config.shape.dim
         for s in sorted(config.exp_slots):
             entries[s] = rng.randint(0, 4)
         return BasisIndex(config.lattice.element(coords), ExponentVector(entries))
 
-    def element_by_randint(config, rng):
+    def element_by_randint(rng):
         terms = {}
         for _ in range(rng.randint(1, 3)):
             coeff = 0
             while not coeff:
                 coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            add_term(terms, index_by_randint(config, rng), coeff)
+            add_term(terms, index_by_randint(rng), coeff)
         return AlgebraElement(config, terms)
 
+    a, b = random.Random(seed), random.Random(seed)
+    gens = config.lattice.generators
+    for _ in range(20):
+        idx = sample_index(config, a)
+        assert idx == index_by_randint(b)
+        assert idx.alpha.vector == tuple(map(sum, zip(*(
+            [c * x for x in g] for c, g in zip(idx.alpha.coords, gens)))))
+        assert sample_element(config, a) == element_by_randint(b)
+    assert a.getstate() == b.getstate()
+
+
+def test_sampling_draws_what_randint_draws(all_configs):
     for name, config in all_configs.items():
-        a, b = random.Random(name), random.Random(name)
-        gens = config.lattice.generators
-        for _ in range(20):
-            idx = sample_index(config, a)
-            assert idx == index_by_randint(config, b)
-            assert idx.alpha.vector == tuple(map(sum, zip(*(
-                [c * x for x in g] for c, g in zip(idx.alpha.coords, gens)))))
-            assert sample_element(config, a) == element_by_randint(config, b)
-        assert a.getstate() == b.getstate()
+        assert_draws_what_randint_draws(config, name)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(config=valid_configs())
+def test_sampling_draws_what_randint_draws_on_random_configs(config):
+    # generators that are not unit vectors, so each coordinate scales a
+    # whole column of the vector
+    assert_draws_what_randint_draws(config, 0)

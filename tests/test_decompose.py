@@ -13,9 +13,9 @@ from contactk import (
     diagonal_derivation, hom_star_basis, outer_indices, unit,
     window_indices,
 )
-from contactk.algebra import scale_partial
 from contactk.derivations import outer_lower_partial
 from contactk.linalg import add_into
+from conftest import scale_partial
 
 
 @pytest.fixture(scope="module")

@@ -16,9 +16,10 @@ from contactk import (
     probe_sets, recursion_probes, sample_index, unit, window_indices, window_size,
     zero_slot_hom,
 )
-from contactk.algebra import lower_partial, parse_basis_index, sample_element, scale_partial
+from contactk.algebra import lower_partial, parse_basis_index, sample_element
 from contactk.derivations import hom_combination
 from contactk.linalg import add_into
+from conftest import scale_partial
 
 
 def _pairs(config, seed, count):

@@ -8,16 +8,21 @@ import pytest
 
 from contactk import (
     CheckReport, GroupElement, bracket_closed, check_derivation, parse_basis_index,
-    render_report, run_suites, weight,
+    render_report, run_suites, weight, window_size,
 )
 
 
 def test_all_suites_pass(cfg_caseB):
-    results = run_suites(cfg_caseB, seed=11, samples=60)
+    samples = 60
+    results = run_suites(cfg_caseB, seed=11, samples=samples)
     assert [r.name for r in results] == [
         "oracle-equivalence", "antisymmetry", "jacobi", "product-rule",
         "grading-eigenvalue", "derivation-law", "round-trip"]
     assert all(r.passed for r in results)
+    # the round trip runs every pair u <= v of the radius-1 window, then
+    # the sampled extra pairs
+    n = window_size(cfg_caseB, 1)
+    assert results[-1].samples == n * (n + 1) // 2 + samples // 4
 
 
 def test_round_trip_suite_skipped_without_route(cfg_l6z):
