@@ -12,8 +12,9 @@ from .indices import (
 from .algebra import (
     AlgebraElement, BasisIndex, CheckReport, LiteralError, basis_element,
     bracket_closed, bracket_operator, format_basis_index, format_element,
-    grading, multiply, parse_basis_index, parse_element, sample_element,
-    sample_index, structure_rows, unit, weight, window_indices, window_size,
+    grading, multiply, parse_basis_index, parse_element, recursion_probes,
+    sample_element, sample_index, structure_rows, unit, weight,
+    window_indices, window_size,
 )
 from .derivations import (
     AmbiguousError, DerivationDecomposer, DerivationDecomposition,
@@ -24,8 +25,8 @@ from .derivations import (
 )
 from .cohomology import (
     CoboundaryCocycle, LinearFunctional, TableCocycle,
-    check_cocycle, closed_form_regime, coboundary, recursion_probes,
-    trivialize, verify_trivialization,
+    check_cocycle, closed_form_regime, coboundary, trivialize,
+    verify_trivialization,
 )
 from .suite import SuiteResult, config_label, render_report, run_suites
 
@@ -35,8 +36,9 @@ __all__ = [
     "AlgebraElement", "BasisIndex", "CheckReport", "LiteralError",
     "basis_element", "bracket_closed", "bracket_operator",
     "format_basis_index", "format_element", "grading", "multiply",
-    "parse_basis_index", "parse_element", "sample_element", "sample_index",
-    "structure_rows", "unit", "weight", "window_indices", "window_size",
+    "parse_basis_index", "parse_element", "recursion_probes", "sample_element",
+    "sample_index", "structure_rows", "unit", "weight", "window_indices",
+    "window_size",
     "AmbiguousError", "DerivationDecomposer", "DerivationDecomposition",
     "LatticeHom", "LinearOperator", "ResidualError", "ad",
     "check_derivation", "check_mirror_identity",
@@ -44,7 +46,7 @@ __all__ = [
     "mirror_difference_hom", "outer_indices", "outer_lower_partial",
     "probe_sets", "zero_slot_hom",
     "CoboundaryCocycle", "LinearFunctional", "TableCocycle",
-    "check_cocycle", "closed_form_regime", "coboundary", "recursion_probes",
-    "trivialize", "verify_trivialization",
+    "check_cocycle", "closed_form_regime", "coboundary", "trivialize",
+    "verify_trivialization",
     "SuiteResult", "config_label", "render_report", "run_suites",
 ]

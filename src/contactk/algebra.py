@@ -20,6 +20,7 @@ import re
 from fractions import Fraction
 from itertools import product
 from operator import add, sub
+from typing import NamedTuple
 
 from .indices import (
     AlgebraConfig, ConfigError, ExponentVector, GroupElement,
@@ -103,15 +104,12 @@ def _check_same_config(u: AlgebraElement, v: AlgebraElement):
         raise ConfigError("elements belong to different configurations")
 
 
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of an exact check, which stops at its first failure: the
     count of cases run, that one included, and a list of that failure."""
 
-    __slots__ = ("checked", "failures")
-
-    def __init__(self, checked: int, failures: list):
-        self.checked = checked
-        self.failures = failures
+    checked: int
+    failures: list
 
     @property
     def passed(self) -> bool:
@@ -345,6 +343,12 @@ def bracket_support(config: AlgebraConfig, alpha_sum: GroupElement,
     return out
 
 
+def sum_key(iu: BasisIndex, iv: BasisIndex) -> tuple:
+    """Key `(*coords, *exps)` of a pair's index sum, as `sums_reaching`
+    lists it."""
+    return (*map(add, iu.alpha.coords + iu.exps, iv.alpha.coords + iv.exps),)
+
+
 def sums_reaching(config: AlgebraConfig, index: BasisIndex) -> list[tuple]:
     """Keys `(*coords, *exps)` of every index sum whose `bracket_support`
     contains `index`: that lemma inverted, (alpha − shift, e raised at
@@ -444,9 +448,9 @@ def format_basis_index(index: BasisIndex) -> str:
     return body
 
 
-def format_pair(iu: BasisIndex, iv: BasisIndex) -> str:
-    """The witness text of a basis pair: 'u , v'."""
-    return f"{format_basis_index(iu)} , {format_basis_index(iv)}"
+def format_witness(*indices: BasisIndex) -> str:
+    """The witness text of basis indices: 'u , v', or 'u , v , w'."""
+    return " , ".join(map(format_basis_index, indices))
 
 
 def format_element(u: AlgebraElement) -> str:
@@ -472,25 +476,26 @@ def window_size(config: AlgebraConfig, radius: int) -> int:
     return (2 * radius + 1) ** ngens * (radius + 1) ** len(config.exp_slots)
 
 
+def _capped(count: int, cap: int, counted: str) -> int:
+    """`count`, or ConfigError saying `counted` and the cap when it passes
+    `cap`."""
+    if count > cap:
+        raise ConfigError(f"{counted}; the cap is {cap}")
+    return count
+
+
 def check_pair_cap(config: AlgebraConfig, radius: int, ordered: bool):
     """Count of the window's ordered pairs, or of its pairs (u, v) with u not
     after v; ConfigError when a sweep would bracket more than `PAIR_CAP`."""
     size = window_size(config, radius)
     count = size * size if ordered else size * (size + 1) // 2
-    if count > PAIR_CAP:
-        raise ConfigError(f"window of radius {radius} gives {count} bracket "
-                          f"pairs; the cap is {PAIR_CAP}")
-    return count
+    return _capped(count, PAIR_CAP, f"window of radius {radius} gives {count} bracket pairs")
 
 
 def _capped_window_size(config: AlgebraConfig, radius: int) -> int:
     """`window_size`, or ConfigError when it passes `WINDOW_CAP`."""
     size = window_size(config, radius)
-    if size > WINDOW_CAP:
-        raise ConfigError(
-            f"window of radius {radius} holds {size} indices; "
-            f"the cap is {WINDOW_CAP}")
-    return size
+    return _capped(size, WINDOW_CAP, f"window of radius {radius} holds {size} indices")
 
 
 def check_decompose_cap(config: AlgebraConfig, radius: int, inner_radius: int):
@@ -499,10 +504,8 @@ def check_decompose_cap(config: AlgebraConfig, radius: int, inner_radius: int):
     evaluate every inner column on every window index."""
     count = (_capped_window_size(config, radius)
              * _capped_window_size(config, inner_radius))
-    if count > PAIR_CAP:
-        raise ConfigError(
-            f"windows of radius {radius} and inner radius {inner_radius} give "
-            f"{count} (window index, inner column) pairs; the cap is {PAIR_CAP}")
+    _capped(count, PAIR_CAP, f"windows of radius {radius} and inner radius {inner_radius} "
+            f"give {count} (window index, inner column) pairs")
 
 
 def window_indices(config: AlgebraConfig, radius: int) -> list[BasisIndex]:
@@ -552,6 +555,21 @@ def sample_index(config: AlgebraConfig, rng) -> BasisIndex:
             r = bits(exp_bits)
         entries[s] = r
     return BasisIndex(config.lattice.element(coords), ExponentVector(entries))
+
+
+def pair_reaching(config: AlgebraConfig, index: BasisIndex, rng) -> tuple:
+    """A seeded pair (u, v) whose index sum is a key drawn from
+    `sums_reaching(config, index)`, so that [u, v] can have a term at
+    `index`.  u has coordinates in the sampling box and exponents at most
+    the sum's; v is the sum less u."""
+    ngens = len(config.lattice.generators)
+    key = rng.choice(sums_reaching(config, index))
+    coords, exps = key[:ngens], key[ngens:]
+    u_coords = [rng.randint(-COORD_BOUND, COORD_BOUND) for _ in range(ngens)]
+    u_exps = [rng.randint(0, e) for e in exps]
+    return (BasisIndex(config.lattice.element(u_coords), ExponentVector(u_exps)),
+            BasisIndex(config.lattice.element(map(sub, coords, u_coords)),
+                       ExponentVector(map(sub, exps, u_exps))))
 
 
 def sample_element(config: AlgebraConfig, rng) -> AlgebraElement:

@@ -21,7 +21,7 @@ from .indices import AlgebraConfig, ConfigError, ConfigLineError, content_lines,
 from .linalg import as_number
 from .algebra import (
     LiteralError, bracket_closed, bracket_operator, check_decompose_cap,
-    check_pair_cap, format_basis_index, format_element, format_pair, multiply,
+    check_pair_cap, format_basis_index, format_element, format_witness, multiply,
     parse_basis_index, parse_element, parse_rational, sample_index, structure_rows,
     window_indices,
 )
@@ -211,7 +211,7 @@ def cmd_deriv_check(config: AlgebraConfig, args) -> int:
         return 0
     iu, iv, lhs, rhs = report.failures[0]
     print(f"FAIL derivation-law ({args.samples} samples)")
-    print(f"  witness: {format_pair(iu, iv)}")
+    print(f"  witness: {format_witness(iu, iv)}")
     print(f"  action on bracket: {format_element(lhs)}")
     print(f"  bracket of actions: {format_element(rhs)}")
     return 1
@@ -260,7 +260,7 @@ def cmd_cocycle_check(config: AlgebraConfig, args) -> int:
         return 0
     print(f"FAIL cocycle-axioms ({kinds})")
     a, b, c, total = report.failures[0]
-    print(f"  sum witness: {format_pair(a, b)} , {format_basis_index(c)} -> {total}")
+    print(f"  sum witness: {format_witness(a, b, c)} -> {total}")
     return 1
 
 
@@ -301,7 +301,7 @@ def _verify_on_window(psi, radius: int, build):
     if not report.passed:
         iu, iv, lhs, rhs = report.failures[0]
         print(f"FAIL trivialization ({count} pairs)")
-        print(f"  witness: {format_pair(iu, iv)} -> form {lhs}, "
+        print(f"  witness: {format_witness(iu, iv)} -> form {lhs}, "
               f"functional-on-bracket {rhs}")
     return functional, window, count, report
 

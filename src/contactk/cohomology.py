@@ -12,12 +12,12 @@ the first block is nonempty.  Divisions are exact; the case guards are the case 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, sub
+from operator import sub
 
-from .indices import AlgebraConfig, ConfigError, ExponentVector
+from .indices import AlgebraConfig, ConfigError
 from .algebra import (
-    COORD_BOUND, BasisIndex, CheckReport, bracket_support, bracket_terms,
-    format_basis_index, probe_index, recursion_probes, sums_reaching,
+    BasisIndex, CheckReport, bracket_support, bracket_terms, format_basis_index,
+    pair_reaching, probe_index, recursion_probes, sum_key, sums_reaching,
 )
 
 # one shared zero for every zero value; it is a Fraction, not int 0, so
@@ -53,11 +53,6 @@ class LinearFunctional:
         return total
 
 
-def _sum_key(iu: BasisIndex, iv: BasisIndex) -> tuple:
-    """Key of a pair's index sum, as `sums_reaching` lists it."""
-    return (*map(add, iu.alpha.coords + iu.exps, iv.alpha.coords + iv.exps),)
-
-
 class CoboundaryCocycle:
     """psi_f(u,v) = f([u,v]); satisfies the cocycle axioms identically.
 
@@ -76,7 +71,7 @@ class CoboundaryCocycle:
             for key in sums_reaching(self.config, r)}
 
     def on_basis(self, iu, iv):
-        if self._reach is not None and _sum_key(iu, iv) not in self._reach:
+        if self._reach is not None and sum_key(iu, iv) not in self._reach:
             return _ZERO
         return self.functional.eval_terms(bracket_terms(self.config, iu, iv))
 
@@ -139,21 +134,6 @@ def check_cocycle(psi: Form, triples) -> CheckReport:
         if total != 0:
             return CheckReport(checked, [(iu, iv, iw, total)])
     return CheckReport(checked, [])
-
-
-def pair_reaching(config: AlgebraConfig, index: BasisIndex, rng) -> tuple:
-    """A seeded pair (u, v) whose index sum is a key drawn from
-    `sums_reaching(config, index)`, so that [u, v] can have a term at
-    `index`.  u has coordinates in the sampling box and exponents at most
-    the sum's; v is the sum less u."""
-    ngens = len(config.lattice.generators)
-    key = rng.choice(sums_reaching(config, index))
-    coords, exps = key[:ngens], key[ngens:]
-    u_coords = [rng.randint(-COORD_BOUND, COORD_BOUND) for _ in range(ngens)]
-    u_exps = [rng.randint(0, e) for e in exps]
-    return (BasisIndex(config.lattice.element(u_coords), ExponentVector(u_exps)),
-            BasisIndex(config.lattice.element(map(sub, coords, u_coords)),
-                       ExponentVector(map(sub, exps, u_exps))))
 
 
 def targeted_triples(psi: TableCocycle, rng, count: int):
@@ -360,7 +340,7 @@ def verify_trivialization(psi: Form, f: LinearFunctional, pairs) -> CheckReport:
     checked = 0
     for checked, (iu, iv) in enumerate(pairs, 1):
         if g is not None:
-            key = _sum_key(iu, iv)
+            key = sum_key(iu, iv)
             if (verdict := clear.get(key)) is None:
                 support = bracket_support(config, iu.alpha.add(iv.alpha), iu.exps.add(iv.exps))
                 verdict = clear[key] = not any(map(differs, support))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .indices import AlgebraConfig, ConfigError
 from .linalg import Echelon, add_into, as_number
@@ -22,16 +22,13 @@ from .algebra import (
 )
 
 
-class LinearOperator:
+class LinearOperator(NamedTuple):
     """Basis rule with a descriptive tag and no memo: `rule(index)` is the
     image of one monomial as a fresh, zero-free `{BasisIndex: coeff}`."""
 
-    __slots__ = ("config", "rule", "tag")
-
-    def __init__(self, config: AlgebraConfig, rule, tag: str):
-        self.config = config
-        self.rule = rule
-        self.tag = tag
+    config: AlgebraConfig
+    rule: Callable[[BasisIndex], dict]
+    tag: str
 
     @classmethod
     def combine(cls, config, parts) -> "LinearOperator":
@@ -273,11 +270,11 @@ def hom_combination(config: AlgebraConfig, coeffs, homs) -> LatticeHom:
 class ResidualError(Exception):
     """The operator is not in the decomposer's span on the window."""
 
-    def __init__(self, window_index: BasisIndex, result_index: BasisIndex | None):
+    def __init__(self, window_index: BasisIndex, result_index: BasisIndex):
         self.window_index = window_index
         self.result_index = result_index
         at = format_basis_index(window_index)
-        via = format_basis_index(result_index) if result_index is not None else "?"
+        via = format_basis_index(result_index)
         super().__init__(f"unmatched action on {at} at result term {via}")
 
 
@@ -291,16 +288,13 @@ class AmbiguousError(Exception):
             + ", ".join(self.free_labels))
 
 
-class DerivationDecomposition:
+class DerivationDecomposition(NamedTuple):
     """Exact coefficients of an operator over the decomposer's directions."""
 
-    __slots__ = ("outer_coeffs", "hom", "hom_coords", "inner")
-
-    def __init__(self, outer_coeffs, hom, hom_coords, inner):
-        self.outer_coeffs = outer_coeffs
-        self.hom = hom
-        self.hom_coords = hom_coords
-        self.inner = inner
+    outer_coeffs: dict[int, Fraction]
+    hom: LatticeHom | None
+    hom_coords: tuple
+    inner: AlgebraElement
 
 
 class DerivationDecomposer:

@@ -11,11 +11,12 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 from .indices import AlgebraConfig
 from .algebra import (
     AlgebraElement, bracket_closed, bracket_operator, format_basis_index,
-    format_pair, grading, multiply, partial, recursion_probes, sample_index,
+    format_witness, grading, multiply, partial, recursion_probes, sample_index,
     unit, weight, window_indices, window_size,
 )
 from .derivations import (
@@ -28,14 +29,16 @@ from .cohomology import (
 )
 
 
-class SuiteResult:
-    __slots__ = ("name", "passed", "samples", "witness")
+class SuiteResult(NamedTuple):
+    """One law's outcome; it passed when it has no witness."""
 
-    def __init__(self, name: str, passed: bool, samples: int, witness: str | None = None):
-        self.name = name
-        self.passed = passed
-        self.samples = samples
-        self.witness = witness
+    name: str
+    samples: int
+    witness: str | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
 
 def run_suites(config: AlgebraConfig, seed: int, samples: int,
@@ -50,7 +53,7 @@ def run_suites(config: AlgebraConfig, seed: int, samples: int,
         """Run `trial()` up to `count` times; it returns a witness (never
         empty) or None, and the first witness fails the law."""
         witness = next(filter(None, (trial() for _ in range(count))), None)
-        results.append(SuiteResult(name, witness is None, count, witness))
+        results.append(SuiteResult(name, count, witness))
 
     def monomials(*indices):
         return [AlgebraElement.from_term(config, i) for i in indices]
@@ -60,13 +63,13 @@ def run_suites(config: AlgebraConfig, seed: int, samples: int,
         iu, iv = draw_pair()
         xu, xv = monomials(iu, iv)
         if bracket_fn(xu, xv) != bracket_operator(xu, xv):
-            return format_pair(iu, iv)
+            return format_witness(iu, iv)
 
     def antisymmetry():
         iu, iv = draw_pair()
         xu, xv = monomials(iu, iv)
         if not (bracket_fn(xu, xv) + bracket_fn(xv, xu)).is_zero():
-            return format_pair(iu, iv)
+            return format_witness(iu, iv)
 
     def jacobi():
         iu, iv, iw = (sample_index(config, rng) for _ in range(3))
@@ -75,7 +78,7 @@ def run_suites(config: AlgebraConfig, seed: int, samples: int,
                  + bracket_fn(bracket_fn(xv, xw), xu)
                  + bracket_fn(bracket_fn(xw, xu), xv))
         if not total.is_zero():
-            return f"{format_pair(iu, iv)} , {format_basis_index(iw)}"
+            return format_witness(iu, iv, iw)
 
     def product_rule():
         # derivative operators obey the product rule
@@ -85,7 +88,7 @@ def run_suites(config: AlgebraConfig, seed: int, samples: int,
         lhs = partial(p, multiply(xu, xv))
         rhs = multiply(partial(p, xu), xv) + multiply(xu, partial(p, xv))
         if lhs != rhs:
-            return f"index {config.shape.index_token(p)} on {format_pair(iu, iv)}"
+            return f"index {config.shape.index_token(p)} on {format_witness(iu, iv)}"
 
     def grading_eigenvalue():
         idx = sample_index(config, rng)
@@ -120,10 +123,9 @@ def run_suites(config: AlgebraConfig, seed: int, samples: int,
         checked += len(pairs)
         if not rep.passed:
             iu, iv, _, _ = rep.failures[0]
-            witness = f"{op.tag} on {format_pair(iu, iv)}"
+            witness = f"{op.tag} on {format_witness(iu, iv)}"
             break
-    results.append(SuiteResult(
-        "derivation-law", witness is None, checked, witness))
+    results.append(SuiteResult("derivation-law", checked, witness))
 
     # trivializer round trip on a small random coboundary
     if closed_form_regime(config) or recursion_probes(config):
@@ -139,9 +141,9 @@ def run_suites(config: AlgebraConfig, seed: int, samples: int,
         extra = [draw_pair() for _ in range(law_samples)]
         rep = verify_trivialization(
             psi, f, itertools.chain(itertools.combinations_with_replacement(window, 2), extra))
-        witness = None if rep.passed else format_pair(*rep.failures[0][:2])
+        witness = None if rep.passed else format_witness(*rep.failures[0][:2])
         count = len(window) * (len(window) + 1) // 2 + len(extra)
-        results.append(SuiteResult("round-trip", rep.passed, count, witness))
+        results.append(SuiteResult("round-trip", count, witness))
 
     return results
 

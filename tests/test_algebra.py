@@ -14,6 +14,7 @@ from contactk import (
     format_element, grading, multiply, parse_basis_index, parse_element, sample_element,
     sample_index, unit, weight, window_indices,
 )
+from contactk import algebra
 from contactk.algebra import (
     BasisIndex, check_decompose_cap, check_pair_cap, lower_partial, partial,
     window_size,
@@ -186,6 +187,19 @@ def test_pair_cap_admits_the_documented_radii(cfg_caseB, cfg_l2, cfg_l3):
         check_pair_cap(cfg_l2, 4, ordered=False)
     with pytest.raises(ConfigError, match="4100625 bracket pairs"):
         check_pair_cap(cfg_l2, 4, ordered=True)
+
+
+def test_a_cap_admits_its_exact_count(monkeypatch, cfg_l2):
+    # a count equal to the cap passes; one past it is refused, the message
+    # naming both
+    count = window_size(cfg_l2, 1) ** 2
+    monkeypatch.setattr(algebra, "PAIR_CAP", count)
+    assert check_pair_cap(cfg_l2, 1, ordered=True) == count
+    monkeypatch.setattr(algebra, "PAIR_CAP", count - 1)
+    with pytest.raises(ConfigError) as info:
+        check_pair_cap(cfg_l2, 1, ordered=True)
+    assert str(info.value) == (f"window of radius 1 gives {count} bracket pairs; "
+                               f"the cap is {count - 1}")
 
 
 def test_decompose_cap_admits_the_documented_radii(

@@ -12,17 +12,15 @@ import weakref
 from fractions import Fraction
 from pathlib import Path
 
-import pytest
-
 from contactk import (
     AlgebraElement, basis_element, bracket_closed, bracket_operator,
     format_element, make_config, parse_basis_index, parse_element, sample_element,
-    sample_index, structure_rows, unit, weight, window_indices,
+    sample_index, structure_rows, unit, window_indices,
 )
 from contactk.cli import load_config
 from contactk.indices import ExponentVector
 from contactk import algebra
-from contactk.algebra import bracket_support, bracket_terms, sums_reaching
+from contactk.algebra import bracket_support, bracket_terms, sum_key, sums_reaching
 from contactk.linalg import add_into
 
 
@@ -486,6 +484,7 @@ def test_sums_reaching_inverts_the_bracket_support(all_configs):
         window = window_indices(config, 2 if name == "caseB" else 1)
         for iu, iv in itertools.product(window, repeat=2):
             key = (*iu.alpha.add(iv.alpha).coords, *iu.exps.add(iv.exps))
+            assert sum_key(iu, iv) == key
             oracle = bracket_operator(AlgebraElement.from_term(config, iu),
                                       AlgebraElement.from_term(config, iv)).terms
             closed = bracket_terms(config, iu, iv)

@@ -14,8 +14,8 @@ from contactk import (
     CheckReport, check_cocycle, coboundary, format_basis_index, parse_basis_index,
     parse_element, sample_index, trivialize, window_indices,
 )
-from contactk.algebra import bracket_support, bracket_terms
-from contactk.cohomology import pair_reaching, targeted_triples
+from contactk.algebra import bracket_support, bracket_terms, pair_reaching
+from contactk.cohomology import targeted_triples
 from contactk.cli import (
     load_config, load_functional, load_table_cocycle, main, parse_operator_spec,
 )

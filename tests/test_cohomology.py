@@ -10,15 +10,15 @@ from functools import partial
 import pytest
 
 from contactk import (
-    CoboundaryCocycle, ConfigError, LinearFunctional, TableCocycle,
+    ConfigError, LinearFunctional, TableCocycle,
     AlgebraElement, basis_element, bracket_closed, bracket_operator,
     check_cocycle, closed_form_regime,
     coboundary, make_config, parse_basis_index, recursion_probes,
     sample_index, trivialize,
     verify_trivialization, window_indices,
 )
-from contactk.algebra import bracket_support, bracket_terms
-from contactk.cohomology import pair_reaching, probe_recurrence, targeted_triples
+from contactk.algebra import bracket_support, bracket_terms, pair_reaching
+from contactk.cohomology import probe_recurrence, targeted_triples
 
 
 def random_functional(config, rng, support_size=6):

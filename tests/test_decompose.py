@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 
 from contactk import (
-    AlgebraElement, AmbiguousError, DerivationDecomposer, LinearOperator,
-    ResidualError, ad, basis_element,
+    AlgebraElement, AmbiguousError, BasisIndex, DerivationDecomposer, LinearOperator,
+    ResidualError, ad, basis_element, format_basis_index,
     diagonal_derivation, hom_star_basis, outer_indices, unit,
     window_indices,
 )
@@ -104,13 +104,21 @@ def test_residual_error_for_out_of_support_inner(cfg_decomp, decomposer):
     with pytest.raises(ResidualError) as info:
         decomposer.decompose(D)
     assert info.value.window_index is not None
+    assert_names_its_result_index(info.value)
 
 
 def test_residual_error_for_non_derivation(cfg_decomp, decomposer):
     D = LinearOperator(cfg_decomp, lambda idx: scale_partial(
         1, AlgebraElement.from_term(cfg_decomp, idx, 1)).terms, "scale 1")
-    with pytest.raises(ResidualError):
+    with pytest.raises(ResidualError) as info:
         decomposer.decompose(D)
+    assert_names_its_result_index(info.value)
+
+
+def assert_names_its_result_index(err):
+    # the residual always has a first term, and the message names it
+    assert isinstance(err.result_index, BasisIndex)
+    assert str(err).endswith(f" at result term {format_basis_index(err.result_index)}")
 
 
 def test_ambiguous_when_window_too_small(cfg_decomp):

@@ -1,4 +1,4 @@
-"""No module under `src/` or `tools/` imports a name it never uses.
+"""No module under `src/`, `tools/` or `tests/` imports a name it never uses.
 
 A name counts as used when the module reads it anywhere (a bare name, or
 the base of an attribute, such as `sys` in `sys.exit`) or lists it in
@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tools").glob("*.py")])
+MODULES = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tools").glob("*.py"),
+                  *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
